@@ -26,9 +26,9 @@ from .dyck import (
 )
 from .oracle import brute_distribution
 from .perms import (
-    consecutive_matches,
+    consecutive_match_positions,
     contains_classical,
-    descent_stats,
+    descent_set,
     enumerate_avoiders,
     parse_perm,
     perm_str,

@@ -610,13 +610,13 @@ def reference_sequence(name: str, n: int) -> int:
     raise ValueError(f"unknown sequence {name!r}")
 
 
-@lru_cache(maxsize=None)
 def _motzkin(n: int) -> int:
-    # M_{n+1} = M_n + sum_i M_i M_{n-1-i}, seeded M_0 = 1.
-    if n == 0:
-        return 1
-    return _motzkin(n - 1) + sum(_motzkin(i) * _motzkin(n - 2 - i)
-                                 for i in range(n - 1))
+    # (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2}, from M_0 = M_1 = 1; the
+    # division is exact.
+    prev, cur = 1, 1
+    for m in range(2, n + 1):
+        prev, cur = cur, ((2 * m + 1) * cur + 3 * (m - 1) * prev) // (m + 2)
+    return cur
 
 
 # -- printed-identity checks -----------------------------------------------------
@@ -814,7 +814,9 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "thm8_rational":
-        sol = solve_system("thm8", order)
+        # Four arguments, as solve_catalog passes them: lru_cache keys on the
+        # call's form, so a shorter call would solve the system again.
+        sol = solve_system("thm8", order, None, None)
         a0, a1, A = sol["A0"], sol["A1"], sol["A"]
         one = TS.const(1, order)
         t = TS(Poly.variable("t"), order)
@@ -827,7 +829,7 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "thm7_rational":
-        sol = solve_system("thm7", order)
+        sol = solve_system("thm7", order, None, None)   # see thm8_rational
         a0, A = sol["A0"], sol["A"]
         one = TS.const(1, order)
         t = TS(Poly.variable("t"), order)

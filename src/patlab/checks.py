@@ -325,7 +325,7 @@ def _run_series_equal(params, n_max):
 def _run_thm5_remark(params, n_max):
     order = min(n_max, DIST_NMAX)
     main = catalog.solve_catalog("thm5", order)
-    remark = catalog.solve_system("thm5_remark", order)["A"]
+    remark = catalog.solve_catalog("thm5_remark", order)
     for n in range(order + 1):
         w = _poly_witness(n, main.t_slice(n), remark.t_slice(n))
         if w:

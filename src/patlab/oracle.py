@@ -7,15 +7,11 @@ consecutive matches per permutation, accumulated into an exact polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import (
-    Perm,
-    avoider_list,
-    reduce_word,
-    window3_counts,
-)
+from .perms import Perm, avoider_list, pattern_counter
 from .series import Poly, pack
 
 ORACLE_MAX_N = 12
@@ -33,39 +29,17 @@ class DistributionSlice:
     poly: Poly
 
 
-def _match_count(p: Perm, pat: Perm, win3: dict[Perm, int] | None) -> int:
-    k = len(pat)
-    if k == 3 and win3 is not None:
-        return win3.get(pat, 0)
-    if k == 2:
-        if pat == (2, 1):
-            return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
-        return sum(1 for i in range(len(p) - 1) if p[i] < p[i + 1])
-    count = 0
-    for i in range(len(p) - k + 1):
-        if reduce_word(p[i:i + k]) == pat:
-            count += 1
-    return count
-
-
 @lru_cache(maxsize=None)
 def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
                   variables: tuple[str, ...], track_des: bool) -> Poly:
-    want3 = any(len(g) == 3 for g in tracked)
+    # One pass per permutation: descents are the consecutive pattern 21.
+    names = (("y",) if track_des else ()) + variables
+    count = pattern_counter((((2, 1),) if track_des else ()) + tracked)
+    tally = Counter(map(count, avoider_list(avoided, n)))
     counter: dict[int, int] = {}
-    for p in avoider_list(avoided, n):
-        win3 = window3_counts(p) if want3 else None
-        exps = {}
-        if track_des:
-            des = sum(1 for i in range(n - 1) if p[i] > p[i + 1])
-            if des:
-                exps["y"] = des
-        for var, g in zip(variables, tracked):
-            c = _match_count(p, g, win3)
-            if c:
-                exps[var] = c
-        key = pack(exps)
-        counter[key] = counter.get(key, 0) + 1
+    for exps, c in tally.items():
+        key = pack({v: e for v, e in zip(names, exps) if e})
+        counter[key] = counter.get(key, 0) + c
     return Poly(counter)
 
 

@@ -5,6 +5,14 @@ permutation.  Classical patterns match arbitrary subsequences, consecutive
 patterns match contiguous windows.  Everything here is a pure function of
 its inputs.
 
+There is one consecutive matcher: compile_pattern turns a pattern into its
+inverse, so a window matches when its entries at those offsets increase
+(k-1 comparisons, stopping at the first failure).  pattern_counter counts
+several patterns in one pass, sharing one rank code per window among the
+patterns of a length.  The 123- and 321-avoiders are built level by level
+on West's generating trees, the 132-type classes by splitting at the
+maximum; every class list is sorted lexicographically.
+
 Text form: undelimited digits for n <= 9 ("869743251"), comma-separated
 entries for longer permutations.
 """
@@ -13,6 +21,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import itemgetter, lt
 
 Perm = tuple[int, ...]
 
@@ -80,14 +89,6 @@ def reduce_word(word) -> Perm:
 
 def descent_set(p: Perm) -> frozenset[int]:
     return frozenset(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
-
-
-def descent_stats(p: Perm) -> tuple[frozenset[int], int, int]:
-    """(descent positions, des, asc); asc + des = n - 1 for nonempty p."""
-    ds = descent_set(p)
-    des = len(ds)
-    asc = max(len(p) - 1, 0) - des
-    return ds, des, asc
 
 
 def descents(p: Perm) -> int:
@@ -217,80 +218,148 @@ def avoids_classical(p: Perm, pat: Perm) -> bool:
 
 
 # -- consecutive matches ------------------------------------------------------
+#
+# A window p[i..i+k-1] matches pat iff its entries, read in increasing order of
+# pattern value, increase: p[i+o0] < p[i+o1] < ... where (o0, o1, ...) is
+# pat^-1 written 0-based (Elizalde and Noy's window trick).  That is k-1
+# comparisons, and the test stops at the first one that fails.
 
-def consecutive_match_positions(p: Perm, pat: Perm) -> list[int]:
-    """1-based start positions i with reduce(p[i..i+k-1]) equal to pat."""
-    k = len(pat)
-    if k == 0:
+def compile_pattern(pat: Perm) -> tuple[int, ...]:
+    """Window offsets of pat's entries sorted by value: pat^-1, 0-based.
+
+    >>> compile_pattern((2, 4, 1, 3))
+    (2, 0, 3, 1)
+    """
+    if len(pat) == 0:
         raise ValueError("patterns must be nonempty")
+    offsets = [0] * len(pat)
+    for i, v in enumerate(check_permutation(pat)):
+        offsets[v - 1] = i
+    return tuple(offsets)
+
+
+def _match_starts(p: Perm, offsets: tuple[int, ...]) -> list[int]:
+    # 0-based starts of the windows that pass the chain test.
+    first, rest = offsets[0], offsets[1:]
     out = []
-    for i in range(len(p) - k + 1):
-        if reduce_word(p[i:i + k]) == pat:
-            out.append(i + 1)
+    for i in range(len(p) - len(offsets) + 1):
+        prev = p[i + first]
+        for o in rest:
+            v = p[i + o]
+            if v < prev:
+                break
+            prev = v
+        else:
+            out.append(i)
     return out
 
 
-def consecutive_matches(p: Perm, pat: Perm) -> tuple[list[int], int]:
-    positions = consecutive_match_positions(p, pat)
-    return positions, len(positions)
+def consecutive_match_positions(p: Perm, pat: Perm) -> list[int]:
+    """1-based start positions i with reduce(p[i..i+k-1]) equal to pat."""
+    return [i + 1 for i in _match_starts(p, compile_pattern(pat))]
 
 
-def window3_counts(p: Perm) -> dict[Perm, int]:
-    """Counts of every length-3 consecutive pattern in p, in one pass."""
-    counts: dict[Perm, int] = {}
-    for i in range(len(p) - 2):
-        a, b, c = p[i], p[i + 1], p[i + 2]
-        code = (1 + (a > b) + (a > c), 1 + (b > a) + (b > c), 1 + (c > a) + (c > b))
-        counts[code] = counts.get(code, 0) + 1
-    return counts
+def _rank_code_counter(patterns: list[Perm]):
+    # Several distinct patterns of one length k: each window's comparisons of
+    # all k(k-1)/2 pairs of its entries form a code that identifies its
+    # pattern, computed once per window and looked up.
+    k = len(patterns[0])
+    pairs = [(a, b, 1 << j) for j, (a, b) in
+             enumerate((a, b) for a in range(k) for b in range(a + 1, k))]
+    lookup = {sum(bit for a, b, bit in pairs if pat[a] < pat[b]): j
+              for j, pat in enumerate(patterns)}
+
+    def count(p: Perm) -> tuple[int, ...]:
+        counts = [0] * len(patterns)
+        for i in range(len(p) - k + 1):
+            c = 0
+            for a, b, bit in pairs:
+                if p[i + a] < p[i + b]:
+                    c |= bit
+            j = lookup.get(c)
+            if j is not None:
+                counts[j] += 1
+        return tuple(counts)
+    return count
+
+
+def _chain_counter(pat: Perm):
+    offsets = compile_pattern(pat)
+    if len(offsets) == 2:
+        # One comparison per window: let map run the loop.
+        a, b = offsets
+        return lambda p: (sum(map(lt, p[a:], p[b:])),)
+    return lambda p: (len(_match_starts(p, offsets)),)
+
+
+def pattern_counter(patterns):
+    """Compile consecutive patterns into one counter: p -> tuple of the
+    number of windows of p matching each pattern, in the given order.
+
+    Patterns are grouped by length.  A length with one pattern uses the chain
+    test; a length shared by several computes each window's rank code once.
+    """
+    patterns = [tuple(pat) for pat in patterns]
+    by_length: dict[int, list[Perm]] = {}
+    for pat in dict.fromkeys(patterns):
+        compile_pattern(pat)   # rejects a non-permutation
+        by_length.setdefault(len(pat), []).append(pat)
+    parts = [_chain_counter(group[0]) if len(group) == 1
+             else _rank_code_counter(group) for group in by_length.values()]
+    order = [pat for group in by_length.values() for pat in group]
+    # Two or more patterns whenever the order differs, so pick gives a tuple.
+    pick = (None if order == patterns
+            else itemgetter(*[order.index(pat) for pat in patterns]))
+    if len(parts) == 1 and pick is None:
+        return parts[0]
+
+    def count(p: Perm) -> tuple[int, ...]:
+        counts = ()
+        for part in parts:
+            counts += part(p)
+        return counts if pick is None else pick(counts)
+    return count
 
 
 # -- avoider enumeration ------------------------------------------------------
 
 def _perms_avoiding_123(n: int) -> list[Perm]:
-    # Prefix DFS in lexicographic order.  Appending v creates a 123 iff
-    # v > mid where mid is the least value with a smaller one earlier.
-    out: list[Perm] = []
-    path: list[int] = []
-
-    def rec(used: int, low: int, mid: int):
-        if len(path) == n:
-            out.append(tuple(path))
-            return
-        for v in range(1, min(mid, n) + 1):
-            if used & (1 << v):
-                continue
-            path.append(v)
-            if v > low:
-                rec(used | (1 << v), low, min(mid, v))
-            else:
-                rec(used | (1 << v), v, mid)
-            path.pop()
-
-    rec(0, n + 1, n + 1)
-    return out
+    # West's generating tree, level by level.  Inserting m into a 123-avoider
+    # of [m-1] keeps it 123-free iff every entry left of m is decreasing, so
+    # the slots are 0..d, d the length of the leading decreasing run.  Slot 0
+    # gives a child with run d+1, slot j >= 1 a child with run j.
+    level, runs = [()], [0]
+    for m in range(1, n + 1):
+        top = (m,)
+        children, child_runs = [], []
+        for p, d in zip(level, runs):
+            children.append(top + p)
+            child_runs.append(d + 1)
+            for j in range(1, d + 1):
+                children.append(p[:j] + top + p[j:])
+            child_runs.extend(range(1, d + 1))
+        level, runs = children, child_runs
+    level.sort()
+    return level
 
 
 def _perms_avoiding_321(n: int) -> list[Perm]:
-    out: list[Perm] = []
-    path: list[int] = []
-
-    def rec(used: int, high: int, mid: int):
-        if len(path) == n:
-            out.append(tuple(path))
-            return
-        for v in range(max(mid, 1), n + 1):
-            if used & (1 << v):
-                continue
-            path.append(v)
-            if v < high:
-                rec(used | (1 << v), high, max(mid, v))
-            else:
-                rec(used | (1 << v), v, mid)
-            path.pop()
-
-    rec(0, 0, 0)
-    return out
+    # The mirror tree: m may go anywhere right of which every entry is
+    # increasing, so the slots are the last r+1, r the length of the trailing
+    # increasing run.  Appending gives run r+1, slot i from the end run i.
+    level, runs = [()], [0]
+    for m in range(1, n + 1):
+        top = (m,)
+        children, child_runs = [], []
+        for p, r in zip(level, runs):
+            children.append(p + top)
+            child_runs.append(r + 1)
+            for j in range(m - 1 - r, m - 1):
+                children.append(p[:j] + top + p[j:])
+            child_runs.extend(range(r, 0, -1))
+        level, runs = children, child_runs
+    level.sort()
+    return level
 
 
 @lru_cache(maxsize=None)

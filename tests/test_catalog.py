@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -347,3 +348,23 @@ def test_solved_series_sum_to_catalan():
         for n in range(9):
             total = sum(c for _, c in s.t_slice(n).terms())
             assert total == catalan(n)
+
+
+def test_motzkin_matches_convolution_and_reaches_3000():
+    # The defining convolution M_n = M_{n-1} + sum_i M_i M_{n-2-i} ...
+    m = [catalog.reference_sequence("motzkin", n) for n in range(120)]
+    for n in range(1, 120):
+        assert m[n] == m[n - 1] + sum(m[i] * m[n - 2 - i] for i in range(n - 1))
+    # ... and, far past any recursion limit, M_n = sum_k C(n, 2k) Catalan(k).
+    big = 3000
+    assert catalog.reference_sequence("motzkin", big) == sum(
+        comb(big, 2 * k) * catalan(k) for k in range(big // 2 + 1))
+
+
+@pytest.mark.parametrize("entry_id", ["thm8", "thm7"])
+def test_identity_check_reuses_the_solved_system(entry_id):
+    # printed_identity_check and solve_catalog must share one cache key.
+    catalog.solve_catalog(entry_id, 10)
+    misses = catalog.solve_system.cache_info().misses
+    catalog.printed_identity_check(f"{entry_id}_rational", 10)
+    assert catalog.solve_system.cache_info().misses == misses

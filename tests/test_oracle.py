@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from patlab import perms
@@ -49,7 +51,8 @@ def test_window_totals_cover_all_length3_patterns():
     gammas = [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     for n in range(3, 8):
         for p in perms.avoider_list((1, 2, 3), n):
-            total = sum(perms.consecutive_matches(p, g)[1] for g in gammas)
+            total = sum(len(perms.consecutive_match_positions(p, g))
+                        for g in gammas)
             assert total == n - 2
 
 
@@ -61,3 +64,35 @@ def test_limit():
 def test_variable_count_must_match():
     with pytest.raises(ValueError):
         brute_distribution((1, 2, 3), [(1, 3, 2)], 3, variables=("x1", "x2"))
+
+
+def _recount(avoided, tracked, n, variables, track_des):
+    # The definition, with none of the oracle's machinery: filter S_n and
+    # reduce every window.
+    poly = Poly()
+    for p in itertools.permutations(range(1, n + 1)):
+        if perms.contains_classical(p, avoided):
+            continue
+        exps = {}
+        if track_des:
+            exps["y"] = sum(1 for i in range(n - 1) if p[i] > p[i + 1])
+        for var, g in zip(variables, tracked):
+            k = len(g)
+            exps[var] = sum(1 for i in range(n - k + 1)
+                            if perms.reduce_word(p[i:i + k]) == g)
+        poly = poly + Poly.monomial({v: e for v, e in exps.items() if e})
+    return poly
+
+
+@pytest.mark.parametrize("avoided, tracked, track_des", [
+    ((1, 3, 2), [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)], True),
+    ((1, 2, 3), [(2, 1, 4, 3), (3, 2, 1, 4), (4, 1, 3, 2)], True),
+    ((3, 2, 1), [(1, 3, 2), (2, 1), (3, 1, 2), (1, 2)], False),
+    ((1, 2, 3), [(1, 3, 2), (3, 2, 1, 4), (2, 3, 1), (2, 1, 4, 3)], True),
+])
+def test_same_length_patterns_match_slow_recount(avoided, tracked, track_des):
+    variables = tuple(f"x{i + 1}" for i in range(len(tracked)))
+    for n in range(8):
+        d = brute_distribution(avoided, tracked, n, variables=variables,
+                               track_des=track_des)
+        assert d.poly == _recount(avoided, tracked, n, variables, track_des)

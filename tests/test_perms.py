@@ -32,11 +32,13 @@ def test_parse_and_render():
 
 
 def test_descent_stats():
-    assert perms.descent_stats((1, 2, 3, 4, 5))[1] == 0
-    ds, des, asc = perms.descent_stats(perms.parse_perm("15324"))
+    assert len(perms.descent_set((1, 2, 3, 4, 5))) == 0
+    p = perms.parse_perm("15324")
+    ds = perms.descent_set(p)
+    des, asc = len(ds), len(p) - 1 - len(ds)
     assert ds == frozenset({2, 3}) and des == 2 and asc == 2
-    assert perms.descent_stats((3, 2, 1))[1] == 2
-    assert perms.descent_stats(()) == (frozenset(), 0, 0)
+    assert len(perms.descent_set((3, 2, 1))) == 2
+    assert perms.descent_set(()) == frozenset()
 
 
 def test_symmetries_paper_example():
@@ -85,19 +87,21 @@ def test_length3_scans_match_subsequence_search(p):
 def test_consecutive_matches_examples():
     # 23541 is sometimes quoted as having no consecutive 132, but the window
     # 3,5,4 at position 2 reduces to 132; the definition decides.
-    assert perms.consecutive_matches(perms.parse_perm("23541"), (1, 3, 2)) == ([2], 1)
-    assert perms.consecutive_matches(perms.parse_perm("24531"), (1, 3, 2)) == ([], 0)
-    positions, count = perms.consecutive_matches(
+    assert perms.consecutive_match_positions(
+        perms.parse_perm("23541"), (1, 3, 2)) == [2]
+    assert perms.consecutive_match_positions(
+        perms.parse_perm("24531"), (1, 3, 2)) == []
+    positions = perms.consecutive_match_positions(
         perms.parse_perm("869743251"), (1, 3, 2))
-    assert positions == [2] and count == 1
-    assert perms.consecutive_matches((1, 2, 3, 4), (1, 2, 3)) == ([1, 2], 2)
+    assert positions == [2] and len(positions) == 1
+    assert perms.consecutive_match_positions((1, 2, 3, 4), (1, 2, 3)) == [1, 2]
 
 
 @given(perm_strategy)
 @settings(max_examples=80, deadline=None)
 def test_consecutive_matches_are_classical_occurrences(p):
     for pat in itertools.permutations((1, 2, 3)):
-        _, count = perms.consecutive_matches(p, pat)
+        count = len(perms.consecutive_match_positions(p, pat))
         assert count <= max(len(p) - 2, 0)
         if count:
             assert perms.contains_classical(p, pat)
@@ -110,16 +114,18 @@ def test_consecutive_matches_are_classical_occurrences(p):
 def test_match_transport_under_reverse_complement(p):
     for pat in itertools.permutations((1, 2, 3)):
         image = perms.reverse_complement(pat)
-        assert perms.consecutive_matches(p, pat)[1] == \
-            perms.consecutive_matches(perms.reverse_complement(p), image)[1]
+        assert len(perms.consecutive_match_positions(p, pat)) == \
+            len(perms.consecutive_match_positions(perms.reverse_complement(p), image))
 
 
 @given(perm_strategy)
 @settings(max_examples=60, deadline=None)
 def test_window3_counts_agree_with_direct_scan(p):
-    counts = perms.window3_counts(p)
-    for pat in itertools.permutations((1, 2, 3)):
-        assert counts.get(tuple(pat), 0) == perms.consecutive_matches(p, pat)[1]
+    # All six length-3 patterns share the rank-code path of pattern_counter.
+    pats = list(itertools.permutations((1, 2, 3)))
+    counts = perms.pattern_counter(pats)(p)
+    for pat, count in zip(pats, counts):
+        assert count == len(perms.consecutive_match_positions(p, pat))
 
 
 def test_enumerate_avoiders_small():
@@ -176,3 +182,60 @@ def test_phi_n_bijection_properties():
             assert perms.phi_n_inverse(q) == p
             seen.add(q)
         assert len(seen) == catalan(n)
+
+
+def _positions_by_definition(p, pat):
+    k = len(pat)
+    return [i + 1 for i in range(len(p) - k + 1)
+            if perms.reduce_word(p[i:i + k]) == pat]
+
+
+PATTERNS_1_TO_5 = {k: list(itertools.permutations(range(1, k + 1)))
+                   for k in range(1, 6)}
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(tuple))
+@settings(max_examples=60, deadline=None)
+def test_compiled_matcher_agrees_with_reduce_word(p):
+    # Both the chain test and the shared rank code of pattern_counter.
+    for k, pats in PATTERNS_1_TO_5.items():
+        counts = perms.pattern_counter(pats)(p)
+        for pat, count in zip(pats, counts):
+            want = _positions_by_definition(p, pat)
+            assert perms.consecutive_match_positions(p, pat) == want
+            assert count == len(want)
+
+
+def test_compile_pattern_is_the_inverse():
+    assert perms.compile_pattern((1,)) == (0,)
+    assert perms.compile_pattern((2, 4, 1, 3)) == (2, 0, 3, 1)
+    for pat in PATTERNS_1_TO_5[4]:
+        offsets = perms.compile_pattern(pat)
+        assert [pat[o] for o in offsets] == [1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        perms.compile_pattern(())
+    with pytest.raises(ValueError):
+        perms.compile_pattern((1, 3))
+
+
+def test_pattern_counter_mixed_lengths_and_repeats():
+    # Counts come back in the order asked for, repeats included.
+    p = perms.parse_perm("869743251")
+    pats = [(1, 3, 2), (2, 1), (2, 1, 3, 4), (1, 3, 2), (3, 2, 1), (1,)]
+    want = tuple(len(_positions_by_definition(p, pat)) for pat in pats)
+    assert perms.pattern_counter(pats)(p) == want
+    assert perms.pattern_counter([])(p) == ()
+
+
+@pytest.mark.parametrize("lam, generate", [
+    ((1, 2, 3), perms._perms_avoiding_123),
+    ((3, 2, 1), perms._perms_avoiding_321),
+])
+def test_generating_trees_match_filtered_permutations(lam, generate):
+    for n in range(9):
+        want = [p for p in itertools.permutations(range(1, n + 1))
+                if not perms.contains_classical(p, lam)]
+        assert generate(n) == want   # itertools yields lexicographic order
+    for n in range(9, 13):
+        assert len(generate(n)) == catalan(n)
