@@ -9,6 +9,12 @@ Each check compares two independently produced objects, with the
 brute-force oracle on one side wherever the claim is about permutations.
 Failures always carry a witness: the first disagreeing coefficient in
 canonical monomial order.
+
+The statistic transports (transport_*, transport_general) are data: each
+names an avoider class, a consecutive pattern and the Dyck-path factors
+whose counts add up to it.  All transports of one class and range are
+certified in a single cached pass that maps each avoider once and counts
+every pattern with one compiled counter; each check looks up its verdict.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import catalog, dyck, oracle, perms
 from .series import VARS, Poly, catalan, monomial_str, y_reverse
@@ -210,50 +217,74 @@ def _run_bij_phin(params, n_max):
     return True, None, f"n<={top}"
 
 
+# statistic -> (avoided class, consecutive pattern, Dyck-path factors whose
+# counts on the class's staircase path add up to the pattern's count).
+# Descents are the pattern 21.
 _TRANSPORTS = {
-    "psi_des": ((1, 2, 3), None, lambda p, w: perms.descents(p),
-                lambda w: dyck.path_pattern_count(w, "RD")
-                + dyck.path_pattern_count(w, "RRR")),
-    "psi_132": ((1, 2, 3), (1, 3, 2), None,
-                lambda w: dyck.path_pattern_count(w, "DRRR")),
-    "psi_231": ((1, 2, 3), (2, 3, 1), None,
-                lambda w: dyck.path_pattern_count(w, "DRRD")),
-    "phi_des": ((1, 3, 2), None, lambda p, w: perms.descents(p),
-                lambda w: dyck.path_pattern_count(w, "RD")),
-    "phi_123": ((1, 3, 2), (1, 2, 3), None,
-                lambda w: dyck.path_pattern_count(w, "RRR")),
+    "psi_des": ((1, 2, 3), (2, 1), ("RD", "RRR")),
+    "psi_132": ((1, 2, 3), (1, 3, 2), ("DRRR",)),
+    "psi_231": ((1, 2, 3), (2, 3, 1), ("DRRD",)),
+    "phi_des": ((1, 3, 2), (2, 1), ("RD",)),
+    "phi_123": ((1, 3, 2), (1, 2, 3), ("RRR",)),
 }
 
 
-def _run_transport(params, n_max):
-    lam, gamma, stat, path_stat = _TRANSPORTS[params["statistic"]]
-    top = min(n_max, DIST_NMAX)
+@lru_cache(maxsize=None)
+def _transport_verdicts(lam, top, stats):
+    """Certify many statistic transports over one avoider class in one pass.
+
+    stats is a tuple of (consecutive pattern, Dyck factors).  Every avoider
+    of lam with n <= top is mapped once to its staircase path (through the
+    guarded public map) and all patterns are counted by one pattern counter.
+    Returns {stat: (ok, witness, n_range)}; a statistic's witness is its
+    first disagreement in (n, lex) order, and a failing statistic does not
+    stop the others.
+    """
     fwd = dyck.phi_map if lam == (1, 3, 2) else dyck.psi_map
+    count = perms.pattern_counter([pattern for pattern, _ in stats])
+    factors = [f for _, f in stats]
+    witnesses = [None] * len(stats)
     for n in range(top + 1):
         for p in perms.avoider_list(lam, n):
-            w = fwd(p)
-            left = (stat(p, w) if gamma is None
-                    else len(perms.consecutive_match_positions(p, gamma)))
-            right = path_stat(w)
-            if left != right:
-                return False, _witness(n, perms.perm_str(p), left, right), \
-                    f"n<={top}"
-    return True, None, f"n<={top}"
+            word = fwd(p)
+            for j, left in enumerate(count(p)):
+                if witnesses[j] is None:
+                    right = sum(dyck.path_pattern_count(word, f)
+                                for f in factors[j])
+                    if left != right:
+                        witnesses[j] = _witness(n, perms.perm_str(p), left, right)
+    return {stat: (w is None, w, f"n<={top}")
+            for stat, w in zip(stats, witnesses)}
+
+
+def _transport_verdict(lam, top, stats, stat):
+    ok, witness, n_range = _transport_verdicts(lam, top, stats)[stat]
+    return ok, dict(witness) if witness else None, n_range
+
+
+def _run_transport(params, n_max):
+    lam, gamma, factors = _TRANSPORTS[params["statistic"]]
+    stats = tuple((g, f) for c, g, f in _TRANSPORTS.values() if c == lam)
+    return _transport_verdict(lam, min(n_max, DIST_NMAX), stats,
+                              (gamma, factors))
+
+
+def _general_stat(params):
+    gamma = perms.parse_perm(params["gamma"])
+    return gamma, (dyck.pattern_path(gamma, params["variant"]),)
+
+
+@lru_cache(maxsize=None)
+def _general_stats():
+    # Built on first use, not at import: one statistic per registered
+    # transport_general check.
+    return tuple(_general_stat(c.params) for c in REGISTRY
+                 if c.check_id == "transport_general")
 
 
 def _run_transport_general(params, n_max):
-    gamma = perms.parse_perm(params["gamma"])
-    variant = dyck.admissible_variant(gamma)
-    top = min(n_max, 9)
-    pattern = dyck.pattern_path(gamma, variant)
-    for n in range(top + 1):
-        for p in perms.avoider_list((1, 3, 2), n):
-            left = len(perms.consecutive_match_positions(p, gamma))
-            right = dyck.path_pattern_count(dyck.phi_map(p), pattern)
-            if left != right:
-                return False, _witness(n, perms.perm_str(p), left, right), \
-                    f"n<={top}"
-    return True, None, f"n<={top}"
+    return _transport_verdict((1, 3, 2), min(n_max, 9), _general_stats(),
+                              _general_stat(params))
 
 
 def _series_for(entry_id, order, m=None, a=None):

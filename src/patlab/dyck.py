@@ -9,6 +9,10 @@ shaded north-east of its plotted entries; that word depends only on the
 positions and values of the left-to-right minima.  The two inverses differ:
 phi_inverse fills the gaps with the least usable values (giving the unique
 132-avoiding preimage), psi_inverse with the greatest (123-avoiding).
+
+Under these maps a consecutive pattern of the permutation becomes a count of
+path factors (path_pattern_count, overlaps included); the transport checks
+in patlab.checks certify each such correspondence by one pass over a class.
 """
 
 from __future__ import annotations
@@ -98,13 +102,18 @@ def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> 
     """Contiguous-factor occurrences of pattern, overlaps included.
 
     With extended=True a single D is appended before counting, which treats
-    the final horizontal segment as if it were interior.
+    the final horizontal segment as if it were interior.  Each occurrence is
+    found with str.find, restarting one step past the previous start.
     """
     if not pattern:
         raise ValueError("path patterns must be nonempty")
     w = word + "D" if extended else word
-    return sum(1 for i in range(len(w) - len(pattern) + 1)
-               if w.startswith(pattern, i))
+    count = 0
+    i = w.find(pattern)
+    while i >= 0:
+        count += 1
+        i = w.find(pattern, i + 1)
+    return count
 
 
 # -- the staircase maps -------------------------------------------------------
@@ -247,19 +256,15 @@ def enumerate_paths(n: int, max_n: int | None = None):
     if n > cap:
         raise EnumerationLimitError(f"n = {n} exceeds the enumeration cap {cap}")
 
-    word: list[str] = []
-
-    def rec(ds: int, rs: int):
-        if ds == n and rs == n:
-            yield "".join(word)
-            return
-        if ds < n:
-            word.append("D")
-            yield from rec(ds + 1, rs)
-            word.pop()
+    # Depth-first with an explicit stack; pushing R before D pops D first,
+    # which gives lex order.  Once all n D's are placed only R's remain.
+    stack = [("", 0)]
+    while stack:
+        prefix, ds = stack.pop()
+        rs = len(prefix) - ds
+        if ds == n:
+            yield prefix + "R" * (n - rs)
+            continue
         if rs < ds:
-            word.append("R")
-            yield from rec(ds, rs + 1)
-            word.pop()
-
-    yield from rec(0, 0)
+            stack.append((prefix + "R", ds))
+        stack.append((prefix + "D", ds + 1))

@@ -8,13 +8,17 @@ and exact.
 
 Monomials are packed into a single int, one byte per variable with t in the
 lowest byte, so that multiplying monomials is integer addition.  Exponents
-stay far below 256 in this library (t is hard-capped at 16).
+stay far below 256 in this library (t is hard-capped at 16); a product that
+would carry out of a byte raises ValueError instead of corrupting the next
+variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial
+from operator import or_
 
 VARS = ("t", "y", "x", "x1", "x2", "x3", "x4")
 
@@ -23,6 +27,8 @@ T_DEFAULT_ORDER = 10
 
 _SHIFT = {v: 8 * i for i, v in enumerate(VARS)}
 _TMASK = 0xFF
+_HIGH = sum(0x80 << s for s in _SHIFT.values())    # top bit of every field
+_CARRY = sum(0x100 << s for s in _SHIFT.values())  # bit just above every field
 
 
 class NonInvertibleError(ValueError):
@@ -73,6 +79,8 @@ class Poly:
     def variable(name: str, power: int = 1) -> "Poly":
         if name not in _SHIFT:
             raise ValueError(f"unknown variable {name!r}")
+        if power < 0 or power > 255:
+            raise ValueError(f"exponent out of range for {name}: {power}")
         return Poly({power << _SHIFT[name]: 1}) if power else Poly.const(1)
 
     @staticmethod
@@ -84,14 +92,8 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, (int, Poly)):
             return NotImplemented
-        other = _as_poly(other)
         out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+        _add_into(out, _as_poly(other).c.items())
         return Poly(out)
 
     __radd__ = __add__
@@ -117,20 +119,18 @@ class Poly:
     __rmul__ = __mul__
 
     def mul(self, other: "Poly", tcap: int | None = None) -> "Poly":
-        """Product, optionally dropping monomials with deg_t > tcap."""
+        """Product, optionally dropping monomials with deg_t > tcap.
+
+        Raises ValueError if an exponent of the product would exceed 255.
+        """
         a, b = self.c, other.c
         if len(a) > len(b):
             a, b = b, a
+        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _HIGH:
+            _check_products(a, b, tcap)
         out: dict[int, int] = {}
         if tcap is None:
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    s = out.get(k, 0) + ca * cb
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+            _mul_into(out, a, b)
             return Poly(out)
         bgroups = _by_tdeg(b)
         for ka, ca in a.items():
@@ -201,7 +201,8 @@ class Poly:
     def substitute(self, assignments: dict[str, "Poly | int"]) -> "Poly":
         """Substitute variables by integers or polynomials, exactly."""
         values = {v: _as_poly(p) for v, p in assignments.items()}
-        out = Poly()
+        powers: dict[tuple[str, int], Poly] = {}
+        out: dict[int, int] = {}
         for k, coeff in self.c.items():
             rest = k
             factor = Poly.const(coeff)
@@ -209,9 +210,13 @@ class Poly:
                 e = (k >> _SHIFT[v]) & 0xFF
                 if e:
                     rest -= e << _SHIFT[v]
-                    factor = factor * p ** e
-            out = out + Poly({rest: 1}) * factor
-        return out
+                    if (v, e) not in powers:
+                        powers[v, e] = p ** e
+                    factor = factor * powers[v, e]
+            if (rest | reduce(or_, factor.c, 0)) & _HIGH:
+                _check_products({rest: 1}, factor.c)
+            _add_into(out, ((rest + fk, fv) for fk, fv in factor.c.items()))
+        return Poly(out)
 
     def div_exact(self, divisor: int) -> "Poly":
         """Divide every coefficient by an integer; error if not exact."""
@@ -242,6 +247,46 @@ def _as_poly(value) -> Poly:
     if isinstance(value, int):
         return Poly.const(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
+
+
+def _add_into(out: dict[int, int], terms) -> None:
+    """Add (key, coefficient) pairs into out in place, dropping zeros."""
+    for k, v in terms:
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+
+
+def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """Add the product of two coefficient dicts into out in place."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+
+
+# Multiplying monomials adds their keys, so an exponent sum above 255 would
+# carry into the next variable.  When the OR of all keys of both factors has
+# no field's top bit set, every exponent is below 128 and no sum can carry;
+# callers test that first and call _check_products only otherwise.
+
+def _check_products(a, b, tcap: int | None = None) -> None:
+    """Raise ValueError if multiplying a key of a by a key of b (keeping
+    deg_t <= tcap) would carry out of an 8-bit exponent field."""
+    for ka in a:
+        for kb in b:
+            if tcap is not None and (ka & _TMASK) + (kb & _TMASK) > tcap:
+                continue
+            if (ka ^ kb ^ (ka + kb)) & _CARRY:
+                raise ValueError(
+                    f"exponent overflow: {monomial_str(unpack(ka))} * "
+                    f"{monomial_str(unpack(kb))} has an exponent above 255")
 
 
 def _by_tdeg(coeffs: dict[int, int]):
@@ -275,9 +320,6 @@ class TruncatedSeries:
     @staticmethod
     def of(poly: Poly, order: int) -> "TruncatedSeries":
         return TruncatedSeries(poly.truncate_t(order), order)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.poly.truncate_t(order), min(order, self.order))
 
     def _coerce(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -330,21 +372,28 @@ class TruncatedSeries:
                 "series is not invertible: constant term must be +1 or -1, "
                 f"got {poly_str(c0)}")
         unit = c0.constant_term()
-        den = {n: self.poly.t_slice(n) for n in range(1, self.order + 1)}
-        inv = {0: Poly.const(unit)}
+        # t-free slices as coefficient dicts, each with the OR of its keys
+        den = []
+        for j in range(1, self.order + 1):
+            dj = self.poly.t_slice(j).c
+            if dj:
+                den.append((j, dj, reduce(or_, dj, 0)))
+        inv = [{0: unit}]
+        inv_bits = [0]
         for n in range(1, self.order + 1):
-            acc = Poly()
-            for j, dj in den.items():
+            acc: dict[int, int] = {}
+            for j, dj, bits in den:
                 if j > n:
                     break
-                if dj:
-                    acc = acc + dj * inv[n - j]
-            inv[n] = acc.div_exact(-unit) if acc else Poly()
-        out = Poly()
-        for n, slice_ in inv.items():
-            if slice_:
-                out = out + Poly({n: 1}) * slice_
-        return TruncatedSeries(out, self.order)
+                if (bits | inv_bits[n - j]) & _HIGH:
+                    _check_products(dj, inv[n - j])
+                _mul_into(acc, dj, inv[n - j])
+            inv.append(Poly(acc).div_exact(-unit).c)
+            inv_bits.append(reduce(or_, inv[n], 0))
+        # t is the lowest byte, so t^n shifts a t-free key by n and no two
+        # slices share a key.
+        out = {k + n: v for n, c in enumerate(inv) for k, v in c.items()}
+        return TruncatedSeries(Poly(out), self.order)
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
         den = self._coerce(den)
@@ -360,9 +409,6 @@ class TruncatedSeries:
         if n > self.order:
             raise ValueError(f"slice t^{n} beyond series order {self.order}")
         return self.poly.t_slice(n)
-
-    def t_coefficients(self) -> list[Poly]:
-        return [self.poly.t_slice(n) for n in range(self.order + 1)]
 
     def __repr__(self):
         return f"TruncatedSeries({series_str(self)}, order={self.order})"

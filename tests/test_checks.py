@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from patlab import checks
+from patlab import checks, dyck, perms
 
 
 def test_run_check_single():
@@ -91,3 +91,48 @@ def test_transport_general_instance():
     res = checks.run_check("transport_general", {"gamma": "42351"}, n_max=6)
     assert res.status == "pass"
     assert res.params["variant"] == "phi_double_prime"
+
+
+def _sequential_transport(lam, top, pattern, factors):
+    # One statistic at a time, the way the transports were first checked.
+    fwd = dyck.phi_map if lam == (1, 3, 2) else dyck.psi_map
+    for n in range(top + 1):
+        for p in perms.avoider_list(lam, n):
+            left = len(perms.consecutive_match_positions(p, pattern))
+            right = sum(dyck.path_pattern_count(fwd(p), f) for f in factors)
+            if left != right:
+                return {"n": n, "monomial": perms.perm_str(p),
+                        "expected": left, "actual": right}
+    return None
+
+
+def test_transport_pass_keeps_each_first_witness():
+    wrong = ((2, 1), ("RD",))             # psi_des without its RRR factor
+    also_wrong = ((1, 3, 2), ("DRR",))    # a factor that overcounts 132
+    stats = (((1, 3, 2), ("DRRR",)), wrong, ((2, 3, 1), ("DRRD",)),
+             also_wrong)
+    verdicts = checks._transport_verdicts((1, 2, 3), 7, stats)
+    for stat in stats:
+        ok, witness, n_range = verdicts[stat]
+        want = _sequential_transport((1, 2, 3), 7, *stat)
+        assert witness == want and ok == (want is None) and n_range == "n<=7"
+    assert not verdicts[wrong][0] and not verdicts[also_wrong][0]
+    # 132 has one descent; its path DDDRRR has no RD, only RRR
+    assert verdicts[wrong][1] == {"n": 3, "monomial": "132",
+                                  "expected": 1, "actual": 0}
+    assert verdicts[stats[0]][0] and verdicts[stats[2]][0]
+
+
+def test_transport_checks_match_the_suite_report():
+    records = {(c["id"], json.dumps(c["params"], sort_keys=True)): c
+               for c in checks.run_suite("bijections", 10)["checks"]}
+    transports = [c for c in checks.REGISTRY
+                  if c.check_id.startswith("transport_")]
+    assert len(transports) == 5 + 32
+    checks._transport_verdicts.cache_clear()   # run_check recomputes them
+    for c in transports:
+        res = checks.run_check(c.check_id, c.params, n_max=10)
+        assert checks._result_json(res) == \
+            records[(c.check_id, json.dumps(c.params, sort_keys=True))]
+        assert res.n_range == ("n<=9" if c.check_id == "transport_general"
+                               else "n<=10")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patlab import dyck, perms
 from patlab.series import catalan
@@ -104,6 +105,48 @@ def test_enumerate_paths():
         assert len(paths) == catalan(n)
     with pytest.raises(perms.EnumerationLimitError):
         next(dyck.enumerate_paths(15))
+
+
+def _recursive_paths(n):
+    # The former recursive-generator definition, kept as the reference.
+    word = []
+
+    def rec(ds, rs):
+        if ds == n and rs == n:
+            yield "".join(word)
+            return
+        if ds < n:
+            word.append("D")
+            yield from rec(ds + 1, rs)
+            word.pop()
+        if rs < ds:
+            word.append("R")
+            yield from rec(ds, rs + 1)
+            word.pop()
+
+    yield from rec(0, 0)
+
+
+def test_enumerate_paths_matches_recursive_definition():
+    for n in range(11):
+        assert list(dyck.enumerate_paths(n)) == list(_recursive_paths(n)), n
+    for n in (11, 12):
+        assert sum(1 for _ in dyck.enumerate_paths(n)) == catalan(n)
+    with pytest.raises(ValueError):
+        next(dyck.enumerate_paths(-1))
+    with pytest.raises(perms.EnumerationLimitError):
+        next(dyck.enumerate_paths(5, max_n=4))
+
+
+@given(st.text("DR", max_size=16), st.text("DR", min_size=1, max_size=5),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_path_pattern_count_matches_startswith_definition(word, pattern,
+                                                          extended):
+    w = word + "D" if extended else word
+    want = sum(1 for i in range(len(w) - len(pattern) + 1)
+               if w.startswith(pattern, i))
+    assert dyck.path_pattern_count(word, pattern, extended) == want
 
 
 def test_segment_sum_and_return_bounds():

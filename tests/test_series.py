@@ -5,6 +5,7 @@ from patlab.series import (
     NonContractiveError,
     NonInvertibleError,
     Poly,
+    VARS,
     TruncatedSeries,
     catalan,
     fixed_point_solve,
@@ -202,3 +203,120 @@ def test_rendering():
         + Poly.variable("t", 3) * (4 + X), 3)
     assert series_str(s) == "1 + t + 2*t^2 + (4+x)*t^3"
     assert monomial_str((0, 2, 0, 1, 0, 0, 0), 1) == "x1*y^2"
+
+
+# -- exponent overflow -------------------------------------------------------
+
+def test_exponent_overflow_is_rejected():
+    with pytest.raises(ValueError):
+        Poly.variable("x", 300)
+    with pytest.raises(ValueError):
+        Poly.variable("x", -1)
+    with pytest.raises(ValueError):
+        Poly.variable("x", 200) * Poly.variable("x", 100)
+    with pytest.raises(ValueError):
+        Poly.variable("x4", 128) ** 2   # the top field carries out of the key
+    assert Poly.variable("x", 200) * Poly.variable("x", 55) == \
+        Poly.variable("x", 255)
+    # a pair dropped by the t-cap cannot overflow
+    a = Poly.monomial({"t": 3, "x": 200})
+    assert a.mul(Poly.monomial({"t": 3, "x": 100}), tcap=5) == Poly()
+    with pytest.raises(ValueError):
+        a.mul(Poly.monomial({"t": 2, "x": 100}), tcap=5)
+    # inverse_unit and substitute multiply without going through mul
+    with pytest.raises(ValueError):
+        TruncatedSeries.of(1 + T * Poly.variable("y", 200), 2).inverse_unit()
+    with pytest.raises(ValueError):
+        (X * Poly.variable("y", 100)).substitute({"x": Poly.variable("y", 200)})
+    assert (X * Poly.variable("y", 55)).substitute(
+        {"x": Poly.variable("y", 200)}) == Poly.variable("y", 255)
+
+
+_EXP_VARS = ("t", "y", "x1", "x4")
+
+wide_polys = st.lists(
+    st.tuples(st.tuples(*[st.sampled_from((0, 1, 100, 127, 128, 155, 200, 255))
+                          for _ in _EXP_VARS]),
+              st.integers(-3, 3).filter(bool)),
+    max_size=4)
+
+
+def _poly_of(terms):
+    out = Poly()
+    for exps, coeff in terms:
+        out = out + Poly.monomial(dict(zip(_EXP_VARS, exps)), coeff)
+    return out
+
+
+@given(wide_polys, wide_polys)
+@settings(max_examples=200, deadline=None)
+def test_product_raises_exactly_when_an_exponent_exceeds_255(a, b):
+    p, q = _poly_of(a), _poly_of(b)
+    sums = [(tuple(i + j for i, j in zip(ea, eb)), ca * cb)
+            for ea, ca in p.terms() for eb, cb in q.terms()]
+    if any(e > 255 for exps, _ in sums for e in exps):
+        with pytest.raises(ValueError):
+            p * q
+        return
+    # monomial() packs each exponent sum on its own, without mul
+    assert p * q == sum((Poly.monomial(dict(zip(VARS, exps)), c)
+                         for exps, c in sums), Poly())
+
+
+# -- substitute and inverse_unit against their term-by-term formulas ---------
+
+def _substitute_by_sums(p, assignments):
+    from patlab.series import _SHIFT
+    values = {v: (q if isinstance(q, Poly) else Poly.const(q))
+              for v, q in assignments.items()}
+    out = Poly()
+    for k, coeff in p.c.items():
+        rest = k
+        factor = Poly.const(coeff)
+        for v, q in values.items():
+            e = (k >> _SHIFT[v]) & 0xFF
+            if e:
+                rest -= e << _SHIFT[v]
+                factor = factor * q ** e
+        out = out + Poly({rest: 1}) * factor
+    return out
+
+
+def _inverse_by_sums(s):
+    unit = s.poly.t_slice(0).constant_term()
+    den = {n: s.poly.t_slice(n) for n in range(1, s.order + 1)}
+    inv = {0: Poly.const(unit)}
+    for n in range(1, s.order + 1):
+        acc = Poly()
+        for j in range(1, n + 1):
+            acc = acc + den[j] * inv[n - j]
+        inv[n] = acc.div_exact(-unit)
+    out = Poly()
+    for n, slice_ in inv.items():
+        out = out + Poly({n: 1}) * slice_
+    return out
+
+
+mixed_polys = st.builds(
+    lambda terms: sum((Poly.monomial({"t": a, "y": b, "x": c, "x1": d}, coeff)
+                       for (a, b, c, d, coeff) in terms), Poly()),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+                       st.integers(0, 2), st.integers(-5, 5)), max_size=8))
+
+
+@given(mixed_polys, mixed_polys, st.integers(-3, 3),
+       st.sampled_from(("x", "y", "x1")))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_term_by_term_sums(p, value, scalar, var):
+    for assignments in ({var: value}, {var: scalar},
+                        {"y": value, "x": scalar, "x1": Poly.variable("x2")}):
+        assert p.substitute(assignments) == _substitute_by_sums(p, assignments)
+
+
+@given(mixed_polys, st.sampled_from((1, -1)), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_inverse_unit_matches_term_by_term_sums(p, unit, order):
+    s = TruncatedSeries.of(p - p.t_slice(0) + unit, order)
+    inv = s.inverse_unit()
+    assert inv.poly == _inverse_by_sums(s).truncate_t(order)
+    assert (s * inv).poly == Poly.const(1)
