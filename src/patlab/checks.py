@@ -178,11 +178,13 @@ def _run_sym_1321(params, n_max):
 
 
 def _run_bij_staircase(params, n_max):
+    # Avoiders are in the class by construction and each preimage gets one
+    # class test, so the round trips use the unguarded staircase word.
     which = params["map"]
     top = min(n_max, DIST_NMAX)
-    fwd, inv, lam = ((dyck.phi_map, dyck.phi_inverse, (1, 3, 2))
-                     if which == "phi" else
-                     (dyck.psi_map, dyck.psi_inverse, (1, 2, 3)))
+    inv, lam = ((dyck.phi_inverse, (1, 3, 2)) if which == "phi"
+                else (dyck.psi_inverse, (1, 2, 3)))
+    fwd = dyck.staircase_word
     for n in range(top + 1):
         for p in perms.avoider_list(lam, n):
             if inv(fwd(p)) != p:
@@ -190,7 +192,10 @@ def _run_bij_staircase(params, n_max):
                                        perms.perm_str(inv(fwd(p)))), f"n<={top}"
         for w in dyck.enumerate_paths(n):
             q = inv(w)
-            if perms.contains_classical(q, lam) or fwd(q) != w:
+            if perms.contains_classical(q, lam):
+                return False, _witness(n, w, f"{perms.perm_str(lam)}-avoider",
+                                       perms.perm_str(q)), f"n<={top}"
+            if fwd(q) != w:
                 return False, _witness(n, w, w, fwd(q)), f"n<={top}"
     return True, None, f"n<={top}"
 
@@ -235,19 +240,22 @@ def _transport_verdicts(lam, top, stats):
 
     stats is a tuple of (consecutive pattern, Dyck factors).  Every avoider
     of lam with n <= top is mapped once to its staircase path (through the
-    guarded public map) and all patterns are counted by one pattern counter.
+    guarded public map); all patterns are counted over the class of each n
+    at once by perms.class_pattern_counts.
     Returns {stat: (ok, witness, n_range)}; a statistic's witness is its
     first disagreement in (n, lex) order, and a failing statistic does not
     stop the others.
     """
     fwd = dyck.phi_map if lam == (1, 3, 2) else dyck.psi_map
-    count = perms.pattern_counter([pattern for pattern, _ in stats])
+    patterns = [pattern for pattern, _ in stats]
     factors = [f for _, f in stats]
     witnesses = [None] * len(stats)
     for n in range(top + 1):
-        for p in perms.avoider_list(lam, n):
+        avoiders = perms.avoider_list(lam, n)
+        counts = perms.class_pattern_counts(avoiders, patterns)
+        for p, row in zip(avoiders, zip(*counts)):
             word = fwd(p)
-            for j, left in enumerate(count(p)):
+            for j, left in enumerate(row):
                 if witnesses[j] is None:
                     right = sum(dyck.path_pattern_count(word, f)
                                 for f in factors[j])

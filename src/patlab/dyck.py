@@ -118,7 +118,8 @@ def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> 
 
 # -- the staircase maps -------------------------------------------------------
 
-def _staircase_word(p: Perm) -> DyckWord:
+def staircase_word(p: Perm) -> DyckWord:
+    """The path phi_map and psi_map return, without their class guard."""
     n = len(p)
     parts = []
     low = n + 1
@@ -146,7 +147,7 @@ def phi_map(p: Perm) -> DyckWord:
     check_permutation(p)
     if not avoids_classical(p, (1, 3, 2)):
         raise ValueError(f"{perm_str(p)} contains 132")
-    return _staircase_word(p)
+    return staircase_word(p)
 
 
 def psi_map(p: Perm) -> DyckWord:
@@ -154,7 +155,7 @@ def psi_map(p: Perm) -> DyckWord:
     check_permutation(p)
     if not avoids_classical(p, (1, 2, 3)):
         raise ValueError(f"{perm_str(p)} contains 123")
-    return _staircase_word(p)
+    return staircase_word(p)
 
 
 def _minima_skeleton(word: DyckWord):
@@ -226,13 +227,13 @@ def pattern_path(gamma: Perm, variant: str) -> str:
     if not avoids_classical(gamma, (1, 3, 2)):
         raise ValueError(f"{perm_str(gamma)} contains 132")
     if variant == "phi_prime":
-        return _staircase_word(gamma)[m + 1 - gamma[0]:]
+        return staircase_word(gamma)[m + 1 - gamma[0]:]
     if variant == "phi_double_prime":
         if m < 2 or gamma[-2] != m or gamma[-1] != 1:
             raise ValueError(
                 "phi_double_prime needs the pattern to end with (max, 1): "
                 f"{perm_str(gamma)}")
-        return _staircase_word(gamma)[m + 1 - gamma[0]:-1]
+        return staircase_word(gamma)[m + 1 - gamma[0]:-1]
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -2,7 +2,10 @@
 
 These are the ground truth that every solved generating function is checked
 against: full enumeration of an avoidance class, counting descents and
-consecutive matches per permutation, accumulated into an exact polynomial.
+consecutive matches, accumulated into an exact polynomial.  The counts come
+from one pass over the whole class (perms.class_pattern_counts, one byte
+lane per permutation, so n < 128); each distinct tuple of counts is tallied
+and packed into a monomial once.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, avoider_list, pattern_counter
+from .perms import Perm, avoider_list, class_pattern_counts
 from .series import Poly, pack
 
 ORACLE_MAX_N = 12
@@ -32,10 +35,13 @@ class DistributionSlice:
 @lru_cache(maxsize=None)
 def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
                   variables: tuple[str, ...], track_des: bool) -> Poly:
-    # One pass per permutation: descents are the consecutive pattern 21.
+    # One pass over the class: descents are the consecutive pattern 21.
     names = (("y",) if track_des else ()) + variables
-    count = pattern_counter((((2, 1),) if track_des else ()) + tracked)
-    tally = Counter(map(count, avoider_list(avoided, n)))
+    patterns = (((2, 1),) if track_des else ()) + tracked
+    avoiders = avoider_list(avoided, n)
+    counts = class_pattern_counts(avoiders, patterns)
+    # With nothing counted, every avoider has the empty tuple of counts.
+    tally = Counter(zip(*counts) if counts else [()] * len(avoiders))
     counter: dict[int, int] = {}
     for exps, c in tally.items():
         key = pack({v: e for v, e in zip(names, exps) if e})

@@ -7,9 +7,12 @@ its inputs.
 
 There is one consecutive matcher: compile_pattern turns a pattern into its
 inverse, so a window matches when its entries at those offsets increase
-(k-1 comparisons, stopping at the first failure).  pattern_counter counts
-several patterns in one pass, sharing one rank code per window among the
-patterns of a length.  The 123- and 321-avoiders are built level by level
+(k-1 comparisons).  consecutive_match_positions applies it to one
+permutation.  class_pattern_counts applies it to a whole avoider class at
+once: column j of the class is one big int with one byte lane per
+permutation, a single big-int subtraction compares two columns in every
+lane, and the counts come back as one byte per permutation, so the length
+must be below 128.  The 123- and 321-avoiders are built level by level
 on West's generating trees, the 132-type classes by splitting at the
 maximum; every class list is sorted lexicographically.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from operator import itemgetter, lt
+from itertools import chain
 
 Perm = tuple[int, ...]
 
@@ -89,10 +92,6 @@ def reduce_word(word) -> Perm:
 
 def descent_set(p: Perm) -> frozenset[int]:
     return frozenset(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
-
-
-def descents(p: Perm) -> int:
-    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
 # -- symmetry actions ---------------------------------------------------------
@@ -222,7 +221,7 @@ def avoids_classical(p: Perm, pat: Perm) -> bool:
 # A window p[i..i+k-1] matches pat iff its entries, read in increasing order of
 # pattern value, increase: p[i+o0] < p[i+o1] < ... where (o0, o1, ...) is
 # pat^-1 written 0-based (Elizalde and Noy's window trick).  That is k-1
-# comparisons, and the test stops at the first one that fails.
+# comparisons.
 
 def compile_pattern(pat: Perm) -> tuple[int, ...]:
     """Window offsets of pat's entries sorted by value: pat^-1, 0-based.
@@ -238,11 +237,11 @@ def compile_pattern(pat: Perm) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-def _match_starts(p: Perm, offsets: tuple[int, ...]) -> list[int]:
-    # 0-based starts of the windows that pass the chain test.
-    first, rest = offsets[0], offsets[1:]
+def consecutive_match_positions(p: Perm, pat: Perm) -> list[int]:
+    """1-based start positions i with reduce(p[i..i+k-1]) equal to pat."""
+    first, *rest = compile_pattern(pat)
     out = []
-    for i in range(len(p) - len(offsets) + 1):
+    for i in range(len(p) - len(rest)):
         prev = p[i + first]
         for o in rest:
             v = p[i + o]
@@ -250,75 +249,44 @@ def _match_starts(p: Perm, offsets: tuple[int, ...]) -> list[int]:
                 break
             prev = v
         else:
-            out.append(i)
+            out.append(i + 1)
     return out
 
 
-def consecutive_match_positions(p: Perm, pat: Perm) -> list[int]:
-    """1-based start positions i with reduce(p[i..i+k-1]) equal to pat."""
-    return [i + 1 for i in _match_starts(p, compile_pattern(pat))]
+def class_pattern_counts(perm_list, patterns) -> list[bytes]:
+    """Consecutive-pattern counts over a whole list of permutations at once.
 
+    Returns one bytes object per pattern, in the order given (repeats
+    included): byte j is the number of windows of perm_list[j] matching it.
+    All permutations must have one length n < 128; otherwise ValueError.
 
-def _rank_code_counter(patterns: list[Perm]):
-    # Several distinct patterns of one length k: each window's comparisons of
-    # all k(k-1)/2 pairs of its entries form a code that identifies its
-    # pattern, computed once per window and looked up.
-    k = len(patterns[0])
-    pairs = [(a, b, 1 << j) for j, (a, b) in
-             enumerate((a, b) for a in range(k) for b in range(a + 1, k))]
-    lookup = {sum(bit for a, b, bit in pairs if pat[a] < pat[b]): j
-              for j, pat in enumerate(patterns)}
-
-    def count(p: Perm) -> tuple[int, ...]:
-        counts = [0] * len(patterns)
-        for i in range(len(p) - k + 1):
-            c = 0
-            for a, b, bit in pairs:
-                if p[i + a] < p[i + b]:
-                    c |= bit
-            j = lookup.get(c)
-            if j is not None:
-                counts[j] += 1
-        return tuple(counts)
-    return count
-
-
-def _chain_counter(pat: Perm):
-    offsets = compile_pattern(pat)
-    if len(offsets) == 2:
-        # One comparison per window: let map run the loop.
-        a, b = offsets
-        return lambda p: (sum(map(lt, p[a:], p[b:])),)
-    return lambda p: (len(_match_starts(p, offsets)),)
-
-
-def pattern_counter(patterns):
-    """Compile consecutive patterns into one counter: p -> tuple of the
-    number of windows of p matching each pattern, in the given order.
-
-    Patterns are grouped by length.  A length with one pattern uses the chain
-    test; a length shared by several computes each window's rank code once.
+    >>> [list(c) for c in class_pattern_counts([(1, 3, 2, 4), (2, 1, 4, 3)],
+    ...                                        [(2, 1), (1, 3, 2)])]
+    [[1, 2], [1, 1]]
     """
-    patterns = [tuple(pat) for pat in patterns]
-    by_length: dict[int, list[Perm]] = {}
-    for pat in dict.fromkeys(patterns):
-        compile_pattern(pat)   # rejects a non-permutation
-        by_length.setdefault(len(pat), []).append(pat)
-    parts = [_chain_counter(group[0]) if len(group) == 1
-             else _rank_code_counter(group) for group in by_length.values()]
-    order = [pat for group in by_length.values() for pat in group]
-    # Two or more patterns whenever the order differs, so pick gives a tuple.
-    pick = (None if order == patterns
-            else itemgetter(*[order.index(pat) for pat in patterns]))
-    if len(parts) == 1 and pick is None:
-        return parts[0]
-
-    def count(p: Perm) -> tuple[int, ...]:
-        counts = ()
-        for part in parts:
-            counts += part(p)
-        return counts if pick is None else pick(counts)
-    return count
+    compiled = [compile_pattern(pat) for pat in patterns]
+    m = len(perm_list)
+    n = len(perm_list[0]) if m else 0
+    if set(map(len, perm_list)) - {n}:
+        raise ValueError("permutations of different lengths")
+    if n >= 128:
+        raise ValueError(f"length {n} does not fit a byte lane (n < 128)")
+    # Column j holds entry j of every permutation, one byte lane each.
+    flat = bytes(chain.from_iterable(perm_list))
+    cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
+    high = int.from_bytes(b"\x80" * m, "little")
+    out = []
+    for offsets in compiled:
+        total = 0
+        for i in range(n - len(offsets) + 1):
+            hits = high
+            for a, b in zip(offsets, offsets[1:]):
+                # Bit 7 of a lane of (b | 0x80) - a is set iff a < b; entries
+                # are below 128, so no borrow crosses into the next lane.
+                hits &= ((cols[i + b] | high) - cols[i + a]) & high
+            total += hits >> 7
+        out.append(total.to_bytes(m, "little"))
+    return out
 
 
 # -- avoider enumeration ------------------------------------------------------

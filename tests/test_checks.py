@@ -136,3 +136,20 @@ def test_transport_checks_match_the_suite_report():
             records[(c.check_id, json.dumps(c.params, sort_keys=True))]
         assert res.n_range == ("n<=9" if c.check_id == "transport_general"
                                else "n<=10")
+
+
+def test_bij_psi_records_a_preimage_outside_the_class(monkeypatch):
+    # A broken inverse whose preimage contains 123 must give a failing
+    # witness, not an exception from the guarded map.
+    real_inverse = dyck.psi_inverse
+
+    def broken_inverse(word):
+        n = len(word) // 2
+        return tuple(range(1, n + 1)) if n >= 3 else real_inverse(word)
+
+    monkeypatch.setattr(perms, "avoider_list", lambda lam, n: ())
+    monkeypatch.setattr(dyck, "psi_inverse", broken_inverse)
+    res = checks.run_check("bij_psi", n_max=4)
+    assert res.status == "fail"
+    assert res.witness == {"n": 3, "monomial": "DDDRRR",
+                           "expected": "123-avoider", "actual": "123"}

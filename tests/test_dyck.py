@@ -163,13 +163,15 @@ def test_statistic_transport_examples():
     for n in range(8):
         for p in perms.avoider_list((1, 3, 2), n):
             w = dyck.phi_map(p)
-            assert perms.descents(p) == dyck.path_pattern_count(w, "RD")
+            assert len(perms.descent_set(p)) == \
+                dyck.path_pattern_count(w, "RD")
             assert len(perms.consecutive_match_positions(p, (1, 2, 3))) == \
                 dyck.path_pattern_count(w, "RRR")
         for p in perms.avoider_list((1, 2, 3), n):
             w = dyck.psi_map(p)
-            assert perms.descents(p) == (dyck.path_pattern_count(w, "RD")
-                                         + dyck.path_pattern_count(w, "RRR"))
+            assert len(perms.descent_set(p)) == (
+                dyck.path_pattern_count(w, "RD")
+                + dyck.path_pattern_count(w, "RRR"))
             assert len(perms.consecutive_match_positions(p, (1, 3, 2))) == \
                 dyck.path_pattern_count(w, "DRRR")
             assert len(perms.consecutive_match_positions(p, (2, 3, 1))) == \

@@ -29,6 +29,13 @@ def test_untracked_slice_counts_class():
     assert sum(c for _, c in d.poly.terms()) == 14
 
 
+def test_nothing_tracked_counts_the_class():
+    for lam in itertools.permutations((1, 2, 3)):
+        for n in range(7):
+            d = brute_distribution(lam, [], n, variables=(), track_des=False)
+            assert d.poly == Poly.const(catalan(n))
+
+
 def test_track_des_off():
     d = brute_distribution((1, 3, 2), [(2, 3, 1)], 4, track_des=False)
     assert poly_str(d.poly) == "8 + 6*x"

@@ -10,6 +10,11 @@ perm_strategy = st.integers(0, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
 
 
+def _counts_of_one(p, pats):
+    # The whole-class counter applied to a class of one permutation.
+    return tuple(column[0] for column in perms.class_pattern_counts([p], pats))
+
+
 def test_reduce_word():
     assert perms.reduce_word((5, 1)) == (2, 1)
     assert perms.reduce_word((2, 6, 3, 8)) == (1, 3, 2, 4)
@@ -63,9 +68,10 @@ def test_symmetries_are_involutions(p):
 @settings(max_examples=80, deadline=None)
 def test_descents_transport_under_symmetries(p):
     n = len(p)
-    assert perms.descents(perms.reverse_complement(p)) == perms.descents(p)
+    des = len(perms.descent_set(p))
+    assert len(perms.descent_set(perms.reverse_complement(p))) == des
     if n >= 1:
-        assert perms.descents(perms.reverse(p)) == n - 1 - perms.descents(p)
+        assert len(perms.descent_set(perms.reverse(p))) == n - 1 - des
 
 
 def test_contains_classical_examples():
@@ -121,9 +127,8 @@ def test_match_transport_under_reverse_complement(p):
 @given(perm_strategy)
 @settings(max_examples=60, deadline=None)
 def test_window3_counts_agree_with_direct_scan(p):
-    # All six length-3 patterns share the rank-code path of pattern_counter.
     pats = list(itertools.permutations((1, 2, 3)))
-    counts = perms.pattern_counter(pats)(p)
+    counts = _counts_of_one(p, pats)
     for pat, count in zip(pats, counts):
         assert count == len(perms.consecutive_match_positions(p, pat))
 
@@ -198,13 +203,39 @@ PATTERNS_1_TO_5 = {k: list(itertools.permutations(range(1, k + 1)))
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple))
 @settings(max_examples=60, deadline=None)
 def test_compiled_matcher_agrees_with_reduce_word(p):
-    # Both the chain test and the shared rank code of pattern_counter.
     for k, pats in PATTERNS_1_TO_5.items():
-        counts = perms.pattern_counter(pats)(p)
+        counts = _counts_of_one(p, pats)
         for pat, count in zip(pats, counts):
             want = _positions_by_definition(p, pat)
             assert perms.consecutive_match_positions(p, pat) == want
             assert count == len(want)
+
+
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+           st.lists(st.permutations(list(range(1, n + 1))).map(tuple),
+                    max_size=12),
+           st.lists(st.integers(1, 6).flatmap(
+               lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),
+               max_size=6))))
+@settings(max_examples=150, deadline=None)
+def test_class_counts_equal_per_permutation_positions(case):
+    perm_list, pats = case
+    counts = perms.class_pattern_counts(perm_list, pats)
+    assert len(counts) == len(pats)
+    for pat, column in zip(pats, counts):
+        assert list(column) == [len(perms.consecutive_match_positions(p, pat))
+                                for p in perm_list]
+
+
+def test_class_counts_reject_what_does_not_fit_a_byte_lane():
+    with pytest.raises(ValueError, match="different lengths"):
+        perms.class_pattern_counts([(1, 2), (1, 2, 3)], [(1, 2)])
+    with pytest.raises(ValueError, match="different lengths"):
+        perms.class_pattern_counts([(2, 1, 3), ()], [(1, 2)])
+    with pytest.raises(ValueError, match="n < 128"):
+        perms.class_pattern_counts([tuple(range(1, 129))], [(1, 2)])
+    counts = perms.class_pattern_counts([tuple(range(127, 0, -1))], [(2, 1)])
+    assert counts == [bytes([126])]
 
 
 def test_compile_pattern_is_the_inverse():
@@ -224,8 +255,8 @@ def test_pattern_counter_mixed_lengths_and_repeats():
     p = perms.parse_perm("869743251")
     pats = [(1, 3, 2), (2, 1), (2, 1, 3, 4), (1, 3, 2), (3, 2, 1), (1,)]
     want = tuple(len(_positions_by_definition(p, pat)) for pat in pats)
-    assert perms.pattern_counter(pats)(p) == want
-    assert perms.pattern_counter([])(p) == ()
+    assert _counts_of_one(p, pats) == want
+    assert perms.class_pattern_counts([p], []) == []
 
 
 @pytest.mark.parametrize("lam, generate", [
