@@ -27,6 +27,7 @@ from functools import lru_cache
 
 from .series import (
     VARS,
+    EqContext,
     Poly,
     TruncatedSeries,
     binom,
@@ -400,9 +401,8 @@ def solve_system(entry_id: str, order: int, m: int | None = None,
         return {"A1": a1, "A": _a_from_a1(a1)}
     if entry_id == "thm2":
         (a1,) = fixed_point_solve([_thm2_a1], order)
-        t2 = TruncatedSeries(Poly.variable("t", 2), order)
-        x = TruncatedSeries(Poly.variable("x"), order)
-        return {"A1": a1, "A": _a_from_a1(a1) + t2 * (1 - x) * a1 ** 2}
+        c = EqContext(order)
+        return {"A1": a1, "A": _a_from_a1(a1) + c.t ** 2 * (1 - c.x) * a1 ** 2}
     if entry_id == "thm3":
         a0, a1, a = fixed_point_solve([_thm3_a0, _thm3_a1, _thm3_a], order)
         return {"A0": a0, "A1": a1, "A": a}
@@ -735,34 +735,28 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
     Residual checks clear all denominators first and test that the result
     vanishes to the given order; expansion checks compare slice by slice.
     """
-    TS = TruncatedSeries
-
-    def ring(o):
-        one = TS.const(1, o)
-        return one, TS(Poly.variable("t"), o), TS(Poly.variable("y"), o), \
-            TS(Poly.variable("x"), o)
-
     if identity_id == "thm1_quadratic":
         # One-line form obtained by clearing 1 - t y Q from the defining
         # system; the published variant drops the t^2 (1-y) Q^2 term and
         # squares the final y, so it only holds at y = 1.
         A = solve_catalog("thm1", order)
-        one, t, y, x = ring(order)
-        q = y * (A - 1) + 1
-        rhs = (one + t * q ** 2 + t ** 2 * (1 - y) * q ** 2
-               + t ** 3 * (x - 1) * y * q ** 3)
+        c = EqContext(order)
+        q = c.y * (A - 1) + 1
+        rhs = (c.one + c.t * q ** 2 + c.t ** 2 * (1 - c.y) * q ** 2
+               + c.t ** 3 * (c.x - 1) * c.y * q ** 3)
         return _residual_verdict(identity_id, rhs - A)
 
     if identity_id == "thm1_quadratic_printed":
         A = solve_catalog("thm1", order)
-        one, t, y, x = ring(order)
-        q = y * (A - 1) + 1
-        rhs = one + t * q ** 2 + t ** 3 * (x - 1) * y ** 2 * q ** 3
+        c = EqContext(order)
+        q = c.y * (A - 1) + 1
+        rhs = c.one + c.t * q ** 2 + c.t ** 3 * (c.x - 1) * c.y ** 2 * q ** 3
         return _residual_verdict(identity_id, rhs - A)
 
     if identity_id == "thm2_polynomial":
         A = solve_catalog("thm2", order)
-        one, t, y, x = ring(order)
+        c = EqContext(order)
+        t, y, x = c.t, c.y, c.x
         w = A - 1
         inner = (y * (w ** 2 * x ** 2 * y
                       + x * (w ** 3 * y ** 3 + w ** 2 * y ** 2 + w * y + 2 * A - 1)
@@ -778,39 +772,40 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
         # Cleared form re-derived from the two-function system; the published
         # one-line form shifts two of the three B-powers up by B^2.
         B = solve_catalog("fam_123_2m31", order, m=m)
-        one, t, y, x = ring(order)
+        c = EqContext(order)
         lhs = B ** (m - 2) * (B - 1) if m >= 2 else B - 1
-        rhs = t * (B ** m + (x - 1) * (B - 1) ** (m - 1))
+        rhs = c.t * (B ** m + (c.x - 1) * (B - 1) ** (m - 1))
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "123long2_printed":
         B = solve_catalog("fam_123_2m31", order, m=m)
-        one, t, y, x = ring(order)
+        c = EqContext(order)
         lhs = B ** m * (B - 1)
-        rhs = t * (B ** (m + 2) + (x - 1) * (B - 1) ** (m - 1))
+        rhs = c.t * (B ** (m + 2) + (c.x - 1) * (B - 1) ** (m - 1))
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "132long1":
         B = solve_catalog("fam_132_2m1", order, m=m)
-        one, t, y, x = ring(order)
+        c = EqContext(order)
         e = max(0, 3 - m)  # clear the B^(m-4) denominator fully
         lhs = B ** (m - 3 + e) * (B - 1)
-        rhs = t * B ** e * (B ** (m - 1) + (x - 1) * (B - 1) ** (m - 1))
+        rhs = c.t * B ** e * (B ** (m - 1) + (c.x - 1) * (B - 1) ** (m - 1))
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "132general1":
         B = solve_catalog("fam_132_a2m1", order, m=m, a=a)
-        one, t, y, x = ring(order)
+        c = EqContext(order)
         lhs = B ** (m - a) * (B - 1)
-        rhs = (t * B ** (m - a + 2)
-               + t ** (a - 2) * (x - 1) * (B - 1 - t * B) * (B - 1) ** (m - a))
+        rhs = (c.t * B ** (m - a + 2)
+               + c.t ** (a - 2) * (c.x - 1) * (B - 1 - c.t * B) * (B - 1) ** (m - a))
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "long2132":
         B = solve_catalog("fam_132_m1m1", order, m=m)
-        one, t, y, x = ring(order)
+        c = EqContext(order)
         lhs = B * (B - 1)
-        rhs = t * B ** 3 + t ** (m - 3) * (x - 1) * (B - 1 - t * B) * (B - 1)
+        rhs = (c.t * B ** 3
+               + c.t ** (m - 3) * (c.x - 1) * (B - 1 - c.t * B) * (B - 1))
         return _residual_verdict(identity_id, lhs - rhs)
 
     if identity_id == "thm8_rational":
@@ -818,12 +813,8 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
         # call's form, so a shorter call would solve the system again.
         sol = solve_system("thm8", order, None, None)
         a0, a1, A = sol["A0"], sol["A1"], sol["A"]
-        one = TS.const(1, order)
-        t = TS(Poly.variable("t"), order)
-        y = TS(Poly.variable("y"), order)
-        x1 = TS(Poly.variable("x1"), order)
-        x2 = TS(Poly.variable("x2"), order)
-        x3 = TS(Poly.variable("x3"), order)
+        c = EqContext(order)
+        t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
         lhs = (A - 1 - t * a1) * (t * x1 * x3 * y * a0)
         rhs = a1 - 1 - t * y * a0 - t ** 2 * x3 * y * a0 * (x2 * (a1 - 1) + 1)
         return _residual_verdict(identity_id, lhs - rhs)
@@ -831,12 +822,8 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
     if identity_id == "thm7_rational":
         sol = solve_system("thm7", order, None, None)   # see thm8_rational
         a0, A = sol["A0"], sol["A"]
-        one = TS.const(1, order)
-        t = TS(Poly.variable("t"), order)
-        y = TS(Poly.variable("y"), order)
-        x1 = TS(Poly.variable("x1"), order)
-        x2 = TS(Poly.variable("x2"), order)
-        x3 = TS(Poly.variable("x3"), order)
+        c = EqContext(order)
+        t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
         g = a0 * t ** 2 * y * (x1 - x2) - 1
         denom = (x3 * (x1 - x2)
                  * (a0 * x3 ** 2 * t ** 2 * y ** 2 * g

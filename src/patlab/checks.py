@@ -239,14 +239,14 @@ def _transport_verdicts(lam, top, stats):
     """Certify many statistic transports over one avoider class in one pass.
 
     stats is a tuple of (consecutive pattern, Dyck factors).  Every avoider
-    of lam with n <= top is mapped once to its staircase path (through the
-    guarded public map); all patterns are counted over the class of each n
-    at once by perms.class_pattern_counts.
+    of lam with n <= top is mapped once to its staircase path (by the
+    unguarded dyck.staircase_word: avoider_list gives only members of the
+    class); all patterns are counted over the class of each n at once by
+    perms.class_pattern_counts.
     Returns {stat: (ok, witness, n_range)}; a statistic's witness is its
     first disagreement in (n, lex) order, and a failing statistic does not
     stop the others.
     """
-    fwd = dyck.phi_map if lam == (1, 3, 2) else dyck.psi_map
     patterns = [pattern for pattern, _ in stats]
     factors = [f for _, f in stats]
     witnesses = [None] * len(stats)
@@ -254,7 +254,7 @@ def _transport_verdicts(lam, top, stats):
         avoiders = perms.avoider_list(lam, n)
         counts = perms.class_pattern_counts(avoiders, patterns)
         for p, row in zip(avoiders, zip(*counts)):
-            word = fwd(p)
+            word = dyck.staircase_word(p)
             for j, left in enumerate(row):
                 if witnesses[j] is None:
                     right = sum(dyck.path_pattern_count(word, f)

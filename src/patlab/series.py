@@ -11,6 +11,10 @@ lowest byte, so that multiplying monomials is integer addition.  Exponents
 stay far below 256 in this library (t is hard-capped at 16); a product that
 would carry out of a byte raises ValueError instead of corrupting the next
 variable.
+
+fixed_point_solve evaluates each equation once on lazy series, which compute
+the unknown's t-slices one at a time from lower slices, and then once more
+eagerly, as TruncatedSeries at full order, to check the solution.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class NonInvertibleError(ValueError):
 
 
 class NonContractiveError(RuntimeError):
-    """A fixed-point equation failed to stabilise within order+1 iterations."""
+    """A fixed-point equation is not contractive: a slice of its unknown
+    depends on itself, or the solution does not satisfy the equation."""
 
 
 def pack(exps: dict[str, int]) -> int:
@@ -424,30 +429,48 @@ def geometric(first: TruncatedSeries, ratio: TruncatedSeries) -> TruncatedSeries
 
 
 def fixed_point_solve(equations, order: int, seeds=None) -> list[TruncatedSeries]:
-    """Solve a triangular system S_i = F_i(S_1..S_i) by t-adic iteration.
+    """Solve a triangular system S_i = F_i(S_1..S_i) by t-adic fixed point.
 
-    Each equation is a callable f(vals, ctx) -> TruncatedSeries, where vals
-    is the list of current values for every unknown and ctx provides ring
-    constants at the working order.  Equations are solved in listed order;
-    each one is iterated with the truncation cap growing 1..order, then
-    re-evaluated once at full order to verify stabilisation, i.e. order+1
-    evaluations in total.  Seeds give the constant terms (default all 1).
+    Each equation is a callable f(vals, ctx), where vals holds a value for
+    every unknown and ctx provides ring constants at the working order (see
+    EqContext).  Equations are solved in listed order, each with two calls.
+    The first call builds the equation on lazy series (see _Lazy): slice 0
+    of the unknown is its seed, and slice n is slice n of the right-hand
+    side, computed once from lower slices.  A slice that needs itself
+    raises NonContractiveError.  The second call evaluates the equation
+    eagerly on the solved values at full order and must give the solution
+    back, which checks both stabilisation and the lazy arithmetic.  Seeds
+    give the constant terms (default all 1).
+
+    >>> (c,) = fixed_point_solve([lambda v, ctx: ctx.one + ctx.t * v[0] ** 2], 6)
+    >>> series_str(c)
+    '1 + t + 2*t^2 + 5*t^3 + 14*t^4 + 42*t^5 + 132*t^6'
     """
     if order < 0 or order > T_CAP_HARD:
         raise ValueError(f"order {order} outside [0, {T_CAP_HARD}]")
     k = len(equations)
     seeds = [1] * k if seeds is None else list(seeds)
     vals = [TruncatedSeries.const(s, order) for s in seeds]
+    ctx = EqContext(order)
+    lazy_ctx = _LazyContext(ctx)
     for i, eq in enumerate(equations):
-        for cap in range(1, order + 1):
-            capped = [TruncatedSeries(v.poly.truncate_t(cap), cap) for v in vals]
-            step = eq(capped, EqContext(cap))
-            vals[i] = TruncatedSeries(step.poly.truncate_t(cap), order)
-        final = eq(vals, EqContext(order))
+        unknown = _Unknown(seeds[i], order, i)
+        lazy_vals = [_Const(v) for v in vals]
+        lazy_vals[i] = unknown
+        try:
+            unknown.rhs = _lift(eq(lazy_vals, lazy_ctx), order)
+            unknown.at(order)
+        finally:
+            unknown.rhs = None   # break the cycle so the graph can be freed
+        # t is the lowest byte, so t^n shifts a t-free key by n
+        vals[i] = TruncatedSeries(Poly(
+            {key + n: v for n, (d, _) in enumerate(unknown.cache)
+             for key, v in d.items()}), order)
+        del unknown, lazy_vals   # free the graph before the eager check
+        final = eq(vals, ctx)
         if final.poly.truncate_t(order) != vals[i].poly:
             raise NonContractiveError(
                 f"equation {i} did not stabilise at order {order}")
-        vals[i] = TruncatedSeries(final.poly.truncate_t(order), order)
     return vals
 
 
@@ -465,6 +488,272 @@ class EqContext:
 
     def geo(self, first: TruncatedSeries, ratio: TruncatedSeries) -> TruncatedSeries:
         return geometric(first, ratio)
+
+
+# -- lazy series for the fixed-point solver ------------------------------------
+#
+# Online ("relaxed") power-series evaluation, after van der Hoeven, "Relax,
+# but don't be too lazy" (J. Symb. Comput., 2002).  A node gives its t^n
+# slice as a t-free coefficient dict, computed from lower slices of its
+# operands.  `val` is a static lower bound on the node's t-valuation; a
+# product reads only the slice pairs (i, n-i) within its operands' bounds,
+# so t*X never asks X for slice n.  Sub-expressions without the unknown are
+# folded into TruncatedSeries constants as the equation is built, with the
+# eager arithmetic.  Slices are memoised only on nodes that a product or an
+# inverse reads; `cache` is None on the others, and they compute a slice
+# whenever asked.  A memoised slice is stored with the OR of its keys, for
+# the exponent-overflow guard in front of _mul_into.
+
+class _Lazy:
+    __slots__ = ("order", "val", "cache")
+
+    def __init__(self, order: int, val: int):
+        self.order = order
+        self.val = val
+        self.cache = None
+
+    def memoise(self) -> None:
+        if self.cache is None:
+            self.cache = []
+
+    def at(self, n: int):
+        """(slice n, OR of its keys), memoised; computes lower slices first."""
+        cache = self.cache
+        while len(cache) <= n:
+            d = self.compute(len(cache))
+            cache.append((d, reduce(or_, d, 0)))
+        return cache[n]
+
+    def slice(self, n: int) -> dict[int, int]:
+        """Slice n as a t-free coefficient dict; callers must not mutate it."""
+        return self.compute(n) if self.cache is None else self.at(n)[0]
+
+    def compute(self, n: int) -> dict[int, int]:
+        raise NotImplementedError
+
+    def __add__(self, other):
+        return _lin(((1, self), (1, _lift(other, self.order))))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _lin(((-1, self),))
+
+    def __sub__(self, other):
+        return _lin(((1, self), (-1, _lift(other, self.order))))
+
+    def __rsub__(self, other):
+        return _lin(((1, _lift(other, self.order)), (-1, self)))
+
+    def __mul__(self, other):
+        return _mul(self, _lift(other, self.order))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a series")
+        result = _lift(1, self.order)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            if n > 1:
+                base = base * base
+            n >>= 1
+        return result
+
+
+class _Const(_Lazy):
+    """A known series: a TruncatedSeries cut into memoised slices."""
+
+    __slots__ = ("series",)
+
+    def __init__(self, series: TruncatedSeries):
+        slices: dict[int, dict[int, int]] = {}
+        for k, v in series.poly.c.items():
+            slices.setdefault(k & _TMASK, {})[k & ~_TMASK] = v
+        super().__init__(series.order, min(slices, default=series.order + 1))
+        self.series = series
+        self.cache = [(slices.get(n, {}), reduce(or_, slices.get(n, ()), 0))
+                      for n in range(series.order + 1)]
+
+    def at(self, n: int):
+        return self.cache[n] if n < len(self.cache) else ({}, 0)
+
+
+class _Lin(_Lazy):
+    """An integer linear combination of nodes, at most one of them constant."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        super().__init__(terms[0][1].order, min(node.val for _, node in terms))
+        self.terms = terms
+
+    def compute(self, n):
+        out: dict[int, int] = {}
+        for coeff, node in self.terms:
+            if node.val <= n:
+                d = node.slice(n)
+                _add_into(out, d.items() if coeff == 1 else
+                          ((k, coeff * v) for k, v in d.items()))
+        return out
+
+
+class _Mul(_Lazy):
+    """A product of two nodes, one of them with the unknown in it."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: _Lazy, b: _Lazy):
+        super().__init__(a.order, a.val + b.val)
+        self.a, self.b = a, b
+        a.memoise()
+        b.memoise()
+
+    def compute(self, n):
+        a, b = self.a, self.b
+        out: dict[int, int] = {}
+        for i in range(a.val, n - b.val + 1):
+            da, abits = a.at(i)
+            db, bbits = b.at(n - i)
+            if da and db:
+                if (abits | bbits) & _HIGH:
+                    _check_products(da, db)
+                if len(da) > len(db):
+                    da, db = db, da
+                _mul_into(out, da, db)
+        return out
+
+
+class _Inverse(_Lazy):
+    """1/d for a node d whose t^0 slice is +1 or -1 (the inverse_unit
+    recursion)."""
+
+    __slots__ = ("d", "unit")
+
+    def __init__(self, d: _Lazy):
+        super().__init__(d.order, 0)
+        self.d = d
+        self.cache = []
+        d.memoise()
+
+    def compute(self, n):
+        d = self.d
+        if n == 0:
+            c0 = d.slice(0)
+            if c0 != {0: 1} and c0 != {0: -1}:
+                raise NonInvertibleError(
+                    "series is not invertible: constant term must be +1 or -1, "
+                    f"got {poly_str(Poly(dict(c0)))}")
+            self.unit = c0[0]
+            return {0: self.unit}
+        acc: dict[int, int] = {}
+        for j in range(max(d.val, 1), n + 1):
+            dj, dbits = d.at(j)
+            ij, ibits = self.at(n - j)
+            if dj and ij:
+                if (dbits | ibits) & _HIGH:
+                    _check_products(dj, ij)
+                _mul_into(acc, dj, ij)
+        if self.unit == 1:
+            return {k: -v for k, v in acc.items()}
+        return acc
+
+
+class _Unknown(_Lazy):
+    """The unknown of one equation: its seed, then the slices of its
+    right-hand side."""
+
+    __slots__ = ("seed", "index", "rhs", "busy")
+
+    def __init__(self, seed: int, order: int, index: int):
+        super().__init__(order, 0)
+        self.seed, self.index = seed, index
+        self.rhs = None
+        self.busy = False
+        self.cache = []
+
+    def compute(self, n):
+        if n == 0:
+            return {0: self.seed} if self.seed else {}
+        if self.busy:
+            raise NonContractiveError(
+                f"equation {self.index}: slice t^{n} of the unknown depends "
+                "on itself")
+        self.busy = True
+        try:
+            return self.rhs.slice(n) if self.rhs.val <= n else {}
+        finally:
+            self.busy = False
+
+
+def _lift(value, order: int) -> _Lazy:
+    if isinstance(value, _Lazy):
+        return value
+    if isinstance(value, TruncatedSeries):
+        return _Const(value)
+    return _Const(TruncatedSeries.of(_as_poly(value), order))
+
+
+def _lin(terms) -> _Lazy:
+    """Sum of coefficient * node: nested sums are flattened, repeated nodes
+    merged and constants folded into one."""
+    merged: dict[int, list] = {}
+    const = None
+    for coeff, node in terms:
+        for c, sub in (node.terms if isinstance(node, _Lin) else ((1, node),)):
+            c *= coeff
+            if isinstance(sub, _Const):
+                part = sub.series if c == 1 else sub.series * c
+                const = part if const is None else const + part
+            elif id(sub) in merged:
+                merged[id(sub)][0] += c
+            else:
+                merged[id(sub)] = [c, sub]
+    out = [(c, sub) for c, sub in merged.values() if c]
+    if const is not None and const.poly:
+        out.append((1, _Const(const)))
+    if not out:
+        return _Const(const if const is not None
+                      else TruncatedSeries.const(0, terms[0][1].order))
+    if len(out) == 1 and out[0][0] == 1:
+        return out[0][1]
+    return _Lin(out)
+
+
+def _mul(a: _Lazy, b: _Lazy) -> _Lazy:
+    if isinstance(b, _Const):
+        a, b = b, a
+    if isinstance(a, _Const):
+        if isinstance(b, _Const):
+            return _Const(a.series * b.series)
+        if a.series.poly == 1:
+            return b
+        if not a.series.poly:
+            return a
+    return _Mul(a, b)
+
+
+class _LazyContext:
+    """EqContext's ring constants as lazy constants, for the building pass."""
+
+    def __init__(self, ctx: EqContext):
+        self.order = ctx.order
+        self.one = _Const(ctx.one)
+        for v in VARS:
+            setattr(self, v, _Const(getattr(ctx, v)))
+
+    def const(self, value: int) -> _Lazy:
+        return _lift(value, self.order)
+
+    def geo(self, first, ratio) -> _Lazy:
+        first, ratio = _lift(first, self.order), _lift(ratio, self.order)
+        den = 1 - ratio
+        if isinstance(den, _Const):
+            return first * _Const(den.series.inverse_unit())
+        return first * _Inverse(den)
 
 
 # -- slice symmetry ---------------------------------------------------------

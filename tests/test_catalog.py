@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -235,27 +237,50 @@ def test_thm4_thm6_raw_sums():
         catalog.solve_catalog("thm6", order).poly
 
 
+def raw_fam_123_1m2(m):
+    def eq(v, c):
+        out = c.const(0)
+        for k in range(0, c.order + 1):
+            marked = c.x if k >= m else c.one
+            out = out + marked * c.t ** k * v[0] ** k
+        return out
+    return eq
+
+
+def raw_fam_132_1m(m):
+    def eq(v, c):
+        out = c.const(0)
+        for k in range(0, c.order + 1):
+            marked = c.x ** (k - m + 1) if k >= m else c.one
+            out = out + marked * c.t ** k * v[0] ** k
+        return out
+    return eq
+
+
 def test_family_raw_sums():
     order = 7
     for m in (2, 3, 4):
-        def b123(v, c, m=m):
-            out = c.const(0)
-            for k in range(0, c.order + 1):
-                marked = c.x if k >= m else c.one
-                out = out + marked * c.t ** k * v[0] ** k
-            return out
-
-        assert fixed_point_solve([b123], order)[0].poly == \
+        assert fixed_point_solve([raw_fam_123_1m2(m)], order)[0].poly == \
             catalog.solve_catalog("fam_123_1m2", order, m=m).poly
+        assert fixed_point_solve([raw_fam_132_1m(m)], order)[0].poly == \
+            catalog.solve_catalog("fam_132_1m", order, m=m).poly
 
-        def b132(v, c, m=m):
-            out = c.const(0)
-            for k in range(0, c.order + 1):
-                marked = c.x ** (k - m + 1) if k >= m else c.one
-                out = out + marked * c.t ** k * v[0] ** k
-            return out
 
-        assert fixed_point_solve([b132], order)[0].poly == \
+def test_family_raw_sums_at_the_hard_cap_need_no_deep_recursion():
+    # Lazy slices are computed bottom-up, so the stack depth a solve needs
+    # follows the equation's expression depth, not the order.
+    order = 16
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        solved = {(raw, m): fixed_point_solve([raw(m)], order)[0]
+                  for raw in (raw_fam_123_1m2, raw_fam_132_1m) for m in (2, 3, 4)}
+    finally:
+        sys.setrecursionlimit(limit)
+    for m in (2, 3, 4):
+        assert solved[raw_fam_123_1m2, m].poly == \
+            catalog.solve_catalog("fam_123_1m2", order, m=m).poly
+        assert solved[raw_fam_132_1m, m].poly == \
             catalog.solve_catalog("fam_132_1m", order, m=m).poly
 
 

@@ -149,6 +149,17 @@ def test_enumerate_avoiders_lex_and_counts():
             assert all(perms.avoids_classical(p, lam) for p in got)
 
 
+def test_avoider_lists_hold_only_class_members_through_n10():
+    # The transport checks map avoider_list's output to staircase paths
+    # without the class guard of phi_map/psi_map, to this depth.
+    for lam in ((1, 3, 2), (1, 2, 3)):
+        for n in range(11):
+            got = perms.avoider_list(lam, n)
+            assert list(got) == sorted(set(got))
+            assert len(got) == catalan(n)
+            assert all(perms.avoids_classical(p, lam) for p in got)
+
+
 def test_enumerate_avoiders_generic_pattern():
     # a length-4 pattern goes through the generic DFS fallback
     got = list(perms.enumerate_avoiders(5, (1, 2, 3, 4)))

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patlab import catalog, checks
 from patlab.series import (
+    EqContext,
     NonContractiveError,
     NonInvertibleError,
     Poly,
@@ -320,3 +322,136 @@ def test_inverse_unit_matches_term_by_term_sums(p, unit, order):
     inv = s.inverse_unit()
     assert inv.poly == _inverse_by_sums(s).truncate_t(order)
     assert (s * inv).poly == Poly.const(1)
+
+
+# -- the lazy fixed-point solver against the cap-by-cap iteration ------------
+
+def _solve_cap_by_cap(equations, order, seeds=None):
+    # The solver as it was before lazy evaluation: each equation iterated
+    # with the truncation cap growing 1..order, then re-evaluated once at
+    # full order to verify stabilisation.
+    seeds = [1] * len(equations) if seeds is None else list(seeds)
+    vals = [TruncatedSeries.const(s, order) for s in seeds]
+    for i, eq in enumerate(equations):
+        for cap in range(1, order + 1):
+            capped = [TruncatedSeries(v.poly.truncate_t(cap), cap) for v in vals]
+            step = eq(capped, EqContext(cap))
+            vals[i] = TruncatedSeries(step.poly.truncate_t(cap), order)
+        final = eq(vals, EqContext(order))
+        if final.poly.truncate_t(order) != vals[i].poly:
+            raise NonContractiveError(
+                f"equation {i} did not stabilise at order {order}")
+        vals[i] = TruncatedSeries(final.poly.truncate_t(order), order)
+    return vals
+
+
+def _catalog_solves():
+    registered = {}
+    for c in checks.REGISTRY:
+        if "series" in c.params:
+            registered.setdefault(c.params["series"], set()).add(
+                (c.params.get("m"), c.params.get("a")))
+    return [(eid, m, a) for eid, entry in catalog.CATALOG.items()
+            for m, a in (sorted(registered[eid], key=repr) if entry.needs_m
+                         else [(None, None)])]
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_catalog_solves_match_the_cap_by_cap_iteration(order, monkeypatch):
+    solve = catalog.solve_system.__wrapped__   # bypass the lru_cache
+    for eid, m, a in _catalog_solves():
+        got = solve(eid, order, m, a)
+        with monkeypatch.context() as mp:
+            mp.setattr(catalog, "fixed_point_solve", _solve_cap_by_cap)
+            want = solve(eid, order, m, a)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == want[name], (eid, m, a, order, name)
+
+
+_eq_terms = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2),
+              st.integers(0, 2), st.integers(0, 3)),
+    min_size=1, max_size=5)
+
+
+def _equation(seed, terms, ratio_terms):
+    """seed + t*P(v, y, x), or seed + t*P/(1 - t*R) with a ratio R."""
+    def poly_in(v, c, terms):
+        out = c.const(0)
+        for coeff, tj, ya, xb, vk in terms:
+            out = out + coeff * c.t ** tj * c.y ** ya * c.x ** xb * v[0] ** vk
+        return out
+
+    def eq(v, c):
+        p = poly_in(v, c, terms)
+        if ratio_terms:
+            p = c.geo(p, c.t * poly_in(v, c, ratio_terms))
+        return seed + c.t * p
+    return eq
+
+
+@given(st.sampled_from((1, 0)), _eq_terms,
+       st.one_of(st.just([]), _eq_terms), st.integers(0, 7))
+@settings(max_examples=80, deadline=None)
+def test_contractive_equations_match_the_cap_by_cap_iteration(
+        seed, terms, ratio_terms, order):
+    eq = _equation(seed, terms, ratio_terms)
+    want = _solve_cap_by_cap([eq], order, seeds=[seed])
+    assert fixed_point_solve([eq], order, seeds=[seed]) == want
+    if seed == 1:
+        assert fixed_point_solve([eq], order) == want
+
+
+def test_sums_with_repeated_and_constant_terms_match():
+    for eq in (lambda v, c: c.one + c.t * (v[0] + v[0]),
+               lambda v, c: c.one + c.t * (v[0] - v[0] + c.x * v[0] + v[0]),
+               lambda v, c: c.one + c.t * ((v[0] + 1) + (v[0] - 1)) * v[0],
+               lambda v, c: 1 - c.t * (2 * v[0] - (v[0] * v[0] - v[0])) + c.t,
+               lambda v, c: c.one + c.geo(c.t * v[0], c.t - c.t + c.t * v[0]),
+               lambda v, c: c.one - c.t * -(v[0] * c.y)):
+        assert fixed_point_solve([eq], 6) == _solve_cap_by_cap([eq], 6)
+
+
+def test_lazy_solve_keeps_the_exponent_overflow_guard():
+    calls = []
+
+    def eq(v, c):
+        calls.append(c)
+        return c.one + c.t * c.y ** 200 * v[0] ** 2
+
+    for order in (2, 5):
+        calls.clear()
+        with pytest.raises(ValueError):
+            fixed_point_solve([eq], order)
+        assert len(calls) == 1   # raised by the lazy pass, not the check
+    # one slice short of the overflow
+    (s,) = fixed_point_solve(
+        [lambda v, c: c.one + c.t * c.y ** 200 * v[0] ** 2], 1)
+    assert s.poly == 1 + T * Poly.variable("y", 200)
+
+
+def test_a_slice_that_needs_itself_is_not_contractive():
+    for eq in (lambda v, c: v[0] + c.t,
+               lambda v, c: c.one + v[0] * v[0] - v[0],
+               lambda v, c: c.one + c.t * v[0] + (c.x - 1) * v[0]):
+        with pytest.raises(NonContractiveError):
+            fixed_point_solve([eq], 3)
+    # the seed is slice 0; a right-hand side that disagrees fails the check
+    with pytest.raises(NonContractiveError):
+        fixed_point_solve([lambda v, c: 2 + c.t * v[0]], 3)
+
+
+@pytest.mark.parametrize("order", (0, 1, 8, 16))
+def test_each_equation_is_called_once_to_build_and_once_to_check(order):
+    calls = []
+
+    def counted(i, eq):
+        def wrapped(v, c):
+            calls.append(i)
+            return eq(v, c)
+        return wrapped
+
+    eqs = [catalog._thm8_a0, catalog._thm8_a1, catalog._thm8_a]
+    fixed_point_solve([counted(i, eq) for i, eq in enumerate(eqs)], order)
+    assert calls == [0, 0, 1, 1, 2, 2]
