@@ -21,10 +21,12 @@ solved and compared, with the verdict recorded but never asserted.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
+from .limits import EXPANSION_ORDER
 from .series import (
     VARS,
     EqContext,
@@ -44,28 +46,47 @@ REPORT_ONLY = "report_only"
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One generating-function system, described as data.
+
+    equations(m, a) gives one equation per unknown, in solving order;
+    derive(system, ctx), if set, adds series computed from the solved ones.
+    tracked(m, a) gives the consecutive patterns counted over the avoided
+    class, one per x-variable of `variables` in order; y counts descents.
+    m must be at least m_min (None: no m); a_bounds = (lo, hi) asks for
+    lo <= a <= m + hi (None: no a).
+    """
     id: str
-    kind: str                      # recursion_system | closed_form | printed_identity
     trust: str
-    avoided: tuple[int, ...] | None
+    avoided: tuple[int, ...]
     variables: tuple[str, ...]     # variables of the primary series
     anchor: str                    # the defining equation(s), as text
-    needs_m: bool = False
-    needs_a: bool = False
+    unknowns: tuple[str, ...]
+    equations: Callable
+    tracked: Callable
+    derive: Callable | None = None
+    m_min: int | None = None
+    a_bounds: tuple[int, int] | None = None
+
+    @property
+    def needs_m(self) -> bool:
+        return self.m_min is not None
+
+    @property
+    def pattern_variables(self) -> tuple[str, ...]:
+        return tuple(v for v in self.variables if v not in ("t", "y"))
 
     def check_params(self, m=None, a=None):
         if self.needs_m:
             if m is None:
                 raise ValueError(f"{self.id} needs a pattern length m")
-            lo = _M_DOMAIN[self.id]
-            if m < lo:
-                raise ValueError(f"{self.id} needs m >= {lo}, got {m}")
+            if m < self.m_min:
+                raise ValueError(f"{self.id} needs m >= {self.m_min}, got {m}")
         elif m is not None:
             raise ValueError(f"{self.id} takes no parameter m")
-        if self.needs_a:
+        if self.a_bounds is not None:
             if a is None:
                 raise ValueError(f"{self.id} needs a head parameter a")
-            lo, hi = _A_DOMAIN[self.id]
+            lo, hi = self.a_bounds
             if not (lo <= a <= m + hi):
                 raise ValueError(
                     f"{self.id} needs {lo} <= a <= m{hi:+d}, got a = {a}")
@@ -73,44 +94,13 @@ class CatalogEntry:
             raise ValueError(f"{self.id} takes no parameter a")
 
 
-_M_DOMAIN = {
-    "fam_123_1m2": 2,
-    "fam_123_2m31": 2,
-    "fam_132_1m": 2,
-    "fam_132_a1m": 3,
-    "fam_132_m1head": 3,
-    "fam_132_2m1": 2,
-    "fam_132_a2m1": 4,
-    "fam_132_m1m1": 4,
-}
-
-_A_DOMAIN = {
-    "fam_132_a1m": (2, -1),    # 2 <= a <= m-1
-    "fam_132_a2m1": (3, -1),   # 3 <= a <= m-1
-}
-
-
-# -- the tracked pattern of each family entry ---------------------------------
-
 def family_pattern(entry_id: str, m: int, a: int | None = None) -> tuple[int, ...]:
     """The consecutive pattern whose distribution a family entry computes."""
-    if entry_id == "fam_123_1m2":        # 1 m (m-1) ... 2
-        return (1,) + tuple(range(m, 1, -1))
-    if entry_id == "fam_123_2m31":       # 2 m (m-1) ... 3 1
-        return (2,) + tuple(range(m, 2, -1)) + (1,)
-    if entry_id == "fam_132_1m":         # 1 2 ... m
-        return tuple(range(1, m + 1))
-    if entry_id == "fam_132_a1m":        # a 1 2 ... (a-1) (a+1) ... m
-        return (a,) + tuple(v for v in range(1, m + 1) if v != a)
-    if entry_id == "fam_132_m1head":     # canonical: (m-1) 1 2 .. (m-2) m
-        return (m - 1,) + tuple(range(1, m - 1)) + (m,)
-    if entry_id == "fam_132_2m1":        # 2 3 ... m 1
-        return tuple(range(2, m + 1)) + (1,)
-    if entry_id == "fam_132_a2m1":       # a 2 3 ... (a-1) (a+1) ... m 1
-        return (a,) + tuple(v for v in range(2, m + 1) if v != a) + (1,)
-    if entry_id == "fam_132_m1m1":       # canonical: (m-1) 2 3 .. (m-2) m 1
-        return (m - 1,) + tuple(range(2, m - 1)) + (m, 1)
-    raise ValueError(f"not a family entry: {entry_id}")
+    entry = CATALOG.get(entry_id)
+    if entry is None or not entry.needs_m:
+        raise ValueError(f"not a family entry: {entry_id}")
+    (pattern,) = entry.tracked(m, a)
+    return pattern
 
 
 # -- the equations -------------------------------------------------------------
@@ -156,13 +146,21 @@ def _thm3_a1(v, c):
             + base * (a1 - 1) * a0 * c.geo(u * a0, u * a0))
 
 
-def _thm3_a(v, c):
-    a0, a1 = v[0], v[1]
-    u = c.t * c.x * c.y
-    tail = c.geo(c.t ** 3 * c.y, u)  # last-segment weights for k >= 3
-    return (c.one + c.t * a1 + c.t ** 2 * (a0 * (a1 - 1) + a1)
-            + tail * a1
-            + tail * (a1 - 1) * (a0 + a0 ** 2 * c.geo(c.one, u * a0)))
+def _a_over_partial_sums(run: str, last: str):
+    """A = 1 + t A1 + t^2 S_1 + sum_{k>=3} t^k last run^(k-3) y^(k-2) S_(k-1).
+
+    thm3 and thm7 differ only in the marks: run on each column of an
+    interior run and last on the last segment, named as ring constants of
+    the equation context ("one" for no mark).
+    """
+    def eq(v, c):
+        a0, a1 = v[0], v[1]
+        u = c.t * getattr(c, run) * c.y
+        tail = c.geo(c.t ** 3 * getattr(c, last) * c.y, u)  # k >= 3 weights
+        return (c.one + c.t * a1 + c.t ** 2 * (a0 * (a1 - 1) + a1)
+                + tail * a1
+                + tail * (a1 - 1) * (a0 + a0 ** 2 * c.geo(c.one, u * a0)))
+    return eq
 
 
 def _thm4_a(v, c):
@@ -209,15 +207,6 @@ def _thm7_a1(v, c):
     return (c.one + c.t * c.y * a0 + c.t ** 2 * c.x2 * c.y * a0 * a1
             + tail * a0 * a1
             + tail * (a1 - 1) * a0 ** 2 * c.geo(c.one, u * a0))
-
-
-def _thm7_a(v, c):
-    a0, a1 = v[0], v[1]
-    u = c.t * c.x3 * c.y
-    tail = c.geo(c.t ** 3 * c.x1 * c.y, u)  # k >= 3 last-segment weights
-    return (c.one + c.t * a1 + c.t ** 2 * (a0 * (a1 - 1) + a1)
-            + tail * a1
-            + tail * (a1 - 1) * (a0 + a0 ** 2 * c.geo(c.one, u * a0)))
 
 
 def _thm8_a0(v, c):
@@ -327,60 +316,106 @@ def _fam_132_m1m1_b1(m):
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _entry(id, trust, avoided, variables, anchor, needs_m=False, needs_a=False):
-    CATALOG[id] = CatalogEntry(id=id, kind="recursion_system", trust=trust,
-                               avoided=avoided, variables=variables,
-                               anchor=anchor, needs_m=needs_m, needs_a=needs_a)
+def _entry(id, trust, avoided, variables, anchor, unknowns, equations, tracked,
+           derive=None, m_min=None, a_bounds=None):
+    CATALOG[id] = CatalogEntry(id, trust, avoided, variables, anchor, unknowns,
+                               equations, tracked, derive, m_min, a_bounds)
+
+
+def _fixed(*items):
+    """equations or tracked patterns that take no (m, a)."""
+    return lambda m, a: items
 
 
 _entry("thm1", HARD_PASS, (1, 2, 3), ("t", "y", "x"),
-       "A1 = 1 + t y A1 + t^2 y A1^2 + t^3 x y^2 A1^3/(1 - t y A1);  A = 1 + (A1-1)/y")
+       "A1 = 1 + t y A1 + t^2 y A1^2 + t^3 x y^2 A1^3/(1 - t y A1);  A = 1 + (A1-1)/y",
+       ("A1",), _fixed(_thm1_a1), _fixed((1, 3, 2)),
+       derive=lambda s, c: {"A": _a_from_a1(s["A1"])})
 _entry("thm2", HARD_PASS, (1, 2, 3), ("t", "y", "x"),
        "A1 = 1 + t y A1 + t^2 x y A1^2 + t^3 y^2 A1^3/(1 - t y A1);  "
-       "A = 1 + (A1-1)/y + t^2 (1-x) A1^2")
+       "A = 1 + (A1-1)/y + t^2 (1-x) A1^2",
+       ("A1",), _fixed(_thm2_a1), _fixed((2, 3, 1)),
+       derive=lambda s, c: {
+           "A": _a_from_a1(s["A1"]) + c.t ** 2 * (1 - c.x) * s["A1"] ** 2})
 _entry("thm3", REPORT_ONLY, (1, 2, 3), ("t", "y", "x"),
        "A0 = 1 + t x y A0 + sum_{k>=2} t^k x^(k-2) y^(k-1) A0^k;  "
        "A1 = 1 + t y A0 + sum_{k>=2} t^k x^(k-2) y^(k-1) A0 S_(k-2);  "
        "A = 1 + t A1 + t^2 S_1 + sum_{k>=3} t^k x^(k-3) y^(k-2) S_(k-1)  "
-       "with S_j = A1 + (A1-1)(A0 + .. + A0^j)")
+       "with S_j = A1 + (A1-1)(A0 + .. + A0^j)",
+       ("A0", "A1", "A"),
+       _fixed(_thm3_a0, _thm3_a1, _a_over_partial_sums("x", "one")),
+       _fixed((3, 2, 1)))
 _entry("thm4", HARD_PASS, (1, 3, 2), ("t", "y", "x"),
-       "A = 1 + t Q + sum_{k>=2} t^k x^(k-2) Q^k,  Q = y(A-1) + 1")
+       "A = 1 + t Q + sum_{k>=2} t^k x^(k-2) Q^k,  Q = y(A-1) + 1",
+       ("A",), _fixed(_thm4_a), _fixed((1, 2, 3)))
 _entry("thm5", HARD_PASS, (1, 3, 2), ("t", "y", "x"),
-       "A = 1 + t(A + y(A-1)) + t x y (A-1)^2")
+       "A = 1 + t(A + y(A-1)) + t x y (A-1)^2",
+       ("A",), _fixed(_thm5_a), _fixed((2, 3, 1)))
 _entry("thm5_remark", HARD_PASS, (1, 3, 2), ("t", "y", "x"),
-       "A1 = 1 + t y A1 + t^2 x y A1^2/(1 - t A1);  A = 1/(1 - t A1)")
+       "A1 = 1 + t y A1 + t^2 x y A1^2/(1 - t A1);  A = 1/(1 - t A1)",
+       ("A1", "A"), _fixed(_thm5_remark_a1, _thm5_remark_a), _fixed((2, 3, 1)))
 _entry("thm6", HARD_PASS, (1, 3, 2), ("t", "y", "x"),
-       "A = 1 + t Q + sum_{k>=2} t^k (x y (A-1) + 1) Q^(k-1),  Q = y(A-1) + 1")
+       "A = 1 + t Q + sum_{k>=2} t^k (x y (A-1) + 1) Q^(k-1),  Q = y(A-1) + 1",
+       ("A",), _fixed(_thm6_a), _fixed((2, 1, 3)))
 _entry("thm7", REPORT_ONLY, (1, 2, 3), ("t", "y", "x1", "x2", "x3"),
        "A0 = 1 + t x3 y A0 + t^2 x1 y A0^2 + sum_{k>=3} t^k x2 x3^(k-2) y^(k-1) A0^k;  "
        "A1 = 1 + t y A0 + t^2 x2 y A0 A1 + sum_{k>=3} t^k x1 x3^(k-2) y^(k-1) A0 S_(k-2);  "
-       "A = 1 + t A1 + t^2 S_1 + sum_{k>=3} t^k x1 x3^(k-3) y^(k-2) S_(k-1)")
+       "A = 1 + t A1 + t^2 S_1 + sum_{k>=3} t^k x1 x3^(k-3) y^(k-2) S_(k-1)",
+       ("A0", "A1", "A"),
+       _fixed(_thm7_a0, _thm7_a1, _a_over_partial_sums("x3", "x1")),
+       _fixed((1, 3, 2), (2, 3, 1), (3, 2, 1)))
 _entry("thm8", HARD_PASS, (1, 3, 2), ("t", "y", "x1", "x2", "x3", "x4"),
        "A0 = 1 + t x4 y A0 + sum_{k>=2} t^k x1^(k-2) x3 y A0^(k-1) Q0;  "
        "A1 = 1 + t y A0 + t^2 x3 y A0 Q1 "
        "+ sum_{k>=3} t^k x1^(k-2) x3 y A0 (G_(k-3) Q0 (A1-1) + Q1);  "
        "A = 1 + t A1 + sum_{k>=2} t^k x1^(k-2) (G_(k-2) Q0 (A1-1) + Q1)  "
-       "with Q0 = x2(A0-1)+1, Q1 = x2(A1-1)+1, G_j = 1 + A0 + .. + A0^j")
+       "with Q0 = x2(A0-1)+1, Q1 = x2(A1-1)+1, G_j = 1 + A0 + .. + A0^j",
+       ("A0", "A1", "A"), _fixed(_thm8_a0, _thm8_a1, _thm8_a),
+       _fixed((1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)))
 _entry("fam_123_1m2", HARD_PASS, (1, 2, 3), ("t", "x"),
-       "B = (1 + (x-1) t^m B^m)/(1 - t B)", needs_m=True)
+       "B = (1 + (x-1) t^m B^m)/(1 - t B)",
+       ("B",), lambda m, a: (_fam_123_1m2(m),),
+       lambda m, a: ((1,) + tuple(range(m, 1, -1)),),          # 1 m (m-1) ... 2
+       m_min=2)
 _entry("fam_123_2m31", HARD_PASS, (1, 2, 3), ("t", "x"),
-       "B1 = 1/(1 - t B1) + (x-1) t^(m-1) B1^(m-1);  B = 1/(1 - t B1)", needs_m=True)
+       "B1 = 1/(1 - t B1) + (x-1) t^(m-1) B1^(m-1);  B = 1/(1 - t B1)",
+       ("B1", "B"), lambda m, a: (_fam_123_2m31_b1(m), _b_over_b1),
+       lambda m, a: ((2,) + tuple(range(m, 2, -1)) + (1,),),   # 2 m (m-1) ... 3 1
+       m_min=2)
 _entry("fam_132_1m", HARD_PASS, (1, 3, 2), ("t", "x"),
        "B = (1 - t^(m-1) B^(m-1))/(1 - t B) + t^(m-1) B^(m-1)/(1 - t x B)",
-       needs_m=True)
+       ("B",), lambda m, a: (_fam_132_1m(m),),
+       lambda m, a: (tuple(range(1, m + 1)),),                 # 1 2 ... m
+       m_min=2)
 _entry("fam_132_a1m", REPORT_ONLY, (1, 3, 2), ("t", "x"),
-       "B = (1 + t^(m-1) B^(m-a) (x-1)(B-1))/(1 - t B)", needs_m=True, needs_a=True)
+       "B = (1 + t^(m-1) B^(m-a) (x-1)(B-1))/(1 - t B)",
+       ("B",), lambda m, a: (_fam_132_a1m(m, a),),
+       # a 1 2 ... (a-1) (a+1) ... m
+       lambda m, a: ((a,) + tuple(v for v in range(1, m + 1) if v != a),),
+       m_min=3, a_bounds=(2, -1))
 _entry("fam_132_m1head", HARD_PASS, (1, 3, 2), ("t", "x"),
-       "B = (1 + t^(m-1) (x-1)(B^2 - B))/(1 - t B)", needs_m=True)
+       "B = (1 + t^(m-1) (x-1)(B^2 - B))/(1 - t B)",
+       ("B",), lambda m, a: (_fam_132_m1head(m),),
+       # canonical: (m-1) 1 2 .. (m-2) m
+       lambda m, a: ((m - 1,) + tuple(range(1, m - 1)) + (m,),),
+       m_min=3)
 _entry("fam_132_2m1", HARD_PASS, (1, 3, 2), ("t", "x"),
        "B1 = (1 + (x-1) t^(m-1) B1^(m-1))/(1 - t B1);  B = 1/(1 - t B1)",
-       needs_m=True)
+       ("B1", "B"), lambda m, a: (_fam_132_2m1_b1(m), _b_over_b1),
+       lambda m, a: (tuple(range(2, m + 1)) + (1,),),          # 2 3 ... m 1
+       m_min=2)
 _entry("fam_132_a2m1", REPORT_ONLY, (1, 3, 2), ("t", "x"),
        "B1 = 1/(1 - t B1) + t^(m-2) B1^(m-a) (x-1)(B1-1);  B = 1/(1 - t B1)",
-       needs_m=True, needs_a=True)
+       ("B1", "B"), lambda m, a: (_fam_132_a2m1_b1(m, a), _b_over_b1),
+       # a 2 3 ... (a-1) (a+1) ... m 1
+       lambda m, a: ((a,) + tuple(v for v in range(2, m + 1) if v != a) + (1,),),
+       m_min=4, a_bounds=(3, -1))
 _entry("fam_132_m1m1", REPORT_ONLY, (1, 3, 2), ("t", "x"),
        "B1 = 1/(1 - t B1) + t^(m-2) (x-1)(B1^2 - B1);  B = 1/(1 - t B1)",
-       needs_m=True)
+       ("B1", "B"), lambda m, a: (_fam_132_m1m1_b1(m), _b_over_b1),
+       # canonical: (m-1) 2 3 .. (m-2) m 1
+       lambda m, a: ((m - 1,) + tuple(range(2, m - 1)) + (m, 1),),
+       m_min=4)
 
 
 @lru_cache(maxsize=None)
@@ -395,60 +430,11 @@ def solve_system(entry_id: str, order: int, m: int | None = None,
     if entry is None:
         raise ValueError(f"unknown catalog id {entry_id!r}")
     entry.check_params(m, a)
-
-    if entry_id == "thm1":
-        (a1,) = fixed_point_solve([_thm1_a1], order)
-        return {"A1": a1, "A": _a_from_a1(a1)}
-    if entry_id == "thm2":
-        (a1,) = fixed_point_solve([_thm2_a1], order)
-        c = EqContext(order)
-        return {"A1": a1, "A": _a_from_a1(a1) + c.t ** 2 * (1 - c.x) * a1 ** 2}
-    if entry_id == "thm3":
-        a0, a1, a = fixed_point_solve([_thm3_a0, _thm3_a1, _thm3_a], order)
-        return {"A0": a0, "A1": a1, "A": a}
-    if entry_id == "thm4":
-        (a,) = fixed_point_solve([_thm4_a], order)
-        return {"A": a}
-    if entry_id == "thm5":
-        (a,) = fixed_point_solve([_thm5_a], order)
-        return {"A": a}
-    if entry_id == "thm5_remark":
-        a1, a = fixed_point_solve([_thm5_remark_a1, _thm5_remark_a], order)
-        return {"A1": a1, "A": a}
-    if entry_id == "thm6":
-        (a,) = fixed_point_solve([_thm6_a], order)
-        return {"A": a}
-    if entry_id == "thm7":
-        a0, a1, a = fixed_point_solve([_thm7_a0, _thm7_a1, _thm7_a], order)
-        return {"A0": a0, "A1": a1, "A": a}
-    if entry_id == "thm8":
-        a0, a1, a = fixed_point_solve([_thm8_a0, _thm8_a1, _thm8_a], order)
-        return {"A0": a0, "A1": a1, "A": a}
-    if entry_id == "fam_123_1m2":
-        (b,) = fixed_point_solve([_fam_123_1m2(m)], order)
-        return {"B": b}
-    if entry_id == "fam_123_2m31":
-        b1, b = fixed_point_solve([_fam_123_2m31_b1(m), _b_over_b1], order)
-        return {"B1": b1, "B": b}
-    if entry_id == "fam_132_1m":
-        (b,) = fixed_point_solve([_fam_132_1m(m)], order)
-        return {"B": b}
-    if entry_id == "fam_132_a1m":
-        (b,) = fixed_point_solve([_fam_132_a1m(m, a)], order)
-        return {"B": b}
-    if entry_id == "fam_132_m1head":
-        (b,) = fixed_point_solve([_fam_132_m1head(m)], order)
-        return {"B": b}
-    if entry_id == "fam_132_2m1":
-        b1, b = fixed_point_solve([_fam_132_2m1_b1(m), _b_over_b1], order)
-        return {"B1": b1, "B": b}
-    if entry_id == "fam_132_a2m1":
-        b1, b = fixed_point_solve([_fam_132_a2m1_b1(m, a), _b_over_b1], order)
-        return {"B1": b1, "B": b}
-    if entry_id == "fam_132_m1m1":
-        b1, b = fixed_point_solve([_fam_132_m1m1_b1(m), _b_over_b1], order)
-        return {"B1": b1, "B": b}
-    raise ValueError(f"unknown catalog id {entry_id!r}")
+    system = dict(zip(entry.unknowns,
+                      fixed_point_solve(entry.equations(m, a), order)))
+    if entry.derive is not None:
+        system.update(entry.derive(system, EqContext(order)))
+    return system
 
 
 def solve_catalog(entry_id: str, order: int, m: int | None = None,
@@ -467,17 +453,75 @@ CLOSED_FORM_ALIASES = {
     "thm5eq": ("cf_132_2m1", 3),
 }
 
-CLOSED_FORM_TRUST = {
-    "cf_123_1m2": HARD_PASS,
-    "cf_132_1m": HARD_PASS,
-    "cf_123_2m31": REPORT_ONLY,
-    "cf_132_2m1": REPORT_ONLY,
-    "cf_132_1m_printed": REPORT_ONLY,
-}
-
-
 class UnsupportedIndexError(ValueError):
     """k = 0 requested from a formula whose prefactor is 1/k."""
+
+
+def _cf_123_1m2(n, k, m):
+    if k == 0:
+        raise UnsupportedIndexError(
+            "the prefactor 1/k is undefined at k = 0; use the row total "
+            "C_n minus the k >= 1 values")
+    total = 0
+    for i in range(k, n // m + 1):
+        total += ((-1) ** (i - k)
+                  * multinom(2 * n - m * i,
+                             [n - m * i, n + 1 - i, k - 1, i - k]))
+    return Fraction(total, k)
+
+
+def _cf_123_2m31(n, k, m):
+    if n < 1:
+        raise ValueError("cf_123_2m31 needs n >= 1")
+    total = 0
+    for i in range((m * n - 1) // (m + 2) + 1):
+        total += ((-1) ** (m * n + n + k + 1)
+                  * binom(n, i)
+                  * gen_binom(m * n - m * i - 2 * n + i, m * n - 1)
+                  * gen_binom(m * n - m * i - n + i, k))
+    return Fraction(total, n)
+
+
+def _cf_132_1m(n, k, m, printed=False):
+    # The printed form has the sign (-1)^((m-1) j) and no factor C(n+1-i, j).
+    total = 0
+    for i in range(n // (m - 1) + 1):
+        for j in range(n + 2 - i):
+            total += (((-1) ** ((m - 1) * j) if printed
+                       else (-1) ** j * binom(n + 1 - i, j))
+                      * binom(n + 1, i)
+                      * binom(i + k - 1, k)
+                      * binom(2 * n - m * i - m * j + j - k, n - i))
+    return Fraction(total, n + 1)
+
+
+def _cf_132_2m1(n, k, m):
+    if n < 1:
+        raise ValueError("cf_132_2m1 needs n >= 1")
+    total = 0
+    for i in range(n - k + 1):
+        total += ((-1) ** (m * k + k + i + n + 1)
+                  * gen_binom(m * i - i - n, n + 1 - m * k - k))
+    return Fraction(binom(n, k) * total, n)
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed formula for [t^n x^k] of a family entry's series."""
+    trust: str
+    family: str       # the catalog family whose coefficients it gives
+    k0_route: bool    # k = 0 is checked as C_n minus the k >= 1 values
+    coeff: Callable   # (n, k, m) -> Fraction, for m >= 2
+
+
+CLOSED_FORMS = {
+    "cf_123_1m2": ClosedForm(HARD_PASS, "fam_123_1m2", True, _cf_123_1m2),
+    "cf_123_2m31": ClosedForm(REPORT_ONLY, "fam_123_2m31", False, _cf_123_2m31),
+    "cf_132_1m": ClosedForm(HARD_PASS, "fam_132_1m", True, _cf_132_1m),
+    "cf_132_1m_printed": ClosedForm(REPORT_ONLY, "fam_132_1m", False,
+                                    partial(_cf_132_1m, printed=True)),
+    "cf_132_2m1": ClosedForm(REPORT_ONLY, "fam_132_2m1", False, _cf_132_2m1),
+}
 
 
 def closed_coeff(form_id: str, n: int, k: int, m: int | None = None) -> Fraction:
@@ -501,71 +545,12 @@ def closed_coeff(form_id: str, n: int, k: int, m: int | None = None) -> Fraction
         raise ValueError(f"{form_id} needs the pattern length m")
     if n < 0 or k < 0:
         raise ValueError("indices must be non-negative")
-
-    if form_id == "cf_123_1m2":
-        if m < 2:
-            raise ValueError("cf_123_1m2 needs m >= 2")
-        if k == 0:
-            raise UnsupportedIndexError(
-                "the prefactor 1/k is undefined at k = 0; use the row total "
-                "C_n minus the k >= 1 values")
-        total = 0
-        for i in range(k, n // m + 1):
-            total += ((-1) ** (i - k)
-                      * multinom(2 * n - m * i,
-                                 [n - m * i, n + 1 - i, k - 1, i - k]))
-        return Fraction(total, k)
-
-    if form_id == "cf_123_2m31":
-        if m < 2:
-            raise ValueError("cf_123_2m31 needs m >= 2")
-        if n < 1:
-            raise ValueError("cf_123_2m31 needs n >= 1")
-        total = 0
-        for i in range((m * n - 1) // (m + 2) + 1):
-            total += ((-1) ** (m * n + n + k + 1)
-                      * binom(n, i)
-                      * gen_binom(m * n - m * i - 2 * n + i, m * n - 1)
-                      * gen_binom(m * n - m * i - n + i, k))
-        return Fraction(total, n)
-
-    if form_id == "cf_132_1m":
-        if m < 2:
-            raise ValueError("cf_132_1m needs m >= 2")
-        total = 0
-        for i in range(n // (m - 1) + 1):
-            for j in range(n + 2 - i):
-                total += ((-1) ** j
-                          * binom(n + 1, i)
-                          * binom(n + 1 - i, j)
-                          * binom(i + k - 1, k)
-                          * binom(2 * n - m * i - m * j + j - k, n - i))
-        return Fraction(total, n + 1)
-
-    if form_id == "cf_132_1m_printed":
-        if m < 2:
-            raise ValueError("cf_132_1m_printed needs m >= 2")
-        total = 0
-        for i in range(n // (m - 1) + 1):
-            for j in range(n + 2 - i):
-                total += ((-1) ** ((m - 1) * j)
-                          * binom(n + 1, i)
-                          * binom(i + k - 1, k)
-                          * binom(2 * n - m * i - m * j + j - k, n - i))
-        return Fraction(total, n + 1)
-
-    if form_id == "cf_132_2m1":
-        if m < 2:
-            raise ValueError("cf_132_2m1 needs m >= 2")
-        if n < 1:
-            raise ValueError("cf_132_2m1 needs n >= 1")
-        total = 0
-        for i in range(n - k + 1):
-            total += ((-1) ** (m * k + k + i + n + 1)
-                      * gen_binom(m * i - i - n, n + 1 - m * k - k))
-        return Fraction(binom(n, k) * total, n)
-
-    raise ValueError(f"unknown closed form {form_id!r}")
+    form = CLOSED_FORMS.get(form_id)
+    if form is None:
+        raise ValueError(f"unknown closed form {form_id!r}")
+    if m < 2:
+        raise ValueError(f"{form_id} needs m >= 2")
+    return form.coeff(n, k, m)
 
 
 def closed_coeff_k0(form_id: str, n: int, m: int | None = None) -> Fraction:
@@ -578,8 +563,10 @@ def closed_coeff_k0(form_id: str, n: int, m: int | None = None) -> Fraction:
 
 # -- reference sequences --------------------------------------------------------
 
-_SEQ_123_231_X0 = (1, 1, 2, 4, 9, 23, 63, 178, 514)
-_SEQ_132_213_X0 = (1, 1, 2, 4, 9, 22, 57, 154, 429, 1223)
+_STORED_SEQUENCES = {
+    "seq_123_231_x0": (1, 1, 2, 4, 9, 23, 63, 178, 514),
+    "seq_132_213_x0": (1, 1, 2, 4, 9, 22, 57, 154, 429, 1223),
+}
 
 
 def reference_sequence(name: str, n: int) -> int:
@@ -595,16 +582,11 @@ def reference_sequence(name: str, n: int) -> int:
         return catalan(n)
     if name == "motzkin":
         return _motzkin(n)
-    if name == "seq_123_231_x0":
-        if n >= len(_SEQ_123_231_X0):
-            raise ValueError(f"seq_123_231_x0 is stored through n = "
-                             f"{len(_SEQ_123_231_X0) - 1}")
-        return _SEQ_123_231_X0[n]
-    if name == "seq_132_213_x0":
-        if n >= len(_SEQ_132_213_X0):
-            raise ValueError(f"seq_132_213_x0 is stored through n = "
-                             f"{len(_SEQ_132_213_X0) - 1}")
-        return _SEQ_132_213_X0[n]
+    if name in _STORED_SEQUENCES:
+        stored = _STORED_SEQUENCES[name]
+        if n >= len(stored):
+            raise ValueError(f"{name} is stored through n = {len(stored) - 1}")
+        return stored[n]
     if name == "seq_132_231_x0":
         return 1 if n == 0 else 2 ** (n - 1)
     raise ValueError(f"unknown sequence {name!r}")
@@ -726,6 +708,9 @@ _THM8_PRINTED = {
         (1, {"x3": 1, "x4": 1, "y": 2}), (1, {"x3": 1, "y": 2}),
         (1, {"x4": 3, "y": 4}), (1, {"x4": 2, "y": 3})],
 }
+
+_PRINTED_EXPANSIONS = {"thm7_expansion": ("thm7", _THM7_PRINTED),
+                       "thm8_expansion": ("thm8", _THM8_PRINTED)}
 
 
 def printed_identity_check(identity_id: str, order: int, m: int | None = None,
@@ -864,16 +849,12 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
         numer = part_x1 + part_x2 + part_x3 + part_x1sq + part_x2sq
         return _residual_verdict(identity_id, A * denom - numer)
 
-    if identity_id == "thm7_expansion":
-        A = solve_catalog("thm7", min(order, 5))
-        printed = {n: _mk_poly(terms) for n, terms in _THM7_PRINTED.items()
-                   if n <= min(order, 5)}
-        return _slices_verdict(identity_id, printed, A)
-
-    if identity_id == "thm8_expansion":
-        A = solve_catalog("thm8", min(order, 5))
-        printed = {n: _mk_poly(terms) for n, terms in _THM8_PRINTED.items()
-                   if n <= min(order, 5)}
+    if identity_id in _PRINTED_EXPANSIONS:
+        entry_id, terms_by_n = _PRINTED_EXPANSIONS[identity_id]
+        top = min(order, EXPANSION_ORDER)
+        A = solve_catalog(entry_id, top)
+        printed = {n: _mk_poly(terms) for n, terms in terms_by_n.items()
+                   if n <= top}
         return _slices_verdict(identity_id, printed, A)
 
     raise ValueError(f"unknown identity {identity_id!r}")

@@ -25,17 +25,24 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import catalog, dyck, oracle, perms
+from .limits import (
+    CLOSED_VS_SERIES_ORDER,
+    DIST_NMAX,
+    EXPANSION_ORDER,
+    IDENTITY_ORDER,
+    ORACLE_MAX_N,
+    PHIN_NMAX,
+    REPORT_ONLY_CF_NMAX,
+    REPORT_ONLY_NMAX,
+    SYMMETRY_NMAX,
+    TRANSPORT_GENERAL_NMAX,
+)
 from .series import VARS, Poly, catalan, monomial_str, y_reverse
 
 HARD = catalog.HARD_PASS
-REPORT = catalog.REPORT_ONLY
 
 SUITES = ("symmetries", "bijections", "recursions", "closed_forms",
           "identities", "sequences")
-
-DIST_NMAX = 10      # joint-distribution checks
-COUNT_NMAX = 12     # counting-only checks
-IDENTITY_ORDER = 8
 
 LENGTH3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
@@ -47,10 +54,6 @@ class CheckResult:
     n_range: str
     status: str               # pass | fail | report_only_pass | report_only_fail
     witness: dict | None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("pass", "report_only_pass")
 
 
 def _witness(n, monomial, expected, actual) -> dict:
@@ -64,22 +67,30 @@ def _witness(n, monomial, expected, actual) -> dict:
             "actual": plain(actual)}
 
 
-def _poly_witness(n: int, want: Poly, got: Poly) -> dict | None:
-    diff = want - got
-    if not diff:
-        return None
-    exps, _ = next(diff.terms())
-    label = monomial_str(exps, 1)
-    where = {v: e for v, e in zip(VARS, exps) if e}
-    return _witness(n, label, want.coefficient(where), got.coefficient(where))
+def _first_disagreement(points, n_range):
+    """(ok, witness, n_range) of a check that compares two sides point by point.
+
+    points lazily yields (n, monomial, expected, actual) in the check's
+    order; the first point whose sides differ is the witness, and no later
+    point is computed.
+    """
+    for n, monomial, expected, actual in points:
+        if expected != actual:
+            return False, _witness(n, monomial, expected, actual), n_range
+    return True, None, n_range
 
 
-def _slice(lam, gamma, n) -> Poly:
-    return oracle.brute_distribution(lam, [gamma], n, variables=("x",)).poly
-
-
-def _pattern_str(p) -> str:
-    return perms.perm_str(tuple(p))
+def _slice_points(ns, want, got, prefix=""):
+    """Compare polynomial slices want(n) and got(n) over ns: for each n, the
+    first coefficient in canonical monomial order where they differ."""
+    for n in ns:
+        w, g = want(n), got(n)
+        diff = w - g
+        if diff:
+            exps, _ = next(diff.terms())
+            where = {v: e for v, e in zip(VARS, exps) if e}
+            yield (n, prefix + monomial_str(exps, 1), w.coefficient(where),
+                   g.coefficient(where))
 
 
 # -- individual check bodies ----------------------------------------------------
@@ -88,93 +99,71 @@ def _pattern_str(p) -> str:
 
 def _run_seq_catalan(params, n_max):
     lam = perms.parse_perm(params["avoid"])
-    top = min(n_max, COUNT_NMAX)
-    for n in range(top + 1):
-        count = sum(1 for _ in perms.enumerate_avoiders(n, lam))
-        if count != catalan(n):
-            return False, _witness(n, "1", catalan(n), count), f"n<={top}"
-    return True, None, f"n<={top}"
+    top = min(n_max, ORACLE_MAX_N)
+    return _first_disagreement(
+        ((n, "1", catalan(n), sum(1 for _ in perms.enumerate_avoiders(n, lam)))
+         for n in range(top + 1)), f"n<={top}")
 
 
 def _run_seq_series(params, n_max):
-    entry = params["series"]
     order = min(n_max, DIST_NMAX)
-    s = catalog.solve_catalog(entry, order).substitute({"y": 1, "x": 0})
-    name = params["sequence"]
-    for n in range(order + 1):
-        try:
-            want = catalog.reference_sequence(name, n)
-        except ValueError:
-            break  # stored prefix exhausted
-        got = s.t_slice(n).constant_term()
-        if got != want:
-            return False, _witness(n, "1", want, got), f"n<={order}"
-    return True, None, f"n<={order}"
+    s = catalog.solve_catalog(params["series"], order).substitute({"y": 1, "x": 0})
+
+    def points():
+        for n in range(order + 1):
+            try:
+                want = catalog.reference_sequence(params["sequence"], n)
+            except ValueError:
+                return  # stored prefix exhausted
+            yield n, "1", want, s.t_slice(n).constant_term()
+    return _first_disagreement(points(), f"n<={order}")
+
+
+def _symmetric_slices(n_max, pairs, reverse, label):
+    """Each pair ((class, pattern), (class', pattern')): the slices of the
+    first, y-reversed if reverse, equal those of the second for every n;
+    with label, a witness names pattern'."""
+    top = min(n_max, SYMMETRY_NMAX)
+
+    def dist(lam, gamma, n, rev=False):
+        base = oracle.brute_distribution(lam, [gamma], n, variables=("x",)).poly
+        return y_reverse(base, n) if rev and n >= 1 else base
+    return _first_disagreement(
+        (point for (lam, gam), (lam2, gam2) in pairs for point in _slice_points(
+            range(top + 1), lambda n: dist(lam, gam, n, reverse),
+            lambda n: dist(lam2, gam2, n),
+            f"{perms.perm_str(gam2)}: " if label else "")), f"n<={top}")
 
 
 def _run_sym_pair(params, n_max):
     kind = params["action"]
     lam = perms.parse_perm(params["lambda"])
     gam = perms.parse_perm(params["gamma"])
-    top = min(n_max, 9)
-    lam2 = perms.symmetry_transform(lam, kind)
-    gam2 = perms.symmetry_transform(gam, kind)
-    for n in range(top + 1):
-        base = _slice(lam, gam, n)
-        image = _slice(lam2, gam2, n)
-        if kind == "reverse_complement":
-            want = base
-        else:
-            want = y_reverse(base, n) if n >= 1 else base
-        w = _poly_witness(n, want, image)
-        if w:
-            return False, w, f"n<={top}"
-    return True, None, f"n<={top}"
-
-
-def _run_sym_123_rc(params, n_max):
-    gam = perms.parse_perm(params["gamma"])
-    top = min(n_max, 9)
-    other = perms.reverse_complement(gam)
-    for n in range(top + 1):
-        w = _poly_witness(n, _slice((1, 2, 3), gam, n), _slice((1, 2, 3), other, n))
-        if w:
-            return False, w, f"n<={top}"
-    return True, None, f"n<={top}"
+    image = (perms.symmetry_transform(lam, kind),
+             perms.symmetry_transform(gam, kind))
+    return _symmetric_slices(n_max, [((lam, gam), image)],
+                             kind != "reverse_complement", False)
 
 
 def _run_sym_phi(params, n_max):
     k = params["k"]
-    top = min(n_max, 9)
     desc = tuple(range(k, 0, -1))                      # k..21
     hook = (1,) + tuple(range(k, 1, -1))               # 1k..32
-    for gamma in (desc, hook):
-        for n in range(top + 1):
-            w = _poly_witness(n, _slice((3, 1, 2), gamma, n),
-                              _slice((2, 1, 3), gamma, n))
-            if w:
-                w["monomial"] = f"{_pattern_str(gamma)}: {w['monomial']}"
-                return False, w, f"n<={top}"
-    return True, None, f"n<={top}"
+    return _symmetric_slices(
+        n_max, [(((3, 1, 2), gamma), ((2, 1, 3), gamma)) for gamma in (desc, hook)],
+        False, True)
 
 
 def _run_sym_1321(params, n_max):
     k = params["k"]
-    top = min(n_max, 9)
     pairs = [
         (tuple(range(1, k + 1)), tuple(range(k, 0, -1))),          # 12..k | k..21
         ((k,) + tuple(range(1, k)),                                # k12..(k-1)
          tuple(range(k - 1, 0, -1)) + (k,)),                       # (k-1)..21k
     ]
-    for left, right in pairs:
-        for n in range(top + 1):
-            base = _slice((1, 3, 2), right, n)
-            want = y_reverse(base, n) if n >= 1 else base
-            w = _poly_witness(n, want, _slice((1, 3, 2), left, n))
-            if w:
-                w["monomial"] = f"{_pattern_str(left)}: {w['monomial']}"
-                return False, w, f"n<={top}"
-    return True, None, f"n<={top}"
+    return _symmetric_slices(
+        n_max, [(((1, 3, 2), right), ((1, 3, 2), left)) for left, right in pairs],
+        True, True)
 
 
 def _run_bij_staircase(params, n_max):
@@ -201,7 +190,7 @@ def _run_bij_staircase(params, n_max):
 
 
 def _run_bij_phin(params, n_max):
-    top = min(n_max, 9)
+    top = min(n_max, PHIN_NMAX)
     for n in range(top + 1):
         seen = set()
         for p in perms.avoider_list((3, 1, 2), n):
@@ -291,50 +280,30 @@ def _general_stats():
 
 
 def _run_transport_general(params, n_max):
-    return _transport_verdict((1, 3, 2), min(n_max, 9), _general_stats(),
-                              _general_stat(params))
+    return _transport_verdict((1, 3, 2), min(n_max, TRANSPORT_GENERAL_NMAX),
+                              _general_stats(), _general_stat(params))
 
 
-def _series_for(entry_id, order, m=None, a=None):
-    return catalog.solve_catalog(entry_id, order, m=m, a=a)
+def _oracle_slice(entry, tracked, n) -> Poly:
+    """Slice n of what a catalog entry counts, by brute force: its class,
+    the given tracked patterns and its variables."""
+    return oracle.brute_distribution(entry.avoided, tracked, n,
+                                     variables=entry.pattern_variables,
+                                     track_des="y" in entry.variables).poly
 
 
-def _run_rec_theorem(params, n_max):
-    entry_id = params["series"]
-    entry = catalog.CATALOG[entry_id]
-    top = min(n_max, DIST_NMAX if entry.trust == HARD else 9)
-    solved = _series_for(entry_id, top)
-    tracked = {"thm1": [(1, 3, 2)], "thm2": [(2, 3, 1)], "thm3": [(3, 2, 1)],
-               "thm4": [(1, 2, 3)], "thm5": [(2, 3, 1)], "thm6": [(2, 1, 3)],
-               "thm7": [(1, 3, 2), (2, 3, 1), (3, 2, 1)],
-               "thm8": [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)]}[entry_id]
-    variables = ("x",) if len(tracked) == 1 else tuple(
-        f"x{i + 1}" for i in range(len(tracked)))
-    for n in range(top + 1):
-        want = oracle.brute_distribution(entry.avoided, tracked, n,
-                                         variables=variables).poly
-        w = _poly_witness(n, want, solved.t_slice(n))
-        if w:
-            return False, w, f"n<={top}"
-    return True, None, f"n<={top}"
-
-
-def _run_rec_family(params, n_max):
-    entry_id = params["series"]
-    m = params["m"]
-    a = params.get("a")
-    entry = catalog.CATALOG[entry_id]
-    top = min(n_max, DIST_NMAX if entry.trust == HARD else 9)
-    solved = _series_for(entry_id, top, m=m, a=a)
-    gamma = (perms.parse_perm(params["gamma"]) if "gamma" in params
-             else catalog.family_pattern(entry_id, m, a))
-    for n in range(top + 1):
-        want = oracle.brute_distribution(entry.avoided, [gamma], n,
-                                         variables=("x",), track_des=False).poly
-        w = _poly_witness(n, want, solved.t_slice(n))
-        if w:
-            return False, w, f"n<={top}"
-    return True, None, f"n<={top}"
+def _run_recursion(params, n_max):
+    """A catalog system against the oracle; params may name another tracked
+    pattern with the same distribution."""
+    entry = catalog.CATALOG[params["series"]]
+    m, a = params.get("m"), params.get("a")
+    top = min(n_max, DIST_NMAX if entry.trust == HARD else REPORT_ONLY_NMAX)
+    solved = catalog.solve_catalog(entry.id, top, m=m, a=a)
+    tracked = ((perms.parse_perm(params["gamma"]),) if "gamma" in params
+               else entry.tracked(m, a))
+    return _first_disagreement(_slice_points(
+        range(top + 1), lambda n: _oracle_slice(entry, tracked, n),
+        solved.t_slice), f"n<={top}")
 
 
 def _subs(spec: dict) -> dict:
@@ -344,94 +313,65 @@ def _subs(spec: dict) -> dict:
 
 
 def _run_series_equal(params, n_max):
-    """Two solved series that must agree after substitutions."""
-    order = params.get("order", DIST_NMAX)
-    left = _series_for(params["left"], order, m=params.get("left_m"),
-                       a=params.get("left_a"))
-    if "left_set" in params:
-        left = left.substitute(_subs(params["left_set"]))
-    right = _series_for(params["right"], order, m=params.get("right_m"),
-                        a=params.get("right_a"))
-    if "right_set" in params:
-        right = right.substitute(_subs(params["right_set"]))
-    for n in range(order + 1):
-        w = _poly_witness(n, left.t_slice(n), right.t_slice(n))
-        if w:
-            return False, w, f"order<={order}"
-    return True, None, f"order<={order}"
+    """Two solved series that must agree after substitutions; without an
+    order in params the order is min(n_max, DIST_NMAX)."""
+    order = params.get("order", min(n_max, DIST_NMAX))
+
+    def solved(side):
+        s = catalog.solve_catalog(params[side], order, m=params.get(f"{side}_m"),
+                                  a=params.get(f"{side}_a"))
+        if f"{side}_set" in params:
+            s = s.substitute(_subs(params[f"{side}_set"]))
+        return s
+    left, right = solved("left"), solved("right")
+    return _first_disagreement(
+        _slice_points(range(order + 1), left.t_slice, right.t_slice),
+        f"order<={order}")
 
 
-def _run_thm5_remark(params, n_max):
-    order = min(n_max, DIST_NMAX)
-    main = catalog.solve_catalog("thm5", order)
-    remark = catalog.solve_catalog("thm5_remark", order)
-    for n in range(order + 1):
-        w = _poly_witness(n, main.t_slice(n), remark.t_slice(n))
-        if w:
-            return False, w, f"order<={order}"
-    return True, None, f"order<={order}"
+def _closed_points(form_id, m, ns, want):
+    """A closed form's [t^n x^k] for k = 1..n against want(n), then k = 0 by
+    the complement route where the form has it."""
+    form = catalog.CLOSED_FORMS[form_id]
+    for n in ns:
+        sl = want(n)
+        for k in range(1, n + 1):
+            yield (n, f"x^{k}", sl.coefficient({"x": k}),
+                   catalog.closed_coeff(form_id, n, k, m))
+        if form.k0_route:
+            yield (n, "x^0 (complement route)", sl.coefficient({}),
+                   catalog.closed_coeff_k0(form_id, n, m))
 
 
 def _run_closed_form(params, n_max):
-    form = params["form"]
-    m = params["m"]
-    family = {"cf_123_1m2": ("fam_123_1m2", (1, 2, 3)),
-              "cf_123_2m31": ("fam_123_2m31", (1, 2, 3)),
-              "cf_132_1m": ("fam_132_1m", (1, 3, 2)),
-              "cf_132_1m_printed": ("fam_132_1m", (1, 3, 2)),
-              "cf_132_2m1": ("fam_132_2m1", (1, 3, 2))}[form]
-    family_id, lam = family
-    gamma = catalog.family_pattern(family_id, m)
-    hard = catalog.CLOSED_FORM_TRUST[form] == HARD
-    top = min(n_max, DIST_NMAX if hard else 8)
-    k0_route = form in ("cf_123_1m2", "cf_132_1m")
-    for n in range(1, top + 1):
-        want = oracle.brute_distribution(lam, [gamma], n, variables=("x",),
-                                         track_des=False).poly
-        for k in range(1, n + 1):
-            got = catalog.closed_coeff(form, n, k, m)
-            expected = want.coefficient({"x": k})
-            if got != expected:
-                return False, _witness(n, f"x^{k}", expected, got), f"n<={top}"
-        if k0_route:
-            got0 = catalog.closed_coeff_k0(form, n, m)
-            expected0 = want.coefficient({})
-            if got0 != expected0:
-                return False, _witness(n, "x^0 (complement route)",
-                                       expected0, got0), f"n<={top}"
-    return True, None, f"n<={top}"
+    form_id, m = params["form"], params["m"]
+    form = catalog.CLOSED_FORMS[form_id]
+    family = catalog.CATALOG[form.family]
+    top = min(n_max, DIST_NMAX if form.trust == HARD else REPORT_ONLY_CF_NMAX)
+    return _first_disagreement(_closed_points(
+        form_id, m, range(1, top + 1),
+        lambda n: _oracle_slice(family, family.tracked(m, None), n)),
+        f"n<={top}")
 
 
 def _run_closed_vs_series(params, n_max):
     m = params["m"]
-    order = 14  # fixed range; the series side is cheap in (t, x)
+    order = CLOSED_VS_SERIES_ORDER  # fixed range; the series side is cheap in (t, x)
     s = catalog.solve_catalog("fam_123_1m2", order, m=m)
-    for n in range(1, order + 1):
-        sl = s.t_slice(n)
-        for k in range(1, n + 1):
-            got = catalog.closed_coeff("cf_123_1m2", n, k, m)
-            want = Fraction(sl.coefficient({"x": k}))
-            if got != want:
-                return False, _witness(n, f"x^{k}", want, got), f"n<={order}"
-        if catalog.closed_coeff_k0("cf_123_1m2", n, m) != sl.coefficient({}):
-            return False, _witness(n, "x^0 (complement route)",
-                                   sl.coefficient({}),
-                                   catalog.closed_coeff_k0("cf_123_1m2", n, m)), \
-                f"n<={order}"
-    return True, None, f"n<={order}"
+    return _first_disagreement(
+        _closed_points("cf_123_1m2", m, range(1, order + 1), s.t_slice),
+        f"n<={order}")
 
 
 def _run_identity(params, n_max):
     ident = params["identity"]
     order = min(n_max, IDENTITY_ORDER)
     if ident.endswith("expansion"):
-        order = min(order, 5)
+        order = min(order, EXPANSION_ORDER)
     verdict = catalog.printed_identity_check(ident, order, m=params.get("m"),
                                              a=params.get("a"))
-    if verdict.ok:
-        return True, None, f"order<={order}"
-    n, mono, expected, actual = verdict.witness
-    return False, _witness(n, mono, expected, actual), f"order<={order}"
+    return _first_disagreement([] if verdict.ok else [verdict.witness],
+                               f"order<={order}")
 
 
 # -- the registry ----------------------------------------------------------------
@@ -445,6 +385,54 @@ class CheckDef:
     runner: object
 
 
+# Instances of the registry's parameterised checks: (m,) or (m, a).
+_FAMILY_INSTANCES = {
+    "fam_123_1m2": ((2,), (3,), (4,), (5,)),
+    "fam_123_2m31": ((3,), (4,), (5,)),
+    "fam_132_1m": ((3,), (4,), (5,)),
+    "fam_132_a1m": ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)),
+    "fam_132_m1head": ((3,), (4,), (5,)),
+    "fam_132_2m1": ((3,), (4,), (5,)),
+    "fam_132_a2m1": ((4, 3), (5, 3), (5, 4)),
+    "fam_132_m1m1": ((4,), (5,)),
+}
+_IDENTITY_INSTANCES = {
+    "123long2": ((2,), (3,), (4,), (5,)),
+    "123long2_printed": ((3,),),
+    "132long1": ((2,), (3,), (4,), (5,)),
+    "132general1": ((4, 3), (5, 3), (5, 4)),
+    "long2132": ((4,), (5,)),
+}
+# check id -> (catalog series, reference sequence at y = 1, x = 0)
+_SEQUENCE_CHECKS = {
+    "seq_motzkin_thm1": ("thm1", "motzkin"),
+    "seq_motzkin_thm4": ("thm4", "motzkin"),
+    "seq_123_231_x0_thm2": ("thm2", "seq_123_231_x0"),
+    "seq_123_321_x0_thm3": ("thm3", "seq_123_231_x0"),
+    "seq_132_213_x0_thm6": ("thm6", "seq_132_213_x0"),
+    "seq_132_231_x0_thm5": ("thm5", "seq_132_231_x0"),
+}
+# check id -> (closed form, m values)
+_CLOSED_FORM_CHECKS = {
+    "cf_123_1m2": ("cf_123_1m2", (2, 3, 4)),
+    "cf_132_1m": ("cf_132_1m", (2, 3, 4)),
+    "cf_thm2eq": ("cf_123_2m31", (3,)),
+    "cf_thm5eq": ("cf_132_2m1", (3,)),
+    "cf_123_2m31": ("cf_123_2m31", (4, 5)),
+    "cf_132_2m1": ("cf_132_2m1", (4, 5)),
+    "cf_132_1m_printed": ("cf_132_1m_printed", (3,)),
+}
+
+
+def _m_a(instance) -> dict:
+    return dict(zip(("m", "a"), instance))
+
+
+def _with(runner, **fixed):
+    """runner with params it takes but the check's params do not show."""
+    return lambda params, n_max: runner({**fixed, **params}, n_max)
+
+
 def _build_registry() -> list[CheckDef]:
     defs: list[CheckDef] = []
 
@@ -455,18 +443,9 @@ def _build_registry() -> list[CheckDef]:
     for lam in LENGTH3:
         add("seq_catalan_avoiders", "sequences", HARD, _run_seq_catalan,
             avoid=perms.perm_str(lam))
-    add("seq_motzkin_thm1", "sequences", HARD, _run_seq_series,
-        series="thm1", sequence="motzkin")
-    add("seq_motzkin_thm4", "sequences", HARD, _run_seq_series,
-        series="thm4", sequence="motzkin")
-    add("seq_123_231_x0_thm2", "sequences", HARD, _run_seq_series,
-        series="thm2", sequence="seq_123_231_x0")
-    add("seq_123_321_x0_thm3", "sequences", REPORT, _run_seq_series,
-        series="thm3", sequence="seq_123_231_x0")
-    add("seq_132_213_x0_thm6", "sequences", HARD, _run_seq_series,
-        series="thm6", sequence="seq_132_213_x0")
-    add("seq_132_231_x0_thm5", "sequences", HARD, _run_seq_series,
-        series="thm5", sequence="seq_132_231_x0")
+    for check_id, (series, sequence) in _SEQUENCE_CHECKS.items():
+        add(check_id, "sequences", catalog.CATALOG[series].trust,
+            _run_seq_series, series=series, sequence=sequence)
 
     # symmetries
     for action in ("reverse_complement", "reverse", "complement"):
@@ -477,9 +456,10 @@ def _build_registry() -> list[CheckDef]:
                 add(short, "symmetries", HARD, _run_sym_pair, action=action,
                     **{"lambda": perms.perm_str(lam)},
                     gamma=perms.perm_str(gam))
-    for gam in ((1, 3, 2), (2, 3, 1), (3, 2, 1)):
-        add("sym_123_rc", "symmetries", HARD, _run_sym_123_rc,
-            gamma=perms.perm_str(gam))
+    for gam in ((1, 3, 2), (2, 3, 1), (3, 2, 1)):  # rc fixes the class 123
+        add("sym_123_rc", "symmetries", HARD,
+            _with(_run_sym_pair, action="reverse_complement",
+                  **{"lambda": "123"}), gamma=perms.perm_str(gam))
     for k in (2, 3, 4):
         add("sym_phi", "symmetries", HARD, _run_sym_phi, k=k)
         add("sym_1321", "symmetries", HARD, _run_sym_1321, k=k)
@@ -496,29 +476,16 @@ def _build_registry() -> list[CheckDef]:
             gamma=perms.perm_str(gamma),
             variant=dyck.admissible_variant(gamma))
 
-    # recursions vs oracle
-    for tid in ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "thm7", "thm8"):
-        add(f"rec_{tid}", "recursions", catalog.CATALOG[tid].trust,
-            _run_rec_theorem, series=tid)
-    for fid, mas in (("fam_123_1m2", (2, 3, 4, 5)),
-                     ("fam_123_2m31", (3, 4, 5)),
-                     ("fam_132_1m", (3, 4, 5)),
-                     ("fam_132_m1head", (3, 4, 5)),
-                     ("fam_132_2m1", (3, 4, 5))):
-        for m in mas:
-            add(f"rec_{fid}", "recursions", HARD, _run_rec_family,
-                series=fid, m=m)
-    add("rec_fam_132_m1head", "recursions", HARD, _run_rec_family,
+    # recursions vs oracle; thm5_remark is checked against thm5 below
+    for eid, entry in catalog.CATALOG.items():
+        if eid == "thm5_remark":
+            continue
+        for instance in _FAMILY_INSTANCES.get(eid, ((),)):
+            add(f"rec_{eid}", "recursions", entry.trust, _run_recursion,
+                series=eid, **_m_a(instance))
+    add("rec_fam_132_m1head", "recursions",
+        catalog.CATALOG["fam_132_m1head"].trust, _run_recursion,
         series="fam_132_m1head", m=4, gamma="3214")  # the other admissible body
-    for m, a in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)):
-        add("rec_fam_132_a1m", "recursions", REPORT, _run_rec_family,
-            series="fam_132_a1m", m=m, a=a)
-    for m, a in ((4, 3), (5, 3), (5, 4)):
-        add("rec_fam_132_a2m1", "recursions", REPORT, _run_rec_family,
-            series="fam_132_a2m1", m=m, a=a)
-    for m in (4, 5):
-        add("rec_fam_132_m1m1", "recursions", REPORT, _run_rec_family,
-            series="fam_132_m1m1", m=m)
 
     # specialisations and cross identities
     # Variable roles in thm8 are x1=123, x2=213, x3=231, x4=321, so thm5
@@ -531,72 +498,31 @@ def _build_registry() -> list[CheckDef]:
         subs[keep] = "x"
         add(f"spec_thm8_{other}", "recursions", HARD, _run_series_equal,
             left="thm8", left_set=subs, right=other, order=10)
-    add("famcons_123_2m31_thm2", "recursions", HARD, _run_series_equal,
-        left="fam_123_2m31", left_m=3, right="thm2",
-        right_set={"y": 1}, order=10)
-    add("famcons_132_1m_thm4", "recursions", HARD, _run_series_equal,
-        left="fam_132_1m", left_m=3, right="thm4", right_set={"y": 1},
-        order=10)
-    add("famcons_132_2m1_thm5", "recursions", HARD, _run_series_equal,
-        left="fam_132_2m1", left_m=3, right="thm5", right_set={"y": 1},
-        order=10)
-    add("famcons_132_m1head_thm6", "recursions", HARD, _run_series_equal,
-        left="fam_132_m1head", left_m=3, right="thm6", right_set={"y": 1},
-        order=10)
+    for family, theorem in (("fam_123_2m31", "thm2"), ("fam_132_1m", "thm4"),
+                            ("fam_132_2m1", "thm5"), ("fam_132_m1head", "thm6")):
+        add(f"famcons_{family.removeprefix('fam_')}_{theorem}", "recursions", HARD,
+            _run_series_equal, left=family, left_m=3, right=theorem,
+            right_set={"y": 1}, order=10)
     add("cross_a2m1_m1m1", "recursions", HARD, _run_series_equal,
         left="fam_132_a2m1", left_m=4, left_a=3, right="fam_132_m1m1",
         right_m=4, order=9)
-    add("rec_thm5_remark", "recursions", HARD, _run_thm5_remark)
+    add("rec_thm5_remark", "recursions", catalog.CATALOG["thm5_remark"].trust,
+        _with(_run_series_equal, left="thm5", right="thm5_remark"))
 
-    # closed forms vs oracle
+    # closed forms vs oracle, and cf_123_1m2 vs its series
+    for check_id, (form, ms) in _CLOSED_FORM_CHECKS.items():
+        for m in ms:
+            add(check_id, "closed_forms", catalog.CLOSED_FORMS[form].trust,
+                _run_closed_form, form=form, m=m)
     for m in (2, 3, 4):
-        add("cf_123_1m2", "closed_forms", HARD, _run_closed_form,
-            form="cf_123_1m2", m=m)
-        add("cf_132_1m", "closed_forms", HARD, _run_closed_form,
-            form="cf_132_1m", m=m)
-        add("cf_series_fam_123_1m2", "closed_forms", HARD,
-            _run_closed_vs_series, m=m)
-    add("cf_thm2eq", "closed_forms", REPORT, _run_closed_form,
-        form="cf_123_2m31", m=3)
-    add("cf_thm5eq", "closed_forms", REPORT, _run_closed_form,
-        form="cf_132_2m1", m=3)
-    for m in (4, 5):
-        add("cf_123_2m31", "closed_forms", REPORT, _run_closed_form,
-            form="cf_123_2m31", m=m)
-        add("cf_132_2m1", "closed_forms", REPORT, _run_closed_form,
-            form="cf_132_2m1", m=m)
-    add("cf_132_1m_printed", "closed_forms", REPORT, _run_closed_form,
-        form="cf_132_1m_printed", m=3)
+        add("cf_series_fam_123_1m2", "closed_forms",
+            catalog.CLOSED_FORMS["cf_123_1m2"].trust, _run_closed_vs_series, m=m)
 
     # printed identities
-    add("ident_thm1_quadratic", "identities", HARD, _run_identity,
-        identity="thm1_quadratic")
-    add("ident_thm1_quadratic_printed", "identities", REPORT, _run_identity,
-        identity="thm1_quadratic_printed")
-    add("ident_thm2_polynomial", "identities", HARD, _run_identity,
-        identity="thm2_polynomial")
-    for m in (2, 3, 4, 5):
-        add("ident_123long2", "identities", HARD, _run_identity,
-            identity="123long2", m=m)
-    add("ident_123long2_printed", "identities", REPORT, _run_identity,
-        identity="123long2_printed", m=3)
-    for m in (2, 3, 4, 5):
-        add("ident_132long1", "identities", HARD, _run_identity,
-            identity="132long1", m=m)
-    for m, a in ((4, 3), (5, 3), (5, 4)):
-        add("ident_132general1", "identities", HARD, _run_identity,
-            identity="132general1", m=m, a=a)
-    for m in (4, 5):
-        add("ident_long2132", "identities", HARD, _run_identity,
-            identity="long2132", m=m)
-    add("ident_thm7_rational", "identities", REPORT, _run_identity,
-        identity="thm7_rational")
-    add("ident_thm7_expansion", "identities", REPORT, _run_identity,
-        identity="thm7_expansion")
-    add("ident_thm8_rational", "identities", HARD, _run_identity,
-        identity="thm8_rational")
-    add("ident_thm8_expansion", "identities", HARD, _run_identity,
-        identity="thm8_expansion")
+    for ident, trust in catalog.IDENTITY_TRUST.items():
+        for instance in _IDENTITY_INSTANCES.get(ident, ((),)):
+            add(f"ident_{ident}", "identities", trust, _run_identity,
+                identity=ident, **_m_a(instance))
 
     return defs
 
@@ -633,6 +559,8 @@ def _execute(check: CheckDef, n_max: int) -> CheckResult:
 def run_check(check_id: str, params: dict | None = None,
               n_max: int = DIST_NMAX) -> CheckResult:
     """Run one registered check, selecting by id and (optionally) params."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     matches = [c for c in REGISTRY if c.check_id == check_id]
     if not matches:
         raise ValueError(f"unknown check id {check_id!r}")
@@ -655,20 +583,21 @@ def run_suite(suite: str, n_max: int = DIST_NMAX) -> dict:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{('all',) + SUITES}")
-    if n_max > COUNT_NMAX:
-        raise ValueError(f"n_max must be at most {COUNT_NMAX}")
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if n_max > ORACLE_MAX_N:
+        raise ValueError(f"n_max must be at most {ORACLE_MAX_N}")
     chosen = [c for c in REGISTRY if suite == "all" or c.suite == suite]
     results = [_execute(c, n_max) for c in chosen]
     results.sort(key=lambda r: (r.check_id,
                                 json.dumps(r.params, sort_keys=True)))
     aggregate = "pass" if all(r.status != "fail" for r in results) else "fail"
-    report = {
+    return {
         "suite": suite,
         "n_max": n_max,
         "aggregate": aggregate,
         "checks": [_result_json(r) for r in results],
     }
-    return report
 
 
 def _result_json(r: CheckResult) -> dict:

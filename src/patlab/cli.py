@@ -13,9 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, checks, dyck, oracle, perms
+from .limits import ORACLE_MAX_N
 from .series import T_DEFAULT_ORDER, monomial_str, poly_str, series_str
-
-DIST_CLI_MAX = 12
 
 
 class UsageError(ValueError):
@@ -40,7 +39,7 @@ def _parse_sets(values) -> dict[str, int]:
 
 
 def _enumeration_cap() -> int:
-    return min(DIST_CLI_MAX, perms.max_enumeration_n())
+    return min(ORACLE_MAX_N, perms.max_enumeration_n())
 
 
 def _csv_rows(slices) -> str:
@@ -58,6 +57,8 @@ def cmd_dist(args) -> int:
     tracked = [perms.parse_perm(p) for p in args.track.split(",")]
     if any(len(g) < 2 for g in tracked):
         raise UsageError("tracked patterns must have length >= 2")
+    if args.n < 0:
+        raise UsageError("--n must be non-negative")
     if args.n > _enumeration_cap():
         raise UsageError(f"--n must be at most {_enumeration_cap()}")
     variables = tuple(f"x{i + 1}" for i in range(len(tracked)))
@@ -83,10 +84,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_series(args) -> int:
-    try:
-        series = catalog.solve_catalog(args.id, args.order, m=args.m, a=args.a)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    series = catalog.solve_catalog(args.id, args.order, m=args.m, a=args.a)
     assignments = _parse_sets(args.set)
     if assignments:
         series = series.substitute(assignments)
@@ -105,70 +103,61 @@ def cmd_series(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    try:
-        value = catalog.closed_coeff(args.id, args.n, args.k, m=args.m)
-    except catalog.UnsupportedIndexError as exc:
-        raise UsageError(str(exc))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = catalog.closed_coeff(args.id, args.n, args.k, m=args.m)
+    # closed_coeff accepted the id, so it names a form and m is set
+    form_id, m = catalog.CLOSED_FORM_ALIASES.get(args.id, (args.id, args.m))
+    form = catalog.CLOSED_FORMS[form_id]
+    truth = (_oracle_coeff(form, m, args) if form.trust == catalog.REPORT_ONLY
+             else None)
     print(value.numerator if value.denominator == 1 else
           f"{value.numerator}/{value.denominator}")
-    form = catalog.CLOSED_FORM_ALIASES.get(args.id, (args.id, args.m))[0]
-    if catalog.CLOSED_FORM_TRUST.get(form) == catalog.REPORT_ONLY:
-        _warn_if_oracle_differs(form, args, value)
+    if truth is not None and Fraction(truth) != value:
+        print(f"warning: {args.id} is a report-only formula; "
+              f"the oracle value is {truth}", file=sys.stderr)
     return 0
 
 
-def _warn_if_oracle_differs(form, args, value) -> None:
-    family = {"cf_123_2m31": ("fam_123_2m31", (1, 2, 3)),
-              "cf_132_2m1": ("fam_132_2m1", (1, 3, 2)),
-              "cf_132_1m_printed": ("fam_132_1m", (1, 3, 2))}.get(form)
-    if family is None:
-        return
-    m = args.m if args.m is not None else catalog.CLOSED_FORM_ALIASES.get(
-        args.id, (None, None))[1]
-    if m is None or args.n > oracle.ORACLE_MAX_N:
-        return
-    gamma = catalog.family_pattern(family[0], m)
-    truth = oracle.brute_distribution(family[1], [gamma], args.n,
-                                      variables=("x",),
-                                      track_des=False).poly.coefficient(
+def _oracle_coeff(form, m, args):
+    """The oracle's [t^n x^k] for a closed form, or None above the
+    enumeration cap; read before any output, so a bad PATLAB_NMAX_CAP
+    fails the command before it prints."""
+    if args.n > _enumeration_cap():
+        return None
+    gamma = catalog.family_pattern(form.family, m)
+    return oracle.brute_distribution(catalog.CATALOG[form.family].avoided,
+                                     [gamma], args.n,
+                                     variables=("x",),
+                                     track_des=False).poly.coefficient(
         {"x": args.k} if args.k else {})
-    if Fraction(truth) != value:
-        print(f"warning: {args.id} is a report-only formula; "
-              f"the oracle value is {truth}", file=sys.stderr)
 
 
 def cmd_bijection(args) -> int:
     if (args.perm is None) == (args.path is None):
         raise UsageError("give exactly one of --perm or --path")
-    try:
-        if args.map in ("phi", "psi"):
-            fwd, inv = ((dyck.phi_map, dyck.phi_inverse) if args.map == "phi"
-                        else (dyck.psi_map, dyck.psi_inverse))
-            if args.inverse or args.path is not None:
-                if args.path is None:
-                    raise UsageError(f"--map {args.map} --inverse needs --path")
-                print(perms.perm_str(inv(dyck.parse_path(args.path))))
-            else:
-                print(fwd(perms.parse_perm(args.perm)))
-        elif args.map == "phin":
-            if args.perm is None:
-                raise UsageError("--map phin needs --perm")
-            p = perms.parse_perm(args.perm)
-            q = perms.phi_n_inverse(p) if args.inverse else perms.phi_n(p)
-            print(perms.perm_str(q))
+    if args.map in ("phi", "psi"):
+        fwd, inv = ((dyck.phi_map, dyck.phi_inverse) if args.map == "phi"
+                    else (dyck.psi_map, dyck.psi_inverse))
+        if args.inverse or args.path is not None:
+            if args.path is None:
+                raise UsageError(f"--map {args.map} --inverse needs --path")
+            print(perms.perm_str(inv(dyck.parse_path(args.path))))
         else:
-            raise UsageError(f"unknown map {args.map!r}")
-    except dyck.InvalidPathError as exc:
-        raise UsageError(str(exc))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+            print(fwd(perms.parse_perm(args.perm)))
+    elif args.map == "phin":
+        if args.perm is None:
+            raise UsageError("--map phin needs --perm")
+        p = perms.parse_perm(args.perm)
+        q = perms.phi_n_inverse(p) if args.inverse else perms.phi_n(p)
+        print(perms.perm_str(q))
+    else:
+        raise UsageError(f"unknown map {args.map!r}")
     return 0
 
 
 def cmd_verify(args) -> int:
     cap = _enumeration_cap()
+    if args.nmax < 0:
+        raise UsageError("--nmax must be non-negative")
     if args.nmax > cap:
         raise UsageError(f"--nmax must be at most {cap}")
     report = checks.run_suite(args.suite, args.nmax)
@@ -249,13 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except perms.EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:   # usage errors and bad inputs, UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -20,11 +20,10 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .perms import (
-    EnumerationLimitError,
     Perm,
     avoids_classical,
+    check_enumeration_n,
     check_permutation,
-    max_enumeration_n,
     perm_str,
 )
 
@@ -251,11 +250,7 @@ def admissible_variant(gamma: Perm) -> str | None:
 
 def enumerate_paths(n: int, max_n: int | None = None):
     """All Dyck paths of size n, lexicographic with D < R."""
-    cap = max_enumeration_n() if max_n is None else min(max_n, max_enumeration_n())
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > cap:
-        raise EnumerationLimitError(f"n = {n} exceeds the enumeration cap {cap}")
+    check_enumeration_n(n, max_n)
 
     # Depth-first with an explicit stack; pushing R before D pops D first,
     # which gives lex order.  Once all n D's are placed only R's remain.

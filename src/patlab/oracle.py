@@ -14,10 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .limits import ORACLE_MAX_N
 from .perms import Perm, avoider_list, class_pattern_counts
 from .series import Poly, pack
-
-ORACLE_MAX_N = 12
 
 
 @dataclass(frozen=True)

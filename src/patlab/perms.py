@@ -26,9 +26,9 @@ import os
 from functools import lru_cache
 from itertools import chain
 
-Perm = tuple[int, ...]
+from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N, PIECES_CACHED_MAX_N
 
-DEFAULT_MAX_N = 14
+Perm = tuple[int, ...]
 
 SYMMETRY_KINDS = ("reverse", "complement", "reverse_complement")
 
@@ -47,6 +47,15 @@ def max_enumeration_n() -> int:
         except ValueError:
             raise ValueError(f"PATLAB_NMAX_CAP is not an integer: {env!r}")
     return cap
+
+
+def check_enumeration_n(n: int, max_n: int | None = None) -> None:
+    """Reject n < 0 and n above the enumeration cap, lowered by max_n if given."""
+    cap = max_enumeration_n() if max_n is None else min(max_n, max_enumeration_n())
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > cap:
+        raise EnumerationLimitError(f"n = {n} exceeds the enumeration cap {cap}")
 
 
 def check_permutation(entries) -> Perm:
@@ -343,10 +352,10 @@ def _assemble_132(n: int):
         yield ()
         return
     for k in range(n):  # k entries to the left of the maximum
-        lefts = _132_pieces(k) if k <= 11 else _assemble_132(k)
+        lefts = _132_pieces(k) if k <= PIECES_CACHED_MAX_N else _assemble_132(k)
         for left in lefts:
             shifted = tuple(v + n - 1 - k for v in left) + (n,)
-            for right in (_132_pieces(n - 1 - k) if n - 1 - k <= 11
+            for right in (_132_pieces(n - 1 - k) if n - 1 - k <= PIECES_CACHED_MAX_N
                           else _assemble_132(n - 1 - k)):
                 yield shifted + right
 
@@ -403,13 +412,9 @@ def avoider_list(pattern: Perm, n: int) -> tuple[Perm, ...]:
 
 def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):
     """Yield S_n(pattern) in lexicographic order of one-line notation."""
-    cap = max_enumeration_n() if max_n is None else min(max_n, max_enumeration_n())
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > cap:
-        raise EnumerationLimitError(f"n = {n} exceeds the enumeration cap {cap}")
+    check_enumeration_n(n, max_n)
     check_permutation(pattern)
-    if n > 10:
+    if n > AVOIDERS_CACHED_MAX_N:
         yield from _class_list(pattern, n)  # too large to keep cached
     else:
         yield from avoider_list(pattern, n)

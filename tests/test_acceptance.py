@@ -5,6 +5,7 @@ Each test prints a single PASS/FAIL line (visible with pytest -s), and the
 full module doubles as the conformance gate for the build.
 """
 
+import hashlib
 import itertools
 
 from patlab import catalog, checks, perms
@@ -165,6 +166,10 @@ def test_criterion_12_printed_identities():
     _report(12, "cleared identities vanish; the misprinted expansion is flagged", ok)
 
 
+# sha256 of `patlab verify --suite all --nmax 10`'s report
+REPORT_N10_SHA256 = "c195ebf9fadd04ae4ae6acbd3f9214c8ef441f0c0e97dcd8da7b5ab6539c840f"
+
+
 def test_full_suite_aggregate():
     report = checks.run_suite("all", 10)
     counts = {}
@@ -173,3 +178,9 @@ def test_full_suite_aggregate():
     print(f"  full harness: {counts}")
     assert report["aggregate"] == "pass"
     assert counts.get("fail", 0) == 0
+    # the report itself is fixed: every check, status and witness
+    assert len(report["checks"]) == 251
+    assert counts == {"pass": 226, "report_only_pass": 12,
+                      "report_only_fail": 13}
+    text = checks.report_to_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_N10_SHA256

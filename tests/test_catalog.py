@@ -5,9 +5,16 @@ from math import comb
 
 import pytest
 
-from patlab import catalog
+from patlab import catalog, checks
 from patlab.oracle import brute_distribution
-from patlab.series import Poly, catalan, fixed_point_solve, poly_str, series_str
+from patlab.series import (
+    EqContext,
+    Poly,
+    catalan,
+    fixed_point_solve,
+    poly_str,
+    series_str,
+)
 
 
 def x0_coeffs(entry_id, order):
@@ -393,3 +400,197 @@ def test_identity_check_reuses_the_solved_system(entry_id):
     misses = catalog.solve_system.cache_info().misses
     catalog.printed_identity_check(f"{entry_id}_rational", 10)
     assert catalog.solve_system.cache_info().misses == misses
+
+
+# -- the catalog's data against the code it replaced -----------------------------
+#
+# Until the entries carried their own equations, patterns and domains, these
+# were an if chain in solve_system, one in family_pattern and two domain
+# tables.  The copies below are that code, with the two equations that are
+# now one (thm3's and thm7's A) copied too.
+
+def _old_thm3_a(v, c):
+    a0, a1 = v[0], v[1]
+    u = c.t * c.x * c.y
+    tail = c.geo(c.t ** 3 * c.y, u)  # last-segment weights for k >= 3
+    return (c.one + c.t * a1 + c.t ** 2 * (a0 * (a1 - 1) + a1)
+            + tail * a1
+            + tail * (a1 - 1) * (a0 + a0 ** 2 * c.geo(c.one, u * a0)))
+
+
+def _old_thm7_a(v, c):
+    a0, a1 = v[0], v[1]
+    u = c.t * c.x3 * c.y
+    tail = c.geo(c.t ** 3 * c.x1 * c.y, u)  # k >= 3 last-segment weights
+    return (c.one + c.t * a1 + c.t ** 2 * (a0 * (a1 - 1) + a1)
+            + tail * a1
+            + tail * (a1 - 1) * (a0 + a0 ** 2 * c.geo(c.one, u * a0)))
+
+
+def _old_solve_system(entry_id, order, m=None, a=None):
+    if entry_id == "thm1":
+        (a1,) = fixed_point_solve([catalog._thm1_a1], order)
+        return {"A1": a1, "A": catalog._a_from_a1(a1)}
+    if entry_id == "thm2":
+        (a1,) = fixed_point_solve([catalog._thm2_a1], order)
+        c = EqContext(order)
+        return {"A1": a1, "A": catalog._a_from_a1(a1) + c.t ** 2 * (1 - c.x) * a1 ** 2}
+    if entry_id == "thm3":
+        a0, a1, a = fixed_point_solve([catalog._thm3_a0, catalog._thm3_a1, _old_thm3_a],
+                                      order)
+        return {"A0": a0, "A1": a1, "A": a}
+    if entry_id == "thm4":
+        (a,) = fixed_point_solve([catalog._thm4_a], order)
+        return {"A": a}
+    if entry_id == "thm5":
+        (a,) = fixed_point_solve([catalog._thm5_a], order)
+        return {"A": a}
+    if entry_id == "thm5_remark":
+        a1, a = fixed_point_solve([catalog._thm5_remark_a1, catalog._thm5_remark_a],
+                                  order)
+        return {"A1": a1, "A": a}
+    if entry_id == "thm6":
+        (a,) = fixed_point_solve([catalog._thm6_a], order)
+        return {"A": a}
+    if entry_id == "thm7":
+        a0, a1, a = fixed_point_solve([catalog._thm7_a0, catalog._thm7_a1, _old_thm7_a],
+                                      order)
+        return {"A0": a0, "A1": a1, "A": a}
+    if entry_id == "thm8":
+        a0, a1, a = fixed_point_solve([catalog._thm8_a0, catalog._thm8_a1,
+                                      catalog._thm8_a], order)
+        return {"A0": a0, "A1": a1, "A": a}
+    if entry_id == "fam_123_1m2":
+        (b,) = fixed_point_solve([catalog._fam_123_1m2(m)], order)
+        return {"B": b}
+    if entry_id == "fam_123_2m31":
+        b1, b = fixed_point_solve([catalog._fam_123_2m31_b1(m), catalog._b_over_b1],
+                                  order)
+        return {"B1": b1, "B": b}
+    if entry_id == "fam_132_1m":
+        (b,) = fixed_point_solve([catalog._fam_132_1m(m)], order)
+        return {"B": b}
+    if entry_id == "fam_132_a1m":
+        (b,) = fixed_point_solve([catalog._fam_132_a1m(m, a)], order)
+        return {"B": b}
+    if entry_id == "fam_132_m1head":
+        (b,) = fixed_point_solve([catalog._fam_132_m1head(m)], order)
+        return {"B": b}
+    if entry_id == "fam_132_2m1":
+        b1, b = fixed_point_solve([catalog._fam_132_2m1_b1(m), catalog._b_over_b1],
+                                  order)
+        return {"B1": b1, "B": b}
+    if entry_id == "fam_132_a2m1":
+        b1, b = fixed_point_solve([catalog._fam_132_a2m1_b1(m, a), catalog._b_over_b1],
+                                  order)
+        return {"B1": b1, "B": b}
+    if entry_id == "fam_132_m1m1":
+        b1, b = fixed_point_solve([catalog._fam_132_m1m1_b1(m), catalog._b_over_b1],
+                                  order)
+        return {"B1": b1, "B": b}
+    raise ValueError(f"unknown catalog id {entry_id!r}")
+
+
+def _old_family_pattern(entry_id, m, a=None):
+    if entry_id == "fam_123_1m2":        # 1 m (m-1) ... 2
+        return (1,) + tuple(range(m, 1, -1))
+    if entry_id == "fam_123_2m31":       # 2 m (m-1) ... 3 1
+        return (2,) + tuple(range(m, 2, -1)) + (1,)
+    if entry_id == "fam_132_1m":         # 1 2 ... m
+        return tuple(range(1, m + 1))
+    if entry_id == "fam_132_a1m":        # a 1 2 ... (a-1) (a+1) ... m
+        return (a,) + tuple(v for v in range(1, m + 1) if v != a)
+    if entry_id == "fam_132_m1head":     # canonical: (m-1) 1 2 .. (m-2) m
+        return (m - 1,) + tuple(range(1, m - 1)) + (m,)
+    if entry_id == "fam_132_2m1":        # 2 3 ... m 1
+        return tuple(range(2, m + 1)) + (1,)
+    if entry_id == "fam_132_a2m1":       # a 2 3 ... (a-1) (a+1) ... m 1
+        return (a,) + tuple(v for v in range(2, m + 1) if v != a) + (1,)
+    if entry_id == "fam_132_m1m1":       # canonical: (m-1) 2 3 .. (m-2) m 1
+        return (m - 1,) + tuple(range(2, m - 1)) + (m, 1)
+    raise ValueError(f"not a family entry: {entry_id}")
+
+
+_OLD_M_DOMAIN = {"fam_123_1m2": 2, "fam_123_2m31": 2, "fam_132_1m": 2,
+                 "fam_132_a1m": 3, "fam_132_m1head": 3, "fam_132_2m1": 2,
+                 "fam_132_a2m1": 4, "fam_132_m1m1": 4}
+_OLD_A_DOMAIN = {"fam_132_a1m": (2, -1), "fam_132_a2m1": (3, -1)}
+
+
+def _old_check_params(entry_id, m=None, a=None):
+    if entry_id in _OLD_M_DOMAIN:
+        if m is None:
+            raise ValueError(f"{entry_id} needs a pattern length m")
+        lo = _OLD_M_DOMAIN[entry_id]
+        if m < lo:
+            raise ValueError(f"{entry_id} needs m >= {lo}, got {m}")
+    elif m is not None:
+        raise ValueError(f"{entry_id} takes no parameter m")
+    if entry_id in _OLD_A_DOMAIN:
+        if a is None:
+            raise ValueError(f"{entry_id} needs a head parameter a")
+        lo, hi = _OLD_A_DOMAIN[entry_id]
+        if not (lo <= a <= m + hi):
+            raise ValueError(
+                f"{entry_id} needs {lo} <= a <= m{hi:+d}, got a = {a}")
+    elif a is not None:
+        raise ValueError(f"{entry_id} takes no parameter a")
+
+
+def _registered_instances():
+    registered = {}
+    for c in checks.REGISTRY:
+        if "series" in c.params:
+            registered.setdefault(c.params["series"], set()).add(
+                (c.params.get("m"), c.params.get("a")))
+    return [(eid, m, a) for eid, entry in catalog.CATALOG.items()
+            for m, a in (sorted(registered[eid], key=repr) if entry.needs_m
+                         else [(None, None)])]
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_catalog_data_solves_as_the_old_if_chain(order):
+    for eid, m, a in _registered_instances():
+        got = catalog.solve_system(eid, order, m, a)
+        want = _old_solve_system(eid, order, m, a)
+        assert list(got) == list(want), (eid, m, a)
+        for name in want:
+            assert got[name] == want[name], (eid, m, a, order, name)
+
+
+def test_catalog_data_gives_the_old_family_patterns():
+    for eid, entry in catalog.CATALOG.items():
+        if not entry.needs_m:
+            with pytest.raises(ValueError, match="not a family entry"):
+                catalog.family_pattern(eid, 3)
+            continue
+        for m in range(entry.m_min, 9):
+            for a in (range(2, m + 1) if entry.a_bounds else [None]):
+                assert catalog.family_pattern(eid, m, a) == \
+                    _old_family_pattern(eid, m, a), (eid, m, a)
+    for eid, m, a in _registered_instances():
+        if m is not None:
+            assert catalog.family_pattern(eid, m, a) == _old_family_pattern(eid, m, a)
+    with pytest.raises(ValueError, match="not a family entry: nonesuch"):
+        catalog.family_pattern("nonesuch", 3)
+
+
+def test_check_params_messages_are_unchanged():
+    # The CLI prints these messages; every entry and a grid of good and bad
+    # (m, a) must raise the same text, or pass, as before.
+    for eid, entry in catalog.CATALOG.items():
+        for m in (None, 0, 1, 2, 3, 4, 5, 6):
+            for a in (None, 0, 1, 2, 3, 4, 5, 6):
+                try:
+                    _old_check_params(eid, m, a)
+                    want = None
+                except ValueError as exc:
+                    want = str(exc)
+                try:
+                    entry.check_params(m, a)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want, (eid, m, a)
+    with pytest.raises(ValueError, match="unknown catalog id 'nonesuch'"):
+        catalog.solve_system("nonesuch", 4)

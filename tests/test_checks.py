@@ -78,6 +78,17 @@ def test_unknown_suite_and_nmax_guard():
         checks.run_suite("sequences", 13)
 
 
+def test_negative_nmax_is_rejected_not_a_vacuous_pass():
+    # An empty range would pass every check without comparing anything.
+    for suite in ("symmetries", "all"):
+        with pytest.raises(ValueError, match="non-negative"):
+            checks.run_suite(suite, -1)
+    for check_id in ("bij_phin", "rec_thm5", "cf_thm2eq"):
+        with pytest.raises(ValueError, match="non-negative"):
+            checks.run_check(check_id, n_max=-1)
+    assert checks.run_check("bij_phin", n_max=0).status == "pass"
+
+
 def test_symmetry_checks_small():
     for action in ("sym_rc", "sym_r", "sym_c"):
         res = checks.run_check(action, {"lambda": "123", "gamma": "132"},

@@ -160,3 +160,25 @@ def test_determinism(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_negative_sizes_are_usage_errors(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "symmetries",
+                             "--nmax", "-1", "--report", str(target))
+    assert code == 2 and "--nmax must be non-negative" in err
+    assert not target.exists() and out == ""
+    code, out, err = run_cli(capsys, "dist", "--avoid", "132", "--track", "123",
+                             "--n", "-1")
+    assert code == 2 and "--n must be non-negative" in err and out == ""
+
+
+def test_coeff_oracle_warning_respects_the_env_cap(monkeypatch, capsys):
+    # thm5eq at n = 4, k = 1 prints 4; the oracle gives 6
+    args = ("coeff", "--id", "thm5eq", "--n", "4", "--k", "1")
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "3")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and out.strip() == "4" and err == ""
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "4")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and out.strip() == "4" and "oracle value is 6" in err

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from patlab import perms
-from patlab.oracle import ORACLE_MAX_N, brute_distribution
+from patlab.limits import ORACLE_MAX_N
+from patlab.oracle import brute_distribution
 from patlab.series import Poly, catalan, poly_str
 
 X = Poly.variable("x")
