@@ -630,6 +630,15 @@ IDENTITY_TRUST = {
     "thm8_expansion": HARD_PASS,
 }
 
+# The parameters each printed identity takes; every other one takes none.
+IDENTITY_PARAMS = {
+    "123long2": ("m",),
+    "123long2_printed": ("m",),
+    "132long1": ("m",),
+    "132general1": ("m", "a"),
+    "long2132": ("m",),
+}
+
 
 def _residual_verdict(identity_id: str, residual) -> IdentityVerdict:
     if not residual.poly:
@@ -719,7 +728,13 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
 
     Residual checks clear all denominators first and test that the result
     vanishes to the given order; expansion checks compare slice by slice.
+    A parameter the identity does not take is a ValueError.
     """
+    if identity_id not in IDENTITY_TRUST:
+        raise ValueError(f"unknown identity {identity_id!r}")
+    for name, value in (("m", m), ("a", a)):
+        if value is not None and name not in IDENTITY_PARAMS.get(identity_id, ()):
+            raise ValueError(f"{identity_id} takes no parameter {name}")
     if identity_id == "thm1_quadratic":
         # One-line form obtained by clearing 1 - t y Q from the defining
         # system; the published variant drops the t^2 (1-y) Q^2 term and
@@ -857,4 +872,4 @@ def printed_identity_check(identity_id: str, order: int, m: int | None = None,
                    if n <= top}
         return _slices_verdict(identity_id, printed, A)
 
-    raise ValueError(f"unknown identity {identity_id!r}")
+    raise AssertionError(f"no check for the identity {identity_id!r}")

@@ -13,8 +13,11 @@ canonical monomial order.
 The statistic transports (transport_*, transport_general) are data: each
 names an avoider class, a consecutive pattern and the Dyck-path factors
 whose counts add up to it.  All transports of one class and range are
-certified in a single cached pass that maps each avoider once and counts
-every pattern with one compiled counter; each check looks up its verdict.
+certified in a single cached pass: for each n, one whole-class count of
+every pattern and one of every factor over the class's staircase paths,
+compared as byte strings; each check looks up its verdict.  The bijection
+checks run the unguarded maps on inputs that are valid by construction
+and keep every round-trip and class test.
 """
 
 from __future__ import annotations
@@ -167,20 +170,19 @@ def _run_sym_1321(params, n_max):
 
 
 def _run_bij_staircase(params, n_max):
-    # Avoiders are in the class by construction and each preimage gets one
-    # class test, so the round trips use the unguarded staircase word.
-    which = params["map"]
+    # Avoiders and enumerated paths are valid by construction, so the round
+    # trips use the unguarded maps; each preimage gets one class test.
+    lam = (1, 3, 2) if params["map"] == "phi" else (1, 2, 3)
     top = min(n_max, DIST_NMAX)
-    inv, lam = ((dyck.phi_inverse, (1, 3, 2)) if which == "phi"
-                else (dyck.psi_inverse, (1, 2, 3)))
-    fwd = dyck.staircase_word
+    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
     for n in range(top + 1):
         for p in perms.avoider_list(lam, n):
-            if inv(fwd(p)) != p:
+            back = pre(fwd(p), lam)
+            if back != p:
                 return False, _witness(n, perms.perm_str(p), perms.perm_str(p),
-                                       perms.perm_str(inv(fwd(p)))), f"n<={top}"
+                                       perms.perm_str(back)), f"n<={top}"
         for w in dyck.enumerate_paths(n):
-            q = inv(w)
+            q = pre(w, lam)
             if perms.contains_classical(q, lam):
                 return False, _witness(n, w, f"{perms.perm_str(lam)}-avoider",
                                        perms.perm_str(q)), f"n<={top}"
@@ -190,21 +192,23 @@ def _run_bij_staircase(params, n_max):
 
 
 def _run_bij_phin(params, n_max):
+    # The 312-avoiders come from avoider_list and each image is tested for
+    # 213 here, so the maps run without their class guards.
     top = min(n_max, PHIN_NMAX)
     for n in range(top + 1):
         seen = set()
         for p in perms.avoider_list((3, 1, 2), n):
-            q = perms.phi_n(p)
+            q = perms._phi_n(p)
             if perms.contains_classical(q, (2, 1, 3)):
                 return False, _witness(n, perms.perm_str(p), "213-avoider",
                                        perms.perm_str(q)), f"n<={top}"
             if perms.descent_set(q) != perms.descent_set(p):
                 return False, _witness(n, perms.perm_str(p), "equal descent sets",
                                        perms.perm_str(q)), f"n<={top}"
-            if perms.phi_n_inverse(q) != p:
+            back = perms._phi_n(q, inverse=True)
+            if back != p:
                 return False, _witness(n, perms.perm_str(p), perms.perm_str(p),
-                                       perms.perm_str(perms.phi_n_inverse(q))), \
-                    f"n<={top}"
+                                       perms.perm_str(back)), f"n<={top}"
             seen.add(q)
         if len(seen) != catalan(n):
             return False, _witness(n, "1", catalan(n), len(seen)), f"n<={top}"
@@ -227,29 +231,34 @@ _TRANSPORTS = {
 def _transport_verdicts(lam, top, stats):
     """Certify many statistic transports over one avoider class in one pass.
 
-    stats is a tuple of (consecutive pattern, Dyck factors).  Every avoider
-    of lam with n <= top is mapped once to its staircase path (by the
-    unguarded dyck.staircase_word: avoider_list gives only members of the
-    class); all patterns are counted over the class of each n at once by
-    perms.class_pattern_counts.
+    stats is a tuple of (consecutive pattern, Dyck factors).  For each n <=
+    top, all patterns are counted over lam's avoiders at once by
+    perms.class_pattern_counts, and all factors over their staircase paths
+    (dyck.staircase_word, unguarded: avoider_list gives only members of the
+    class) at once by dyck.class_factor_counts; the paths are streamed, not
+    kept.  A statistic's byte string of pattern counts is compared with the
+    lane-wise sum of its factors' counts, and the lanes are scanned only on
+    a mismatch.
     Returns {stat: (ok, witness, n_range)}; a statistic's witness is its
     first disagreement in (n, lex) order, and a failing statistic does not
     stop the others.
     """
     patterns = [pattern for pattern, _ in stats]
-    factors = [f for _, f in stats]
+    factors = sorted({f for _, fs in stats for f in fs})
     witnesses = [None] * len(stats)
     for n in range(top + 1):
         avoiders = perms.avoider_list(lam, n)
-        counts = perms.class_pattern_counts(avoiders, patterns)
-        for p, row in zip(avoiders, zip(*counts)):
-            word = dyck.staircase_word(p)
-            for j, left in enumerate(row):
-                if witnesses[j] is None:
-                    right = sum(dyck.path_pattern_count(word, f)
-                                for f in factors[j])
-                    if left != right:
-                        witnesses[j] = _witness(n, perms.perm_str(p), left, right)
+        lefts = perms.class_pattern_counts(avoiders, patterns)
+        counted = dict(zip(factors, dyck.class_factor_counts(
+            map(dyck.staircase_word, avoiders), factors)))
+        for j, ((_, fs), left) in enumerate(zip(stats, lefts)):
+            cs = [counted[f] for f in fs]
+            right = cs[0] if len(cs) == 1 else bytes(map(sum, zip(*cs)))
+            if witnesses[j] is None and left != right:
+                i = next(i for i, (a, b) in enumerate(zip(left, right))
+                         if a != b)
+                witnesses[j] = _witness(n, perms.perm_str(avoiders[i]),
+                                        left[i], right[i])
     return {stat: (w is None, w, f"n<={top}")
             for stat, w in zip(stats, witnesses)}
 

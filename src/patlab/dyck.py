@@ -9,15 +9,18 @@ shaded north-east of its plotted entries; that word depends only on the
 positions and values of the left-to-right minima.  The two inverses differ:
 phi_inverse fills the gaps with the least usable values (giving the unique
 132-avoiding preimage), psi_inverse with the greatest (123-avoiding).
+staircase_word and staircase_preimage are the same maps without their
+guards, for callers whose inputs are valid by construction; the preimage
+is one pass over the path's columns.
 
 Under these maps a consecutive pattern of the permutation becomes a count of
-path factors (path_pattern_count, overlaps included); the transport checks
-in patlab.checks certify each such correspondence by one pass over a class.
+path factors (path_pattern_count, overlaps included).  class_factor_counts
+counts factors over a whole list of equal-length words at once, one byte
+lane per word, as perms.class_pattern_counts counts patterns; the transport
+checks in patlab.checks certify each correspondence with the two counters.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from .perms import (
     Perm,
@@ -54,10 +57,6 @@ def parse_path(text: str) -> DyckWord:
             f"unbalanced path: {text.count('D')} D's vs {text.count('R')} R's",
             len(text))
     return text
-
-
-def path_size(word: DyckWord) -> int:
-    return len(word) // 2
 
 
 def first_return(word: DyckWord) -> int:
@@ -115,6 +114,59 @@ def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> 
     return count
 
 
+_D_LANE = bytes.maketrans(b"DR", b"\x01\x00")
+
+
+def class_factor_counts(words, factors) -> list[bytes]:
+    """Factor counts over a whole list of step words at once.
+
+    The twin of perms.class_pattern_counts: returns one bytes object per
+    factor, in the order given, and byte j is path_pattern_count(words[j],
+    factor).  words may be any iterable (it is read once) of words of one
+    length below 256, so that no count carries out of its byte lane;
+    otherwise ValueError.
+
+    Step j of all words is one big int with a 0x01 byte lane per word
+    where the step is D; an occurrence at offset i is the AND of its steps'
+    lanes, an R step taken as the complement of the D lanes.
+
+    >>> [list(c) for c in class_factor_counts(["DDRR", "DRDR"], ["DR", "RD"])]
+    [[1, 2], [0, 1]]
+    """
+    for f in factors:
+        if not f or f.strip("DR"):
+            raise ValueError(f"factors must be nonempty words over D, R: {f!r}")
+    steps = bytearray()
+    size = m = 0
+    for w in words:
+        if not m:
+            size = len(w)
+            if size >= 256:
+                raise ValueError(
+                    f"length {size} does not fit a byte lane (2n < 256)")
+        elif len(w) != size:
+            raise ValueError("words of different lengths")
+        steps += w.encode()
+        m += 1
+    if steps.translate(None, b"DR"):
+        raise ValueError("steps must be D or R")
+    lanes = steps.translate(_D_LANE)
+    cols = [int.from_bytes(lanes[j::size], "little") for j in range(size)]
+    ones = int.from_bytes(b"\x01" * m, "little")
+    out = []
+    for f in factors:
+        total = 0
+        for i in range(size - len(f) + 1):
+            hits = ones
+            for col, step in zip(cols[i:i + len(f)], f):
+                hits &= col if step == "D" else col ^ ones
+                if not hits:
+                    break
+            total += hits
+        out.append(total.to_bytes(m, "little"))
+    return out
+
+
 # -- the staircase maps -------------------------------------------------------
 
 def staircase_word(p: Perm) -> DyckWord:
@@ -128,17 +180,6 @@ def staircase_word(p: Perm) -> DyckWord:
             low = v
         parts.append("R")
     return "".join(parts)
-
-
-def _column_depths(word: DyckWord) -> list[int]:
-    depths = []
-    depth = 0
-    for step in word:
-        if step == "D":
-            depth += 1
-        else:
-            depths.append(depth)
-    return depths
 
 
 def phi_map(p: Perm) -> DyckWord:
@@ -157,16 +198,38 @@ def psi_map(p: Perm) -> DyckWord:
     return staircase_word(p)
 
 
-def _minima_skeleton(word: DyckWord):
-    """Per column: the assigned minimum value, or None for a gap column."""
-    n = path_size(word)
-    depths = _column_depths(word)
-    skeleton: list[int | None] = []
-    prev = 0
-    for depth in depths:
-        skeleton.append(n + 1 - depth if depth > prev else None)
-        prev = depth
-    return skeleton
+def staircase_preimage(word: DyckWord, lam: Perm) -> Perm:
+    """The lam-avoiding preimage of a Dyck path, lam being 132 or 123.
+
+    Unguarded: word must be a Dyck path (as enumerate_paths yields them).
+    One pass over the columns (the R's): an R after a run of k D's is a new
+    left-to-right minimum, k below the previous one (n + 1 at first), and
+    uncovers the values between the two; any other R is a gap column.  The
+    uncovered values are kept in decreasing order: for 132 a gap takes the
+    least (the list is a stack), for 123 the greatest (a queue).
+    """
+    if lam == (1, 3, 2):
+        least = True
+    elif lam == (1, 2, 3):
+        least = False
+    else:
+        raise ValueError(f"no staircase preimage for the class {perm_str(lam)}")
+    low = len(word) // 2 + 1    # the running minimum
+    free: list[int] = []
+    front = 0                   # 123: free[:front] are used
+    out = []
+    for run in word.split("R")[:-1]:    # the D's before each R
+        if run:
+            v = low - len(run)
+            free.extend(range(low - 1, v, -1))
+            low = v
+            out.append(v)
+        elif least:
+            out.append(free.pop())
+        else:
+            out.append(free[front])
+            front += 1
+    return tuple(out)
 
 
 def phi_inverse(word: DyckWord) -> Perm:
@@ -176,37 +239,13 @@ def phi_inverse(word: DyckWord) -> Perm:
     values of each horizontal segment then form an increasing run started
     by its left-to-right minimum.
     """
-    skeleton = _minima_skeleton(parse_path(word))
-    reserved = {v for v in skeleton if v is not None}
-    free = sorted(v for v in range(1, path_size(word) + 1) if v not in reserved)
-    out = []
-    low = path_size(word) + 1
-    for v in skeleton:
-        if v is not None:
-            low = v
-            out.append(v)
-        else:
-            i = bisect_right(free, low)
-            out.append(free.pop(i))
-    return tuple(out)
+    return staircase_preimage(parse_path(word), (1, 3, 2))
 
 
 def psi_inverse(word: DyckWord) -> Perm:
     """The unique 123-avoiding preimage: gap columns take the greatest
     unused values, so the non-minima form one decreasing sequence."""
-    skeleton = _minima_skeleton(parse_path(word))
-    reserved = {v for v in skeleton if v is not None}
-    free = sorted((v for v in range(1, path_size(word) + 1) if v not in reserved),
-                  reverse=True)
-    free_at = 0
-    out = []
-    for v in skeleton:
-        if v is not None:
-            out.append(v)
-        else:
-            out.append(free[free_at])
-            free_at += 1
-    return tuple(out)
+    return staircase_preimage(parse_path(word), (1, 2, 3))
 
 
 # -- pattern paths for the general transport ---------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .limits import ORACLE_MAX_N
-from .perms import Perm, avoider_list, class_pattern_counts
+from .perms import Perm, avoider_list, check_enumeration_n, class_pattern_counts
 from .series import Poly, pack
 
 
@@ -58,6 +58,7 @@ def brute_distribution(avoided: Perm, tracked, n: int,
     """
     if n < 0 or n > ORACLE_MAX_N:
         raise ValueError(f"oracle n = {n} outside [0, {ORACLE_MAX_N}]")
+    check_enumeration_n(n)  # PATLAB_NMAX_CAP binds the oracle too
     tracked = tuple(tuple(g) for g in tracked)
     if variables is None:
         variables = ("x",) if len(tracked) == 1 else tuple(

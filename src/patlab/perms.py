@@ -427,37 +427,48 @@ def phi_n(p: Perm) -> Perm:
 
     Splits at the position r of the entry 1; in a 312-avoider everything
     right of 1 exceeds everything left of it, and both blocks are rebuilt
-    recursively around a re-based 1.
+    the same way around a re-based 1: the left block takes the largest
+    values, the right block the values just above 1.
     """
     if contains_classical(p, (3, 1, 2)):
         raise ValueError(f"{perm_str(p)} contains 312")
     return _phi_n(p)
 
 
-def _phi_n(p: Perm) -> Perm:
-    n = len(p)
-    if n <= 1:
-        return p
-    r = p.index(1) + 1
-    left = _phi_n(tuple(v - 1 for v in p[:r - 1]))
-    right = _phi_n(tuple(v - r for v in p[r:]))
-    return (tuple(v + n - r + 1 for v in left) + (1,)
-            + tuple(v + 1 for v in right))
-
-
 def phi_n_inverse(q: Perm) -> Perm:
     """Inverse of phi_n, from 213-avoiders back to 312-avoiders."""
     if contains_classical(q, (2, 1, 3)):
         raise ValueError(f"{perm_str(q)} contains 213")
-    return _phi_n_inverse(q)
+    return _phi_n(q, inverse=True)
 
 
-def _phi_n_inverse(q: Perm) -> Perm:
-    n = len(q)
-    if n <= 1:
-        return q
-    r = q.index(1) + 1
-    left = _phi_n_inverse(tuple(v - (n - r + 1) for v in q[:r - 1]))
-    right = _phi_n_inverse(tuple(v - 1 for v in q[r:]))
-    return (tuple(v + 1 for v in left) + (1,)
-            + tuple(v + r for v in right))
+def _phi_n(p: Perm, inverse: bool = False) -> Perm:
+    # phi_n (or its inverse) without the class guard, in one O(n) loop
+    # with no recursion.  phi_n keeps positions.  A block (lo, hi, a, b) is
+    # positions lo..hi-1, holding the values a+1.. of p and taking the
+    # values b+1.. of the image.  Its minimum a+1 (found through p's
+    # inverse) becomes b+1 in place; the entries left and right of it are
+    # the two sub-blocks.  phi_n re-bases the left block to the top of the
+    # block's values and the right block to just above its minimum; the
+    # inverse swaps the two offsets.
+    n = len(p)
+    where = [0] * (n + 1)
+    for i, v in enumerate(p):
+        where[v] = i
+    out = [0] * n
+    blocks = [(0, n, 0, 0)] if n else []
+    while blocks:
+        lo, hi, a, b = blocks.pop()
+        r = where[a + 1]
+        out[r] = b + 1
+        left = r - lo
+        right = hi - r - 1
+        if inverse:
+            left_ab, right_ab = (a + right + 1, b + 1), (a + 1, b + left + 1)
+        else:
+            left_ab, right_ab = (a + 1, b + right + 1), (a + left + 1, b + 1)
+        if left:
+            blocks.append((lo, r, *left_ab))
+        if right:
+            blocks.append((r + 1, hi, *right_ab))
+    return tuple(out)

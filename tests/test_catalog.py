@@ -374,6 +374,27 @@ def test_identity_verdicts():
         catalog.printed_identity_check("nonesuch", 8)
 
 
+@pytest.mark.parametrize("identity_id", sorted(catalog.IDENTITY_TRUST))
+def test_identity_check_rejects_stray_parameters(identity_id):
+    takes = catalog.IDENTITY_PARAMS.get(identity_id, ())
+    given = {"m": 4, "a": 3}
+    for stray in ("m", "a"):
+        if stray in takes:
+            continue
+        params = {k: v for k, v in given.items() if k in takes or k == stray}
+        with pytest.raises(ValueError,
+                           match=f"^{identity_id} takes no parameter {stray}$"):
+            catalog.printed_identity_check(identity_id, 4, **params)
+
+
+def test_every_registered_identity_instance_runs():
+    idents = [c for c in checks.REGISTRY if c.check_id.startswith("ident_")]
+    assert {c.params["identity"] for c in idents} == set(catalog.IDENTITY_TRUST)
+    for c in idents:
+        res = checks.run_check(c.check_id, c.params, n_max=4)
+        assert res.status in ("pass", "report_only_pass", "report_only_fail")
+
+
 def test_solved_series_sum_to_catalan():
     for entry_id in ("thm1", "thm5", "thm8"):
         s = catalog.solve_catalog(entry_id, 8)

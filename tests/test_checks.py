@@ -149,18 +149,31 @@ def test_transport_checks_match_the_suite_report():
                                else "n<=10")
 
 
+def _broken_preimage(real):
+    # From n = 3 on, every path gets lam followed by 4..n, which contains lam.
+    def broken(word, lam):
+        n = len(word) // 2
+        return lam + tuple(range(4, n + 1)) if n >= 3 else real(word, lam)
+    return broken
+
+
 def test_bij_psi_records_a_preimage_outside_the_class(monkeypatch):
     # A broken inverse whose preimage contains 123 must give a failing
     # witness, not an exception from the guarded map.
-    real_inverse = dyck.psi_inverse
-
-    def broken_inverse(word):
-        n = len(word) // 2
-        return tuple(range(1, n + 1)) if n >= 3 else real_inverse(word)
-
     monkeypatch.setattr(perms, "avoider_list", lambda lam, n: ())
-    monkeypatch.setattr(dyck, "psi_inverse", broken_inverse)
+    monkeypatch.setattr(dyck, "staircase_preimage",
+                        _broken_preimage(dyck.staircase_preimage))
     res = checks.run_check("bij_psi", n_max=4)
     assert res.status == "fail"
     assert res.witness == {"n": 3, "monomial": "DDDRRR",
                            "expected": "123-avoider", "actual": "123"}
+
+
+def test_bij_phi_records_a_preimage_outside_the_class(monkeypatch):
+    monkeypatch.setattr(perms, "avoider_list", lambda lam, n: ())
+    monkeypatch.setattr(dyck, "staircase_preimage",
+                        _broken_preimage(dyck.staircase_preimage))
+    res = checks.run_check("bij_phi", n_max=4)
+    assert res.status == "fail"
+    assert res.witness == {"n": 3, "monomial": "DDDRRR",
+                           "expected": "132-avoider", "actual": "132"}

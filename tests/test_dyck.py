@@ -183,3 +183,43 @@ def test_peaks_equal_left_to_right_minima():
         for p in perms.avoider_list((1, 3, 2), n):
             minima = sum(1 for i in range(n) if all(p[j] > p[i] for j in range(i)))
             assert dyck.peaks(dyck.phi_map(p)) == minima
+
+
+def test_staircase_preimage_equals_the_guarded_inverses():
+    for n in range(11):
+        for w in dyck.enumerate_paths(n):
+            assert dyck.staircase_preimage(w, (1, 3, 2)) == dyck.phi_inverse(w)
+            assert dyck.staircase_preimage(w, (1, 2, 3)) == dyck.psi_inverse(w)
+    assert dyck.staircase_preimage(PAPER_PATH, (1, 3, 2)) == \
+        perms.parse_perm("867943251")
+    with pytest.raises(ValueError):
+        dyck.staircase_preimage("DR", (2, 1, 3))
+
+
+@given(st.integers(0, 10).flatmap(lambda size: st.lists(
+           st.text("DR", min_size=size, max_size=size), max_size=12)),
+       st.lists(st.text("DR", min_size=1, max_size=6), min_size=1,
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_class_factor_counts_match_path_pattern_count(words, factors):
+    counts = dyck.class_factor_counts(iter(words), factors)
+    assert [list(c) for c in counts] == [
+        [dyck.path_pattern_count(w, f) for w in words] for f in factors]
+
+
+def test_class_factor_counts_examples_and_guards():
+    # overlapping occurrences each count, as in path_pattern_count
+    assert dyck.class_factor_counts(["RRRR", "DRRR"], ["RRR", "R"]) == \
+        [bytes([2, 1]), bytes([4, 3])]
+    assert dyck.class_factor_counts([], ["DR"]) == [b""]
+    assert dyck.class_factor_counts([""], ["D"]) == [b"\x00"]
+    # 255 steps still fit a byte lane; 256 could carry
+    assert dyck.class_factor_counts(["R" * 255], ["R"]) == [b"\xff"]
+    with pytest.raises(ValueError, match="byte lane"):
+        dyck.class_factor_counts(["R" * 256], ["R"])
+    with pytest.raises(ValueError):
+        dyck.class_factor_counts(["DR", "DDRR"], ["DR"])
+    with pytest.raises(ValueError):
+        dyck.class_factor_counts(["DX"], ["DR"])
+    with pytest.raises(ValueError):
+        dyck.class_factor_counts(["DR"], [""])

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from patlab import perms
+from patlab import checks, perms
 from patlab.limits import ORACLE_MAX_N
 from patlab.oracle import brute_distribution
 from patlab.series import Poly, catalan, poly_str
@@ -104,3 +104,14 @@ def test_same_length_patterns_match_slow_recount(avoided, tracked, track_des):
         d = brute_distribution(avoided, tracked, n, variables=variables,
                                track_des=track_des)
         assert d.poly == _recount(avoided, tracked, n, variables, track_des)
+
+
+def test_env_cap_binds_the_oracle(monkeypatch):
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "8")
+    with pytest.raises(perms.EnumerationLimitError):
+        brute_distribution((1, 2, 3), [(1, 3, 2)], 9)
+    poly = brute_distribution((1, 2, 3), [(1, 3, 2)], 8).poly
+    assert poly.substitute({"x": 1, "y": 1}).constant_term() == catalan(8)
+    # the library's n_max does not reach past the cap either
+    with pytest.raises(perms.EnumerationLimitError):
+        checks.run_check("rec_thm1", n_max=10)

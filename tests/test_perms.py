@@ -200,6 +200,46 @@ def test_phi_n_bijection_properties():
         assert len(seen) == catalan(n)
 
 
+def _recursive_phi_n(p):
+    # The former recursive definitions, kept as the reference.
+    n = len(p)
+    if n <= 1:
+        return p
+    r = p.index(1) + 1
+    left = _recursive_phi_n(tuple(v - 1 for v in p[:r - 1]))
+    right = _recursive_phi_n(tuple(v - r for v in p[r:]))
+    return (tuple(v + n - r + 1 for v in left) + (1,)
+            + tuple(v + 1 for v in right))
+
+
+def _recursive_phi_n_inverse(q):
+    n = len(q)
+    if n <= 1:
+        return q
+    r = q.index(1) + 1
+    left = _recursive_phi_n_inverse(tuple(v - (n - r + 1) for v in q[:r - 1]))
+    right = _recursive_phi_n_inverse(tuple(v - 1 for v in q[r:]))
+    return (tuple(v + 1 for v in left) + (1,)
+            + tuple(v + r for v in right))
+
+
+def test_phi_n_matches_the_recursive_definition():
+    for n in range(11):
+        for p in perms.avoider_list((3, 1, 2), n):
+            assert perms.phi_n(p) == _recursive_phi_n(p), p
+        for q in perms.avoider_list((2, 1, 3), n):
+            assert perms.phi_n_inverse(q) == _recursive_phi_n_inverse(q), q
+
+
+def test_phi_n_has_no_recursion_depth_limit():
+    n = 3000
+    identity = tuple(range(1, n + 1))
+    decreasing = identity[::-1]
+    for p in (identity, decreasing):
+        assert perms.phi_n(p) == p
+        assert perms.phi_n_inverse(p) == p
+
+
 def _positions_by_definition(p, pat):
     k = len(pat)
     return [i + 1 for i in range(len(p) - k + 1)
