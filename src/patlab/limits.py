@@ -16,5 +16,4 @@ REPORT_ONLY_CF_NMAX = 8       # report-only closed forms
 IDENTITY_ORDER = 8            # cleared printed identities
 EXPANSION_ORDER = 5           # the printed expansions stop at t^5
 CLOSED_VS_SERIES_ORDER = 14   # fixed: closed form against its cheap (t, x) series
-PIECES_CACHED_MAX_N = 11      # perms._132_pieces caches sizes up to here
 AVOIDERS_CACHED_MAX_N = 10    # enumerate_avoiders reads avoider_list up to here

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .limits import ORACLE_MAX_N
 from .perms import Perm, avoider_list, check_enumeration_n, class_pattern_counts
-from .series import Poly, pack
+from .series import VARS, Poly, pack
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ def brute_distribution(avoided: Perm, tracked, n: int,
 
     tracked is a sequence of consecutive patterns; variables names the
     polynomial variable carrying each one (default "x" for a single pattern,
-    "x1".. otherwise).  Descents are tracked in y unless disabled.
+    "x1".. otherwise), each a distinct one of x, x1..x4.  Descents are
+    tracked in y unless disabled.
     """
     if n < 0 or n > ORACLE_MAX_N:
         raise ValueError(f"oracle n = {n} outside [0, {ORACLE_MAX_N}]")
@@ -66,6 +67,9 @@ def brute_distribution(avoided: Perm, tracked, n: int,
     variables = tuple(variables)
     if len(variables) != len(tracked):
         raise ValueError("one variable per tracked pattern is required")
+    if len(set(variables)) != len(variables) or not set(variables) <= set(VARS[2:]):
+        raise ValueError(f"tracked patterns need distinct variables among "
+                         f"x, x1..x4; got {variables}")
     poly = _distribution(tuple(avoided), tracked, n, variables, track_des)
     return DistributionSlice(n=n, avoided=tuple(avoided), tracked=tracked,
                              variables=variables, poly=poly)

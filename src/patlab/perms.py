@@ -12,9 +12,14 @@ permutation.  class_pattern_counts applies it to a whole avoider class at
 once: column j of the class is one big int with one byte lane per
 permutation, a single big-int subtraction compares two columns in every
 lane, and the counts come back as one byte per permutation, so the length
-must be below 128.  The 123- and 321-avoiders are built level by level
-on West's generating trees, the 132-type classes by splitting at the
-maximum; every class list is sorted lexicographically.
+must be below 128.
+
+avoider_list is the one cache of class lists, each in lex order, for the
+six length-3 patterns only; a miss reads no cache.  123 and 321 grow on
+West's generating trees.  132, 231, 312 and 213 split at their maximum or
+minimum into two shorter avoiders of the same pattern and are joined
+length by length.  avoider_list caches any n it is called with;
+enumerate_avoiders reads it only up to AVOIDERS_CACHED_MAX_N.
 
 Text form: undelimited digits for n <= 9 ("869743251"), comma-separated
 entries for longer permutations.
@@ -26,7 +31,7 @@ import os
 from functools import lru_cache
 from itertools import chain
 
-from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N, PIECES_CACHED_MAX_N
+from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
 
 Perm = tuple[int, ...]
 
@@ -339,85 +344,61 @@ def _perms_avoiding_321(n: int) -> list[Perm]:
     return level
 
 
-@lru_cache(maxsize=None)
-def _132_pieces(n: int) -> tuple[Perm, ...]:
-    # Split at the maximum: the entries left of n are the next |left| largest
-    # values and both sides again avoid 132.  Cached for the sizes that the
-    # verification harness revisits.
-    return tuple(_assemble_132(n))
+def _perms_split_at_extreme(n: int, pattern: Perm) -> list[Perm]:
+    # The entries left of the maximum (132, 231) or minimum (312, 213) all
+    # lie above those right of it (132, 213) or all below (231, 312), and
+    # both sides avoid the pattern: one sorted run per left size k.  The
+    # last length takes the pairs (k, m-1-k) from the outside in and frees
+    # each pair after its use, so the largest lists go first.
+    def lift(perms, d):
+        return [tuple([v + d for v in p]) for p in perms] if d else perms
+
+    at_max, left_high = pattern[1] == 3, pattern[0] < pattern[2]
+    levels = [[()]]
+    for m in range(1, n + 1):
+        pivot, base = (m, 0) if at_max else (1, 1)
+        level = []
+        for k in sorted(range(m), key=lambda k: (min(k, m - 1 - k), k)):
+            lefts = lift(levels[k], base + (m - 1 - k if left_high else 0))
+            rights = lift(levels[m - 1 - k], base + (0 if left_high else k))
+            for left in lefts:
+                prefix = left + (pivot,)
+                level.extend([prefix + right for right in rights])
+            if m == n and 2 * k >= m - 1:
+                levels[k] = levels[m - 1 - k] = None
+        level.sort()
+        levels.append(level)
+    return levels[n]
 
 
-def _assemble_132(n: int):
-    if n == 0:
-        yield ()
-        return
-    for k in range(n):  # k entries to the left of the maximum
-        lefts = _132_pieces(k) if k <= PIECES_CACHED_MAX_N else _assemble_132(k)
-        for left in lefts:
-            shifted = tuple(v + n - 1 - k for v in left) + (n,)
-            for right in (_132_pieces(n - 1 - k) if n - 1 - k <= PIECES_CACHED_MAX_N
-                          else _assemble_132(n - 1 - k)):
-                yield shifted + right
-
-
-def _perms_avoiding_132(n: int) -> list[Perm]:
-    return sorted(_assemble_132(n))
-
-
-_GENERATORS = {
-    (1, 2, 3): (_perms_avoiding_123, None),
-    (3, 2, 1): (_perms_avoiding_321, None),
-    (1, 3, 2): (_perms_avoiding_132, None),
-    (2, 3, 1): (_perms_avoiding_132, reverse),
-    (3, 1, 2): (_perms_avoiding_132, complement),
-    (2, 1, 3): (_perms_avoiding_132, reverse_complement),
-}
-
-
-def _class_list(pattern: Perm, n: int) -> list[Perm]:
-    if pattern in _GENERATORS:
-        gen, transform = _GENERATORS[pattern]
-        perms = gen(n)
-        if transform is not None:
-            perms = sorted(transform(p) for p in perms)
-        return perms
-    # Generic fallback: prefix DFS, pruning prefixes that already contain it.
-    out: list[Perm] = []
-    path: list[int] = []
-
-    def rec(remaining: frozenset[int]):
-        if not remaining:
-            out.append(tuple(path))
-            return
-        for v in sorted(remaining):
-            path.append(v)
-            if not contains_classical(tuple(path), pattern):
-                rec(remaining - {v})
-            path.pop()
-
-    rec(frozenset(range(1, n + 1)))
-    return out
+def _build_class(pattern: Perm, n: int) -> list[Perm]:
+    # No cache is read here, so an avoider_list miss stays a miss.
+    if pattern == (1, 2, 3):
+        return _perms_avoiding_123(n)
+    if pattern == (3, 2, 1):
+        return _perms_avoiding_321(n)
+    if pattern in ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
+        return _perms_split_at_extreme(n, pattern)
+    raise ValueError(f"avoider lists cover only the length-3 patterns, "
+                     f"not {perm_str(pattern)}")
 
 
 @lru_cache(maxsize=128)
 def avoider_list(pattern: Perm, n: int) -> tuple[Perm, ...]:
-    """All of S_n avoiding the classical pattern, sorted lexicographically.
+    """All of S_n avoiding the length-3 pattern, sorted lexicographically.
 
     Cached; use enumerate_avoiders for one-shot large n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(_class_list(pattern, n))
+    return tuple(_build_class(pattern, n))
 
 
 def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):
     """Yield S_n(pattern) in lexicographic order of one-line notation."""
     check_enumeration_n(n, max_n)
-    check_permutation(pattern)
-    if n > AVOIDERS_CACHED_MAX_N:
-        yield from _class_list(pattern, n)  # too large to keep cached
-    else:
-        yield from avoider_list(pattern, n)
+    pattern = check_permutation(pattern)
+    yield from (avoider_list if n <= AVOIDERS_CACHED_MAX_N else _build_class)(pattern, n)
 
 
 # -- the descent-preserving bijection between 312- and 213-avoiders ----------

@@ -205,6 +205,9 @@ class Poly:
 
     def substitute(self, assignments: dict[str, "Poly | int"]) -> "Poly":
         """Substitute variables by integers or polynomials, exactly."""
+        for v in assignments:
+            if v not in _SHIFT:
+                raise ValueError(f"unknown variable {v!r}")
         values = {v: _as_poly(p) for v, p in assignments.items()}
         powers: dict[tuple[str, int], Poly] = {}
         out: dict[int, int] = {}

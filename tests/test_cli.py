@@ -44,6 +44,12 @@ def test_dist_usage_errors(capsys):
     code, _, err = run_cli(capsys, "dist", "--avoid", "123",
                            "--track", "132", "--n", "13")
     assert code == 2
+    code, _, err = run_cli(capsys, "dist", "--avoid", "132",
+                           "--track", "12,21,123,321,213", "--n", "3")
+    assert code == 2 and "distinct variables" in err
+    code, _, err = run_cli(capsys, "dist", "--avoid", "132", "--track", "12",
+                           "--n", "3", "--set", "z=2")
+    assert code == 2 and "unknown variable 'z'" in err
 
 
 def test_series_command(capsys):
@@ -63,6 +69,9 @@ def test_series_domain_error(capsys):
     assert code == 2 and "2 <= a" in err
     code, _, err = run_cli(capsys, "series", "--id", "thm9")
     assert code == 2
+    code, _, err = run_cli(capsys, "series", "--id", "thm5", "--order", "3",
+                           "--set", "z=1")
+    assert code == 2 and "unknown variable 'z'" in err
 
 
 def test_coeff_command(capsys):

@@ -74,6 +74,19 @@ def test_variable_count_must_match():
         brute_distribution((1, 2, 3), [(1, 3, 2)], 3, variables=("x1", "x2"))
 
 
+@pytest.mark.parametrize("variables", [("x", "x"), ("y", "x"), ("x5", "x"),
+                                       ("t", "x1")])
+def test_variables_must_be_distinct_pattern_variables(variables):
+    # A repeated name would add two patterns' counts into one exponent, and
+    # y already carries the descents.
+    with pytest.raises(ValueError, match="distinct variables"):
+        brute_distribution((1, 3, 2), [(1, 2), (2, 1)], 3, variables=variables)
+    d = brute_distribution((1, 3, 2), [(1, 2), (2, 1)], 3, variables=("x", "x4"),
+                           track_des=False)
+    x4 = Poly.variable("x4")
+    assert d.poly == X ** 2 + 3 * X * x4 + x4 ** 2   # 123; 213, 231, 312; 321
+
+
 def _recount(avoided, tracked, n, variables, track_des):
     # The definition, with none of the oracle's machinery: filter S_n and
     # reduce every window.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patlab import perms
+from patlab.limits import AVOIDERS_CACHED_MAX_N
 from patlab.series import catalan
 
 perm_strategy = st.integers(0, 7).flatmap(
@@ -161,11 +162,36 @@ def test_avoider_lists_hold_only_class_members_through_n10():
 
 
 def test_enumerate_avoiders_generic_pattern():
-    # a length-4 pattern goes through the generic DFS fallback
-    got = list(perms.enumerate_avoiders(5, (1, 2, 3, 4)))
-    want = [p for p in itertools.permutations(range(1, 6))
-            if perms.avoids_classical(p, (1, 2, 3, 4))]
-    assert got == sorted(want)
+    # Only the six length-3 classes are enumerated.
+    for pattern in ((1, 2, 3, 4), (2, 1), (1,)):
+        with pytest.raises(ValueError, match="length-3"):
+            list(perms.enumerate_avoiders(5, pattern))
+        with pytest.raises(ValueError, match="length-3"):
+            perms.avoider_list(pattern, 5)
+
+
+def test_classes_above_the_cache_cap_are_never_cached():
+    # enumerate_avoiders builds a class above the cap fresh, and a build
+    # reads no cache: avoider_list's cache is neither read nor filled.
+    n = AVOIDERS_CACHED_MAX_N + 1
+    perms.avoider_list.cache_clear()
+    for lam in itertools.permutations((1, 2, 3)):
+        got = list(perms.enumerate_avoiders(n, lam))
+        assert len(got) == catalan(n)
+        assert all(p < q for p, q in zip(got, got[1:]))
+    assert perms.avoider_list.cache_info()[:2] == (0, 0)
+    assert perms.avoider_list.cache_info().currsize == 0
+
+
+def test_an_avoider_list_miss_is_a_miss_all_the_way_down():
+    # A miss does not read the lists already cached, so the cache's hit
+    # count grows only on a repeated call.
+    perms.avoider_list.cache_clear()
+    for n in range(7):
+        for lam in itertools.permutations((1, 2, 3)):
+            assert len(perms.avoider_list(lam, n)) == catalan(n)
+    info = perms.avoider_list.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 42, 42)
 
 
 def test_enumeration_cap(monkeypatch):

@@ -115,6 +115,14 @@ def test_substituting_t_is_rejected():
         s.substitute({"t": 1})
 
 
+def test_substituting_an_unknown_variable_is_rejected():
+    # As Poly.variable does; a KeyError would escape the CLI's usage path.
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        Poly.const(3).substitute({"z": 1})
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        TruncatedSeries.of(Poly.const(1) + T, 3).substitute({"y": 1, "z": 2})
+
+
 def test_y_reverse_examples_and_involution():
     assert y_reverse(Poly.variable("y", 2), 3) == Poly.const(1)
     assert y_reverse(Poly.const(1), 3) == Poly.variable("y", 2)
