@@ -104,7 +104,7 @@ def _run_seq_catalan(params, n_max):
     lam = perms.parse_perm(params["avoid"])
     top = min(n_max, ORACLE_MAX_N)
     return _first_disagreement(
-        ((n, "1", catalan(n), sum(1 for _ in perms.enumerate_avoiders(n, lam)))
+        ((n, "1", catalan(n), len(perms.avoider_class(n, lam)))
          for n in range(top + 1)), f"n<={top}")
 
 

@@ -3,9 +3,9 @@
 These are the ground truth that every solved generating function is checked
 against: full enumeration of an avoidance class, counting descents and
 consecutive matches, accumulated into an exact polynomial.  The counts come
-from one pass over the whole class (perms.class_pattern_counts, one byte
-lane per permutation, so n < 128); each distinct tuple of counts is tallied
-and packed into a monomial once.
+from one pass over the whole class (perms.class_pattern_counts over the
+packed class's byte-lane columns, one lane per permutation, so n < 128);
+each distinct tuple of counts is tallied and packed into a monomial once.
 """
 
 from __future__ import annotations

@@ -14,12 +14,16 @@ permutation, a single big-int subtraction compares two columns in every
 lane, and the counts come back as one byte per permutation, so the length
 must be below 128.
 
-avoider_list is the one cache of class lists, each in lex order, for the
-six length-3 patterns only; a miss reads no cache.  123 and 321 grow on
-West's generating trees.  132, 231, 312 and 213 split at their maximum or
-minimum into two shorter avoiders of the same pattern and are joined
-length by length.  avoider_list caches any n it is called with;
-enumerate_avoiders reads it only up to AVOIDERS_CACHED_MAX_N.
+avoider_list is the one cache of class lists, for the six length-3
+patterns only; a miss reads no cache.  Each class is stored as one
+PackedClass: a bytes string of n bytes per permutation, in lex order.  A
+Perm tuple exists only as a decoded view, when the class is indexed or
+iterated; class_pattern_counts reads its byte-lane columns, which the class
+builds once.  123 and 321 grow on West's generating trees.  132, 231, 312
+and 213 split at their maximum or minimum into two shorter avoiders of the
+same pattern and are joined length by length, a side lifted by a shift
+table.  avoider_list caches any n it is called with; avoider_class and
+enumerate_avoiders read it only up to AVOIDERS_CACHED_MAX_N.
 
 Text form: undelimited digits for n <= 9 ("869743251"), comma-separated
 entries for longer permutations.
@@ -28,6 +32,7 @@ entries for longer permutations.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
 
@@ -267,12 +272,18 @@ def consecutive_match_positions(p: Perm, pat: Perm) -> list[int]:
     return out
 
 
+def _check_byte_lane(n: int) -> None:
+    if n >= 128:
+        raise ValueError(f"length {n} does not fit a byte lane (n < 128)")
+
+
 def class_pattern_counts(perm_list, patterns) -> list[bytes]:
     """Consecutive-pattern counts over a whole list of permutations at once.
 
     Returns one bytes object per pattern, in the order given (repeats
     included): byte j is the number of windows of perm_list[j] matching it.
     All permutations must have one length n < 128; otherwise ValueError.
+    A PackedClass is counted from its own columns, with no checks to repeat.
 
     >>> [list(c) for c in class_pattern_counts([(1, 3, 2, 4), (2, 1, 4, 3)],
     ...                                        [(2, 1), (1, 3, 2)])]
@@ -280,14 +291,16 @@ def class_pattern_counts(perm_list, patterns) -> list[bytes]:
     """
     compiled = [compile_pattern(pat) for pat in patterns]
     m = len(perm_list)
-    n = len(perm_list[0]) if m else 0
-    if set(map(len, perm_list)) - {n}:
-        raise ValueError("permutations of different lengths")
-    if n >= 128:
-        raise ValueError(f"length {n} does not fit a byte lane (n < 128)")
-    # Column j holds entry j of every permutation, one byte lane each.
-    flat = bytes(chain.from_iterable(perm_list))
-    cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
+    if isinstance(perm_list, PackedClass):
+        n, cols = perm_list.n, perm_list.columns()
+    else:
+        n = len(perm_list[0]) if m else 0
+        if set(map(len, perm_list)) - {n}:
+            raise ValueError("permutations of different lengths")
+        _check_byte_lane(n)
+        # Column j holds entry j of every permutation, one byte lane each.
+        flat = bytes(chain.from_iterable(perm_list))
+        cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
     high = int.from_bytes(b"\x80" * m, "little")
     out = []
     for offsets in compiled:
@@ -305,14 +318,54 @@ def class_pattern_counts(perm_list, patterns) -> list[bytes]:
 
 # -- avoider enumeration ------------------------------------------------------
 
-def _perms_avoiding_123(n: int) -> list[Perm]:
+class PackedClass(Sequence):
+    """Permutations of one length n < 128 as one bytes string, n bytes each.
+
+    Built from its rows, each n bytes, in the order they are to be read.
+    Reads as the tuple of Perm it stores: len, indexing (negative indices
+    included) and iteration decode rows on the fly, and nothing decoded is
+    kept.  columns() gives the byte-lane columns that class_pattern_counts
+    reads, built on the first call.
+    """
+
+    __slots__ = ("n", "rows", "_len", "_columns")
+
+    def __init__(self, n: int, rows: list[bytes]):
+        self.n = n
+        self._len = len(rows)
+        self.rows = b"".join(rows)
+        self._columns = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Perm:
+        i = range(self._len)[i]
+        return tuple(self.rows[i * self.n:(i + 1) * self.n])
+
+    def __iter__(self):
+        n, rows = self.n, self.rows
+        if not n:
+            return iter([()] * self._len)
+        return zip(*[rows[j::n] for j in range(n)])
+
+    def columns(self) -> list[int]:
+        """Column j: entry j of every row, one little-endian byte lane each."""
+        if self._columns is None:
+            n, rows = self.n, self.rows
+            self._columns = [int.from_bytes(rows[j::n], "little")
+                             for j in range(n)]
+        return self._columns
+
+
+def _rows_avoiding_123(n: int) -> list[bytes]:
     # West's generating tree, level by level.  Inserting m into a 123-avoider
     # of [m-1] keeps it 123-free iff every entry left of m is decreasing, so
     # the slots are 0..d, d the length of the leading decreasing run.  Slot 0
     # gives a child with run d+1, slot j >= 1 a child with run j.
-    level, runs = [()], [0]
+    level, runs = [b""], [0]
     for m in range(1, n + 1):
-        top = (m,)
+        top = bytes((m,))
         children, child_runs = [], []
         for p, d in zip(level, runs):
             children.append(top + p)
@@ -325,13 +378,13 @@ def _perms_avoiding_123(n: int) -> list[Perm]:
     return level
 
 
-def _perms_avoiding_321(n: int) -> list[Perm]:
+def _rows_avoiding_321(n: int) -> list[bytes]:
     # The mirror tree: m may go anywhere right of which every entry is
     # increasing, so the slots are the last r+1, r the length of the trailing
     # increasing run.  Appending gives run r+1, slot i from the end run i.
-    level, runs = [()], [0]
+    level, runs = [b""], [0]
     for m in range(1, n + 1):
-        top = (m,)
+        top = bytes((m,))
         children, child_runs = [], []
         for p, r in zip(level, runs):
             children.append(p + top)
@@ -344,25 +397,34 @@ def _perms_avoiding_321(n: int) -> list[Perm]:
     return level
 
 
-def _perms_split_at_extreme(n: int, pattern: Perm) -> list[Perm]:
+@lru_cache(maxsize=None)
+def _shift_table(d: int) -> bytes:
+    # bytes.translate table adding d to every entry below 256 - d.
+    return bytes(range(d, 256)) + bytes(d)
+
+
+def _rows_split_at_extreme(n: int, pattern: Perm) -> list[bytes]:
     # The entries left of the maximum (132, 231) or minimum (312, 213) all
     # lie above those right of it (132, 213) or all below (231, 312), and
     # both sides avoid the pattern: one sorted run per left size k.  The
     # last length takes the pairs (k, m-1-k) from the outside in and frees
     # each pair after its use, so the largest lists go first.
-    def lift(perms, d):
-        return [tuple([v + d for v in p]) for p in perms] if d else perms
+    def lift(rows, d):
+        if not d:
+            return rows
+        table = _shift_table(d)
+        return [row.translate(table) for row in rows]
 
     at_max, left_high = pattern[1] == 3, pattern[0] < pattern[2]
-    levels = [[()]]
+    levels = [[b""]]
     for m in range(1, n + 1):
-        pivot, base = (m, 0) if at_max else (1, 1)
+        pivot, base = (bytes((m,)), 0) if at_max else (b"\x01", 1)
         level = []
         for k in sorted(range(m), key=lambda k: (min(k, m - 1 - k), k)):
             lefts = lift(levels[k], base + (m - 1 - k if left_high else 0))
             rights = lift(levels[m - 1 - k], base + (0 if left_high else k))
             for left in lefts:
-                prefix = left + (pivot,)
+                prefix = left + pivot
                 level.extend([prefix + right for right in rights])
             if m == n and 2 * k >= m - 1:
                 levels[k] = levels[m - 1 - k] = None
@@ -371,34 +433,44 @@ def _perms_split_at_extreme(n: int, pattern: Perm) -> list[Perm]:
     return levels[n]
 
 
-def _build_class(pattern: Perm, n: int) -> list[Perm]:
+def _build_class(pattern: Perm, n: int) -> PackedClass:
     # No cache is read here, so an avoider_list miss stays a miss.
+    _check_byte_lane(n)
     if pattern == (1, 2, 3):
-        return _perms_avoiding_123(n)
-    if pattern == (3, 2, 1):
-        return _perms_avoiding_321(n)
-    if pattern in ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
-        return _perms_split_at_extreme(n, pattern)
-    raise ValueError(f"avoider lists cover only the length-3 patterns, "
-                     f"not {perm_str(pattern)}")
+        rows = _rows_avoiding_123(n)
+    elif pattern == (3, 2, 1):
+        rows = _rows_avoiding_321(n)
+    elif pattern in ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
+        rows = _rows_split_at_extreme(n, pattern)
+    else:
+        raise ValueError(f"avoider lists cover only the length-3 patterns, "
+                         f"not {perm_str(pattern)}")
+    return PackedClass(n, rows)
 
 
 @lru_cache(maxsize=128)
-def avoider_list(pattern: Perm, n: int) -> tuple[Perm, ...]:
+def avoider_list(pattern: Perm, n: int) -> PackedClass:
     """All of S_n avoiding the length-3 pattern, sorted lexicographically.
 
-    Cached; use enumerate_avoiders for one-shot large n.
+    Cached, as one packed bytes string; it reads as a tuple of Perm.  Use
+    avoider_class or enumerate_avoiders for one-shot large n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(_build_class(pattern, n))
+    return _build_class(pattern, n)
+
+
+def avoider_class(n: int, pattern: Perm, max_n: int | None = None) -> PackedClass:
+    """S_n(pattern) in lex order, within the enumeration cap: avoider_list's
+    cached class up to AVOIDERS_CACHED_MAX_N, a fresh uncached build above."""
+    check_enumeration_n(n, max_n)
+    pattern = check_permutation(pattern)
+    return (avoider_list if n <= AVOIDERS_CACHED_MAX_N else _build_class)(pattern, n)
 
 
 def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):
     """Yield S_n(pattern) in lexicographic order of one-line notation."""
-    check_enumeration_n(n, max_n)
-    pattern = check_permutation(pattern)
-    yield from (avoider_list if n <= AVOIDERS_CACHED_MAX_N else _build_class)(pattern, n)
+    yield from avoider_class(n, pattern, max_n)
 
 
 # -- the descent-preserving bijection between 312- and 213-avoiders ----------

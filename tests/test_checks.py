@@ -3,6 +3,7 @@ import json
 import pytest
 
 from patlab import checks, dyck, perms
+from patlab.limits import AVOIDERS_CACHED_MAX_N
 
 
 def test_run_check_single():
@@ -177,3 +178,15 @@ def test_bij_phi_records_a_preimage_outside_the_class(monkeypatch):
     assert res.status == "fail"
     assert res.witness == {"n": 3, "monomial": "DDDRRR",
                            "expected": "132-avoider", "actual": "132"}
+
+
+def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch):
+    # The counts are read off the packed classes; the cap still binds, and
+    # a class above AVOIDERS_CACHED_MAX_N is built fresh and dropped.
+    perms.avoider_list.cache_clear()
+    res = checks.run_check("seq_catalan_avoiders", {"avoid": "312"}, n_max=12)
+    assert res.status == "pass" and res.n_range == "n<=12"
+    assert perms.avoider_list.cache_info().currsize == AVOIDERS_CACHED_MAX_N + 1
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "8")
+    with pytest.raises(perms.EnumerationLimitError):
+        checks.run_check("seq_catalan_avoiders", {"avoid": "312"}, n_max=10)

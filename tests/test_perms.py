@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,13 +173,14 @@ def test_enumerate_avoiders_generic_pattern():
 
 
 def test_classes_above_the_cache_cap_are_never_cached():
-    # enumerate_avoiders builds a class above the cap fresh, and a build
-    # reads no cache: avoider_list's cache is neither read nor filled.
+    # enumerate_avoiders and avoider_class build a class above the cap
+    # fresh, and a build reads no cache: avoider_list's cache is neither
+    # read nor filled.
     n = AVOIDERS_CACHED_MAX_N + 1
     perms.avoider_list.cache_clear()
     for lam in itertools.permutations((1, 2, 3)):
         got = list(perms.enumerate_avoiders(n, lam))
-        assert len(got) == catalan(n)
+        assert len(got) == len(perms.avoider_class(n, lam)) == catalan(n)
         assert all(p < q for p, q in zip(got, got[1:]))
     assert perms.avoider_list.cache_info()[:2] == (0, 0)
     assert perms.avoider_list.cache_info().currsize == 0
@@ -337,13 +340,71 @@ def test_pattern_counter_mixed_lengths_and_repeats():
 
 
 @pytest.mark.parametrize("lam, generate", [
-    ((1, 2, 3), perms._perms_avoiding_123),
-    ((3, 2, 1), perms._perms_avoiding_321),
+    ((1, 2, 3), perms._rows_avoiding_123),
+    ((3, 2, 1), perms._rows_avoiding_321),
 ])
 def test_generating_trees_match_filtered_permutations(lam, generate):
     for n in range(9):
-        want = [p for p in itertools.permutations(range(1, n + 1))
+        want = [bytes(p) for p in itertools.permutations(range(1, n + 1))
                 if not perms.contains_classical(p, lam)]
         assert generate(n) == want   # itertools yields lexicographic order
     for n in range(9, 13):
         assert len(generate(n)) == catalan(n)
+
+
+CLASSES = list(itertools.permutations((1, 2, 3)))
+
+
+def _filtered(lam, n):
+    return [p for p in itertools.permutations(range(1, n + 1))
+            if not perms.contains_classical(p, lam)]
+
+
+def test_packed_class_reads_as_the_filtered_permutations():
+    for lam in CLASSES:
+        for n in range(9):
+            got, want = perms.avoider_list(lam, n), _filtered(lam, n)
+            assert isinstance(got, perms.PackedClass)
+            assert len(got) == len(want)
+            assert list(got) == want
+            assert [got[i] for i in range(len(got))] == want
+            assert got[-1] == want[-1] and got[-len(want)] == want[0]
+            with pytest.raises(IndexError):
+                got[len(want)]
+            with pytest.raises(IndexError):
+                got[-len(want) - 1]
+
+
+@given(st.sampled_from(CLASSES), st.integers(0, 9),
+       st.lists(st.integers(2, 5).flatmap(
+           lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),
+           min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_packed_counts_equal_the_generic_path(lam, n, pats):
+    packed = perms.avoider_list(lam, n)
+    assert (perms.class_pattern_counts(packed, pats)
+            == perms.class_pattern_counts(list(packed), pats))
+
+
+def test_avoider_lists_through_n10_are_pinned():
+    # sha256 of every class list, six classes in itertools order, n = 0..10,
+    # each permutation's entries as bytes, read through the public sequence.
+    digest = hashlib.sha256()
+    for lam in CLASSES:
+        for n in range(11):
+            digest.update(bytes(chain.from_iterable(perms.avoider_list(lam, n))))
+    assert digest.hexdigest() == (
+        "bddbda9c2f37ba27f508f9e25590d5448b033ea175b84099261d210891518f03")
+
+
+def test_avoider_list_rejects_what_does_not_fit_a_byte_lane(monkeypatch):
+    # The guard comes before any enumeration.
+    def never(*args):
+        raise AssertionError("enumerated")
+    for name in ("_rows_avoiding_123", "_rows_avoiding_321",
+                 "_rows_split_at_extreme"):
+        monkeypatch.setattr(perms, name, never)
+    for lam in CLASSES:
+        with pytest.raises(ValueError, match=r"length 128 does not fit a byte "
+                                             r"lane \(n < 128\)"):
+            perms.avoider_list(lam, 128)
