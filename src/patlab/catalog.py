@@ -28,7 +28,6 @@ from functools import lru_cache, partial
 
 from .limits import EXPANSION_ORDER
 from .series import (
-    VARS,
     EqContext,
     Poly,
     TruncatedSeries,
@@ -36,8 +35,8 @@ from .series import (
     catalan,
     fixed_point_solve,
     gen_binom,
-    monomial_str,
     multinom,
+    slice_differences,
 )
 
 HARD_PASS = "hard_pass"
@@ -615,59 +614,121 @@ class IdentityVerdict:
     witness: tuple | None = None   # (n, monomial, expected, actual)
 
 
-IDENTITY_TRUST = {
-    "thm1_quadratic": HARD_PASS,
-    "thm1_quadratic_printed": REPORT_ONLY,
-    "thm2_polynomial": HARD_PASS,
-    "123long2": HARD_PASS,
-    "123long2_printed": REPORT_ONLY,
-    "132long1": HARD_PASS,
-    "132general1": HARD_PASS,
-    "long2132": HARD_PASS,
-    "thm7_rational": REPORT_ONLY,
-    "thm7_expansion": REPORT_ONLY,
-    "thm8_rational": HARD_PASS,
-    "thm8_expansion": HARD_PASS,
-}
-
-# The parameters each printed identity takes; every other one takes none.
-IDENTITY_PARAMS = {
-    "123long2": ("m",),
-    "123long2_printed": ("m",),
-    "132long1": ("m",),
-    "132general1": ("m", "a"),
-    "long2132": ("m",),
-}
+def _thm1_quadratic(system, c, m, a):
+    # One-line form obtained by clearing 1 - t y Q from the defining
+    # system; the published variant drops the t^2 (1-y) Q^2 term and
+    # squares the final y, so it only holds at y = 1.
+    A = system["A"]
+    q = c.y * (A - 1) + 1
+    return (c.one + c.t * q ** 2 + c.t ** 2 * (1 - c.y) * q ** 2
+            + c.t ** 3 * (c.x - 1) * c.y * q ** 3 - A)
 
 
-def _residual_verdict(identity_id: str, residual) -> IdentityVerdict:
-    if not residual.poly:
-        return IdentityVerdict(identity_id, True)
-    exps, coeff = next(residual.poly.terms())
-    n = exps[0]
-    label = monomial_str((0,) + exps[1:], 1)
-    return IdentityVerdict(identity_id, False, (n, label, 0, coeff))
+def _thm1_quadratic_printed(system, c, m, a):
+    A = system["A"]
+    q = c.y * (A - 1) + 1
+    return c.one + c.t * q ** 2 + c.t ** 3 * (c.x - 1) * c.y ** 2 * q ** 3 - A
 
 
-def _slices_verdict(identity_id: str, printed: dict, series) -> IdentityVerdict:
-    for n in sorted(printed):
-        got = series.t_slice(n)
-        diff = printed[n] - got
-        if diff:
-            exps, _ = next(diff.terms())
-            label = monomial_str(exps, 1)
-            where = dict((v, e) for v, e in zip(VARS, exps) if e)
-            return IdentityVerdict(identity_id, False,
-                                   (n, label, printed[n].coefficient(where),
-                                    got.coefficient(where)))
-    return IdentityVerdict(identity_id, True)
+def _thm2_polynomial(system, c, m, a):
+    A = system["A"]
+    t, y, x = c.t, c.y, c.x
+    w = A - 1
+    inner = (y * (w ** 2 * x ** 2 * y
+                  + x * (w ** 3 * y ** 3 + w ** 2 * y ** 2 + w * y + 2 * A - 1)
+                  - (w * y + 1) * (y * ((A - 2) * w * y + 2 * A - 3) + 3))
+             + 1)
+    rhs = (t ** 2 * (y - 1) ** 2 * inner
+           + w * y * ((y - 3) * y + 3) + 1
+           - t * (y - 1) ** 2 * (w * y + 1)
+           * (y * (A * (x + y - 2) - x - y + 3) - 1))
+    return rhs - A
 
 
-def _mk_poly(terms) -> Poly:
-    out = Poly()
-    for coeff, exps in terms:
-        out = out + Poly.monomial(exps, coeff)
-    return out
+def _123long2(system, c, m, a):
+    # Cleared form re-derived from the two-function system; the published
+    # one-line form shifts two of the three B-powers up by B^2.
+    B = system["B"]
+    lhs = B ** (m - 2) * (B - 1) if m >= 2 else B - 1
+    return lhs - c.t * (B ** m + (c.x - 1) * (B - 1) ** (m - 1))
+
+
+def _123long2_printed(system, c, m, a):
+    B = system["B"]
+    return B ** m * (B - 1) - c.t * (B ** (m + 2) + (c.x - 1) * (B - 1) ** (m - 1))
+
+
+def _132long1(system, c, m, a):
+    B = system["B"]
+    e = max(0, 3 - m)  # clear the B^(m-4) denominator fully
+    lhs = B ** (m - 3 + e) * (B - 1)
+    return lhs - c.t * B ** e * (B ** (m - 1) + (c.x - 1) * (B - 1) ** (m - 1))
+
+
+def _132general1(system, c, m, a):
+    B = system["B"]
+    lhs = B ** (m - a) * (B - 1)
+    rhs = (c.t * B ** (m - a + 2)
+           + c.t ** (a - 2) * (c.x - 1) * (B - 1 - c.t * B) * (B - 1) ** (m - a))
+    return lhs - rhs
+
+
+def _long2132(system, c, m, a):
+    B = system["B"]
+    rhs = (c.t * B ** 3
+           + c.t ** (m - 3) * (c.x - 1) * (B - 1 - c.t * B) * (B - 1))
+    return B * (B - 1) - rhs
+
+
+def _thm8_rational(system, c, m, a):
+    a0, a1, A = system["A0"], system["A1"], system["A"]
+    t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
+    lhs = (A - 1 - t * a1) * (t * x1 * x3 * y * a0)
+    return lhs - (a1 - 1 - t * y * a0 - t ** 2 * x3 * y * a0 * (x2 * (a1 - 1) + 1))
+
+
+def _thm7_rational(system, c, m, a):
+    a0, A = system["A0"], system["A"]
+    t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
+    g = a0 * t ** 2 * y * (x1 - x2) - 1
+    denom = (x3 * (x1 - x2)
+             * (a0 * x3 ** 2 * t ** 2 * y ** 2 * g
+                - (a0 + 1) * x3 * t * y * g
+                + a0 * x1 * t ** 2 * y - 1))
+    part_x1 = x1 * (
+        x3 ** 2 * t * y * (a0 ** 2 * t ** 2 * (x2 * t ** 2 * y ** 2
+                                               + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
+                           + a0 * ((x2 + 1) * t ** 3 * y
+                                   + t ** 2 * (2 * x2 * y + y + 2) + t + 1)
+                           + t + 1)
+        + x2 * t ** 2 * (a0 ** 2 * (-1) * t * y + a0 - 1)
+        + a0 ** 2 * x3 ** 4 * t ** 5 * y ** 3
+        - a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * (x2 + 1) * t ** 3 * y
+                                            + t ** 2 * (a0 * (2 * x2 * y + y + 2) + 1)
+                                            + t + 1)
+        + x3 * (a0 * x2 * t ** 4 * y * (a0 - y)
+                - a0 * t ** 3 * y * (a0 * x2 + x2 + 1)
+                - a0 * t ** 2 * (x2 * y + y + 1) - t - 1))
+    part_x2 = x2 * (
+        -(a0 ** 2) * x3 ** 4 * t ** 5 * y ** 3
+        - x3 ** 2 * t * y * (a0 ** 2 * (2 * t - 1) * t ** 2 * y
+                             + a0 * (t ** 3 * y + t ** 2 * (y + 2) + t + 1)
+                             + t + 1)
+        + x3 * (t ** 2 * (a0 ** 2 * (-1) * y + y + 1)
+                + a0 * (a0 + 1) * t ** 3 * y + t + 1)
+        + a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * t ** 3 * y + (a0 + 1) * t ** 2 + t + 1)
+        + (a0 - 1) * t)
+    part_x3 = (x3 * t * (x3 * t * y - 1)
+               * (a0 ** 2 * x3 * t * y * (x3 * t * y - 1) + a0 - 1))
+    part_x1sq = (a0 * x1 ** 2 * t ** 2 * y
+                 * (-(a0) * x2 * t ** 2 + a0 * x3 ** 3 * t ** 2 * y ** 2
+                    - (a0 + 1) * x3 ** 2 * t * y + x3))
+    part_x2sq = (a0 * x2 ** 2 * x3 * t ** 3 * y
+                 * (a0 * x3 ** 2 * t * (t + 1) * y ** 2
+                    - x3 * y * (a0 * t ** 2 * y + 2 * a0 * t + a0 + t + 1)
+                    + (a0 + 1) * t * y + 1))
+    numer = part_x1 + part_x2 + part_x3 + part_x1sq + part_x2sq
+    return A * denom - numer
 
 
 _THM7_PRINTED = {
@@ -718,158 +779,75 @@ _THM8_PRINTED = {
         (1, {"x4": 3, "y": 4}), (1, {"x4": 2, "y": 3})],
 }
 
-_PRINTED_EXPANSIONS = {"thm7_expansion": ("thm7", _THM7_PRINTED),
-                       "thm8_expansion": ("thm8", _THM8_PRINTED)}
+
+@dataclass(frozen=True)
+class Identity:
+    """A published equation or expansion, checked on a catalog entry.
+
+    residual(system, ctx, m, a) gives the equation with every denominator
+    cleared, a series that must vanish; printed gives an expansion's t^n
+    slices as {n: [(coefficient, exponents), ...]}.  instances are the
+    registered (m,) or (m, a); the entry's domain says which it takes.
+    """
+    trust: str
+    entry: str
+    residual: Callable | None = None
+    printed: dict | None = None
+    instances: tuple = ((),)
+
+    def top(self, order: int) -> int:
+        """The order a check at `order` reaches: expansions stop early."""
+        return order if self.printed is None else min(order, EXPANSION_ORDER)
+
+
+IDENTITIES = {
+    "thm1_quadratic": Identity(HARD_PASS, "thm1", _thm1_quadratic),
+    "thm1_quadratic_printed": Identity(REPORT_ONLY, "thm1", _thm1_quadratic_printed),
+    "thm2_polynomial": Identity(HARD_PASS, "thm2", _thm2_polynomial),
+    "123long2": Identity(HARD_PASS, "fam_123_2m31", _123long2,
+                         instances=((2,), (3,), (4,), (5,))),
+    "123long2_printed": Identity(REPORT_ONLY, "fam_123_2m31", _123long2_printed,
+                                 instances=((3,),)),
+    "132long1": Identity(HARD_PASS, "fam_132_2m1", _132long1,
+                         instances=((2,), (3,), (4,), (5,))),
+    "132general1": Identity(HARD_PASS, "fam_132_a2m1", _132general1,
+                            instances=((4, 3), (5, 3), (5, 4))),
+    "long2132": Identity(HARD_PASS, "fam_132_m1m1", _long2132,
+                         instances=((4,), (5,))),
+    "thm7_rational": Identity(REPORT_ONLY, "thm7", _thm7_rational),
+    "thm7_expansion": Identity(REPORT_ONLY, "thm7", printed=_THM7_PRINTED),
+    "thm8_rational": Identity(HARD_PASS, "thm8", _thm8_rational),
+    "thm8_expansion": Identity(HARD_PASS, "thm8", printed=_THM8_PRINTED),
+}
 
 
 def printed_identity_check(identity_id: str, order: int, m: int | None = None,
                            a: int | None = None) -> IdentityVerdict:
     """Substitute solved series into a published equation or expansion.
 
-    Residual checks clear all denominators first and test that the result
-    vanishes to the given order; expansion checks compare slice by slice.
-    A parameter the identity does not take is a ValueError.
+    A cleared equation's residual is compared with zero slice by slice, an
+    expansion with its printed slices; the witness is the first
+    disagreeing coefficient.  A parameter the identity does not take is a
+    ValueError.
     """
-    if identity_id not in IDENTITY_TRUST:
+    ident = IDENTITIES.get(identity_id)
+    if ident is None:
         raise ValueError(f"unknown identity {identity_id!r}")
-    for name, value in (("m", m), ("a", a)):
-        if value is not None and name not in IDENTITY_PARAMS.get(identity_id, ()):
+    entry = CATALOG[ident.entry]
+    for name, value, takes in (("m", m, entry.needs_m),
+                               ("a", a, entry.a_bounds is not None)):
+        if value is not None and not takes:
             raise ValueError(f"{identity_id} takes no parameter {name}")
-    if identity_id == "thm1_quadratic":
-        # One-line form obtained by clearing 1 - t y Q from the defining
-        # system; the published variant drops the t^2 (1-y) Q^2 term and
-        # squares the final y, so it only holds at y = 1.
-        A = solve_catalog("thm1", order)
-        c = EqContext(order)
-        q = c.y * (A - 1) + 1
-        rhs = (c.one + c.t * q ** 2 + c.t ** 2 * (1 - c.y) * q ** 2
-               + c.t ** 3 * (c.x - 1) * c.y * q ** 3)
-        return _residual_verdict(identity_id, rhs - A)
-
-    if identity_id == "thm1_quadratic_printed":
-        A = solve_catalog("thm1", order)
-        c = EqContext(order)
-        q = c.y * (A - 1) + 1
-        rhs = c.one + c.t * q ** 2 + c.t ** 3 * (c.x - 1) * c.y ** 2 * q ** 3
-        return _residual_verdict(identity_id, rhs - A)
-
-    if identity_id == "thm2_polynomial":
-        A = solve_catalog("thm2", order)
-        c = EqContext(order)
-        t, y, x = c.t, c.y, c.x
-        w = A - 1
-        inner = (y * (w ** 2 * x ** 2 * y
-                      + x * (w ** 3 * y ** 3 + w ** 2 * y ** 2 + w * y + 2 * A - 1)
-                      - (w * y + 1) * (y * ((A - 2) * w * y + 2 * A - 3) + 3))
-                 + 1)
-        rhs = (t ** 2 * (y - 1) ** 2 * inner
-               + w * y * ((y - 3) * y + 3) + 1
-               - t * (y - 1) ** 2 * (w * y + 1)
-               * (y * (A * (x + y - 2) - x - y + 3) - 1))
-        return _residual_verdict(identity_id, rhs - A)
-
-    if identity_id == "123long2":
-        # Cleared form re-derived from the two-function system; the published
-        # one-line form shifts two of the three B-powers up by B^2.
-        B = solve_catalog("fam_123_2m31", order, m=m)
-        c = EqContext(order)
-        lhs = B ** (m - 2) * (B - 1) if m >= 2 else B - 1
-        rhs = c.t * (B ** m + (c.x - 1) * (B - 1) ** (m - 1))
-        return _residual_verdict(identity_id, lhs - rhs)
-
-    if identity_id == "123long2_printed":
-        B = solve_catalog("fam_123_2m31", order, m=m)
-        c = EqContext(order)
-        lhs = B ** m * (B - 1)
-        rhs = c.t * (B ** (m + 2) + (c.x - 1) * (B - 1) ** (m - 1))
-        return _residual_verdict(identity_id, lhs - rhs)
-
-    if identity_id == "132long1":
-        B = solve_catalog("fam_132_2m1", order, m=m)
-        c = EqContext(order)
-        e = max(0, 3 - m)  # clear the B^(m-4) denominator fully
-        lhs = B ** (m - 3 + e) * (B - 1)
-        rhs = c.t * B ** e * (B ** (m - 1) + (c.x - 1) * (B - 1) ** (m - 1))
-        return _residual_verdict(identity_id, lhs - rhs)
-
-    if identity_id == "132general1":
-        B = solve_catalog("fam_132_a2m1", order, m=m, a=a)
-        c = EqContext(order)
-        lhs = B ** (m - a) * (B - 1)
-        rhs = (c.t * B ** (m - a + 2)
-               + c.t ** (a - 2) * (c.x - 1) * (B - 1 - c.t * B) * (B - 1) ** (m - a))
-        return _residual_verdict(identity_id, lhs - rhs)
-
-    if identity_id == "long2132":
-        B = solve_catalog("fam_132_m1m1", order, m=m)
-        c = EqContext(order)
-        lhs = B * (B - 1)
-        rhs = (c.t * B ** 3
-               + c.t ** (m - 3) * (c.x - 1) * (B - 1 - c.t * B) * (B - 1))
-        return _residual_verdict(identity_id, lhs - rhs)
-
-    if identity_id == "thm8_rational":
-        # Four arguments, as solve_catalog passes them: lru_cache keys on the
-        # call's form, so a shorter call would solve the system again.
-        sol = solve_system("thm8", order, None, None)
-        a0, a1, A = sol["A0"], sol["A1"], sol["A"]
-        c = EqContext(order)
-        t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
-        lhs = (A - 1 - t * a1) * (t * x1 * x3 * y * a0)
-        rhs = a1 - 1 - t * y * a0 - t ** 2 * x3 * y * a0 * (x2 * (a1 - 1) + 1)
-        return _residual_verdict(identity_id, lhs - rhs)
-
-    if identity_id == "thm7_rational":
-        sol = solve_system("thm7", order, None, None)   # see thm8_rational
-        a0, A = sol["A0"], sol["A"]
-        c = EqContext(order)
-        t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
-        g = a0 * t ** 2 * y * (x1 - x2) - 1
-        denom = (x3 * (x1 - x2)
-                 * (a0 * x3 ** 2 * t ** 2 * y ** 2 * g
-                    - (a0 + 1) * x3 * t * y * g
-                    + a0 * x1 * t ** 2 * y - 1))
-        part_x1 = x1 * (
-            x3 ** 2 * t * y * (a0 ** 2 * t ** 2 * (x2 * t ** 2 * y ** 2
-                                                   + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
-                               + a0 * ((x2 + 1) * t ** 3 * y
-                                       + t ** 2 * (2 * x2 * y + y + 2) + t + 1)
-                               + t + 1)
-            + x2 * t ** 2 * (a0 ** 2 * (-1) * t * y + a0 - 1)
-            + a0 ** 2 * x3 ** 4 * t ** 5 * y ** 3
-            - a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * (x2 + 1) * t ** 3 * y
-                                                + t ** 2 * (a0 * (2 * x2 * y + y + 2) + 1)
-                                                + t + 1)
-            + x3 * (a0 * x2 * t ** 4 * y * (a0 - y)
-                    - a0 * t ** 3 * y * (a0 * x2 + x2 + 1)
-                    - a0 * t ** 2 * (x2 * y + y + 1) - t - 1))
-        part_x2 = x2 * (
-            -(a0 ** 2) * x3 ** 4 * t ** 5 * y ** 3
-            - x3 ** 2 * t * y * (a0 ** 2 * (2 * t - 1) * t ** 2 * y
-                                 + a0 * (t ** 3 * y + t ** 2 * (y + 2) + t + 1)
-                                 + t + 1)
-            + x3 * (t ** 2 * (a0 ** 2 * (-1) * y + y + 1)
-                    + a0 * (a0 + 1) * t ** 3 * y + t + 1)
-            + a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * t ** 3 * y + (a0 + 1) * t ** 2 + t + 1)
-            + (a0 - 1) * t)
-        part_x3 = (x3 * t * (x3 * t * y - 1)
-                   * (a0 ** 2 * x3 * t * y * (x3 * t * y - 1) + a0 - 1))
-        part_x1sq = (a0 * x1 ** 2 * t ** 2 * y
-                     * (-(a0) * x2 * t ** 2 + a0 * x3 ** 3 * t ** 2 * y ** 2
-                        - (a0 + 1) * x3 ** 2 * t * y + x3))
-        part_x2sq = (a0 * x2 ** 2 * x3 * t ** 3 * y
-                     * (a0 * x3 ** 2 * t * (t + 1) * y ** 2
-                        - x3 * y * (a0 * t ** 2 * y + 2 * a0 * t + a0 + t + 1)
-                        + (a0 + 1) * t * y + 1))
-        numer = part_x1 + part_x2 + part_x3 + part_x1sq + part_x2sq
-        return _residual_verdict(identity_id, A * denom - numer)
-
-    if identity_id in _PRINTED_EXPANSIONS:
-        entry_id, terms_by_n = _PRINTED_EXPANSIONS[identity_id]
-        top = min(order, EXPANSION_ORDER)
-        A = solve_catalog(entry_id, top)
-        printed = {n: _mk_poly(terms) for n, terms in terms_by_n.items()
-                   if n <= top}
-        return _slices_verdict(identity_id, printed, A)
-
-    raise AssertionError(f"no check for the identity {identity_id!r}")
+    top = ident.top(order)
+    # Four positional arguments, as solve_catalog passes them: lru_cache
+    # keys on the call's form, so another form would solve the system again.
+    system = solve_system(ident.entry, top, m, a)
+    if ident.printed is None:
+        want = lambda n: Poly()
+        got = ident.residual(system, EqContext(top), m, a).t_slice
+    else:
+        want = lambda n: sum((Poly.monomial(exps, coeff)
+                              for coeff, exps in ident.printed[n]), Poly())
+        got = system["A"].t_slice
+    witness = next(slice_differences(range(top + 1), want, got), None)
+    return IdentityVerdict(identity_id, witness is None, witness)

@@ -31,7 +31,6 @@ from . import catalog, dyck, oracle, perms
 from .limits import (
     CLOSED_VS_SERIES_ORDER,
     DIST_NMAX,
-    EXPANSION_ORDER,
     IDENTITY_ORDER,
     ORACLE_MAX_N,
     PHIN_NMAX,
@@ -40,7 +39,7 @@ from .limits import (
     SYMMETRY_NMAX,
     TRANSPORT_GENERAL_NMAX,
 )
-from .series import VARS, Poly, catalan, monomial_str, y_reverse
+from .series import Poly, catalan, slice_differences, y_reverse
 
 HARD = catalog.HARD_PASS
 
@@ -83,19 +82,6 @@ def _first_disagreement(points, n_range):
     return True, None, n_range
 
 
-def _slice_points(ns, want, got, prefix=""):
-    """Compare polynomial slices want(n) and got(n) over ns: for each n, the
-    first coefficient in canonical monomial order where they differ."""
-    for n in ns:
-        w, g = want(n), got(n)
-        diff = w - g
-        if diff:
-            exps, _ = next(diff.terms())
-            where = {v: e for v, e in zip(VARS, exps) if e}
-            yield (n, prefix + monomial_str(exps, 1), w.coefficient(where),
-                   g.coefficient(where))
-
-
 # -- individual check bodies ----------------------------------------------------
 #
 # Each runner returns (ok, witness_dict_or_None, n_range_string).
@@ -132,7 +118,7 @@ def _symmetric_slices(n_max, pairs, reverse, label):
         base = oracle.brute_distribution(lam, [gamma], n, variables=("x",)).poly
         return y_reverse(base, n) if rev and n >= 1 else base
     return _first_disagreement(
-        (point for (lam, gam), (lam2, gam2) in pairs for point in _slice_points(
+        (point for (lam, gam), (lam2, gam2) in pairs for point in slice_differences(
             range(top + 1), lambda n: dist(lam, gam, n, reverse),
             lambda n: dist(lam2, gam2, n),
             f"{perms.perm_str(gam2)}: " if label else "")), f"n<={top}")
@@ -310,7 +296,7 @@ def _run_recursion(params, n_max):
     solved = catalog.solve_catalog(entry.id, top, m=m, a=a)
     tracked = ((perms.parse_perm(params["gamma"]),) if "gamma" in params
                else entry.tracked(m, a))
-    return _first_disagreement(_slice_points(
+    return _first_disagreement(slice_differences(
         range(top + 1), lambda n: _oracle_slice(entry, tracked, n),
         solved.t_slice), f"n<={top}")
 
@@ -334,7 +320,7 @@ def _run_series_equal(params, n_max):
         return s
     left, right = solved("left"), solved("right")
     return _first_disagreement(
-        _slice_points(range(order + 1), left.t_slice, right.t_slice),
+        slice_differences(range(order + 1), left.t_slice, right.t_slice),
         f"order<={order}")
 
 
@@ -374,9 +360,7 @@ def _run_closed_vs_series(params, n_max):
 
 def _run_identity(params, n_max):
     ident = params["identity"]
-    order = min(n_max, IDENTITY_ORDER)
-    if ident.endswith("expansion"):
-        order = min(order, EXPANSION_ORDER)
+    order = catalog.IDENTITIES[ident].top(min(n_max, IDENTITY_ORDER))
     verdict = catalog.printed_identity_check(ident, order, m=params.get("m"),
                                              a=params.get("a"))
     return _first_disagreement([] if verdict.ok else [verdict.witness],
@@ -404,13 +388,6 @@ _FAMILY_INSTANCES = {
     "fam_132_2m1": ((3,), (4,), (5,)),
     "fam_132_a2m1": ((4, 3), (5, 3), (5, 4)),
     "fam_132_m1m1": ((4,), (5,)),
-}
-_IDENTITY_INSTANCES = {
-    "123long2": ((2,), (3,), (4,), (5,)),
-    "123long2_printed": ((3,),),
-    "132long1": ((2,), (3,), (4,), (5,)),
-    "132general1": ((4, 3), (5, 3), (5, 4)),
-    "long2132": ((4,), (5,)),
 }
 # check id -> (catalog series, reference sequence at y = 1, x = 0)
 _SEQUENCE_CHECKS = {
@@ -528,10 +505,10 @@ def _build_registry() -> list[CheckDef]:
             catalog.CLOSED_FORMS["cf_123_1m2"].trust, _run_closed_vs_series, m=m)
 
     # printed identities
-    for ident, trust in catalog.IDENTITY_TRUST.items():
-        for instance in _IDENTITY_INSTANCES.get(ident, ((),)):
-            add(f"ident_{ident}", "identities", trust, _run_identity,
-                identity=ident, **_m_a(instance))
+    for ident_id, ident in catalog.IDENTITIES.items():
+        for instance in ident.instances:
+            add(f"ident_{ident_id}", "identities", ident.trust, _run_identity,
+                identity=ident_id, **_m_a(instance))
 
     return defs
 

@@ -153,16 +153,7 @@ class Poly:
         return Poly(out)
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.const(1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -247,6 +238,20 @@ class Poly:
                         f"term not divisible by {monomial_str(unpack(d))}")
             out[k - d] = v
         return Poly(out)
+
+
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply, from the ring's one."""
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        if n > 1:
+            base = base * base
+        n >>= 1
+    return result
 
 
 def _as_poly(value) -> Poly:
@@ -360,17 +365,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative power of a series")
-        result = TruncatedSeries.const(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, TruncatedSeries.const(1, self.order))
 
     def inverse_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse when the t^0 slice is +1 or -1."""
@@ -554,17 +549,7 @@ class _Lazy:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a series")
-        result = _lift(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _lift(1, self.order))
 
 
 class _Const(_Lazy):
@@ -759,7 +744,26 @@ class _LazyContext:
         return first * _Inverse(den)
 
 
-# -- slice symmetry ---------------------------------------------------------
+# -- slices ---------------------------------------------------------------------
+
+def slice_differences(ns, want, got, prefix=""):
+    """Compare polynomial slices want(n) and got(n) over ns: for each n, the
+    first coefficient in canonical monomial order where they differ, as
+    (n, prefix + monomial, expected, actual).
+
+    >>> want, got = Poly.variable("x") + 1, 2 * Poly.variable("x") + 1
+    >>> list(slice_differences([0], lambda n: want, lambda n: got))
+    [(0, 'x', 1, 2)]
+    """
+    for n in ns:
+        w, g = want(n), got(n)
+        diff = w - g
+        if diff:
+            exps, _ = next(diff.terms())
+            where = {v: e for v, e in zip(VARS, exps) if e}
+            yield (n, prefix + monomial_str(exps, 1), w.coefficient(where),
+                   g.coefficient(where))
+
 
 def y_reverse(slice_poly: Poly, n: int) -> Poly:
     """Map the coefficient of y^d to y^(n-1-d) within a fixed t^n slice.

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import sys
 from fractions import Fraction
@@ -374,9 +375,15 @@ def test_identity_verdicts():
         catalog.printed_identity_check("nonesuch", 8)
 
 
-@pytest.mark.parametrize("identity_id", sorted(catalog.IDENTITY_TRUST))
+def _identity_params(identity_id):
+    """The parameters an identity takes: those of its catalog entry."""
+    entry = catalog.CATALOG[catalog.IDENTITIES[identity_id].entry]
+    return ("m",) * entry.needs_m + ("a",) * (entry.a_bounds is not None)
+
+
+@pytest.mark.parametrize("identity_id", sorted(catalog.IDENTITIES))
 def test_identity_check_rejects_stray_parameters(identity_id):
-    takes = catalog.IDENTITY_PARAMS.get(identity_id, ())
+    takes = _identity_params(identity_id)
     given = {"m": 4, "a": 3}
     for stray in ("m", "a"):
         if stray in takes:
@@ -389,10 +396,44 @@ def test_identity_check_rejects_stray_parameters(identity_id):
 
 def test_every_registered_identity_instance_runs():
     idents = [c for c in checks.REGISTRY if c.check_id.startswith("ident_")]
-    assert {c.params["identity"] for c in idents} == set(catalog.IDENTITY_TRUST)
+    assert {c.params["identity"] for c in idents} == set(catalog.IDENTITIES)
     for c in idents:
         res = checks.run_check(c.check_id, c.params, n_max=4)
         assert res.status in ("pass", "report_only_pass", "report_only_fail")
+
+
+def test_identity_table_agrees_with_the_catalog():
+    registered = [c for c in checks.REGISTRY if c.suite == "identities"]
+    assert [c.check_id for c in registered] == [
+        f"ident_{i}" for i, ident in catalog.IDENTITIES.items()
+        for _ in ident.instances]
+    for identity_id, ident in catalog.IDENTITIES.items():
+        assert ident.entry in catalog.CATALOG
+        assert (ident.residual is None) != (ident.printed is None)
+        entry = catalog.CATALOG[ident.entry]
+        for c in registered:
+            if c.params["identity"] == identity_id:
+                assert c.trust == ident.trust
+                entry.check_params(c.params.get("m"), c.params.get("a"))
+                assert set(c.params) - {"identity"} == \
+                    set(_identity_params(identity_id))
+
+
+def test_every_identity_verdict_is_pinned():
+    # The verdict and witness of every registered identity instance at
+    # orders 0..8, in registry order; orders 0..16 give
+    # 94d1349252c8080916072d8d2291788f2941da281654607b395c720f2b0572a3.
+    digest = hashlib.sha256()
+    registered = [c for c in checks.REGISTRY if c.suite == "identities"]
+    for order in range(9):
+        for c in registered:
+            p = c.params
+            v = catalog.printed_identity_check(p["identity"], order,
+                                               m=p.get("m"), a=p.get("a"))
+            digest.update(repr((c.check_id, sorted(c.params.items()), order,
+                                v.identity_id, v.ok, v.witness)).encode())
+    assert digest.hexdigest() == (
+        "5e3d59f4a438c43632139678aa8c779f78ac2215aa3ab0ab8ab448c76a8fc713")
 
 
 def test_solved_series_sum_to_catalan():

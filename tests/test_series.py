@@ -463,3 +463,27 @@ def test_each_equation_is_called_once_to_build_and_once_to_check(order):
     eqs = [catalog._thm8_a0, catalog._thm8_a1, catalog._thm8_a]
     fixed_point_solve([counted(i, eq) for i, eq in enumerate(eqs)], order)
     assert calls == [0, 0, 1, 1, 2, 2]
+
+
+def test_powers_agree_with_repeated_products_and_reject_negative_exponents():
+    p = 1 + T + X * Y
+    s = TruncatedSeries.of(p, 4)
+    for n in range(6):
+        assert p ** n == _repeated(p, n, Poly.const(1))
+        assert s ** n == _repeated(s, n, TruncatedSeries.const(1, 4))
+        (lazy,) = fixed_point_solve(
+            [lambda v, c: c.one + c.t * v[0] ** n], 6)
+        assert lazy == fixed_point_solve(
+            [lambda v, c: c.one + c.t * _repeated(v[0], n, c.one)], 6)[0]
+    for base in (p, s):
+        with pytest.raises(ValueError, match="negative power"):
+            base ** -1
+    with pytest.raises(ValueError, match="negative power"):
+        fixed_point_solve([lambda v, c: c.one + c.t * v[0] ** -1], 3)
+
+
+def _repeated(base, n, one):
+    out = one
+    for _ in range(n):
+        out = out * base
+    return out
