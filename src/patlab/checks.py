@@ -15,9 +15,16 @@ names an avoider class, a consecutive pattern and the Dyck-path factors
 whose counts add up to it.  All transports of one class and range are
 certified in a single cached pass: for each n, one whole-class count of
 every pattern and one of every factor over the class's staircase paths,
-compared as byte strings; each check looks up its verdict.  The bijection
-checks run the unguarded maps on inputs that are valid by construction
-and keep every round-trip and class test.
+compared as byte strings; each check looks up its verdict.
+
+The bijection checks are whole-class passes per n.  phi and psi walk the
+cached avoider class and the Dyck paths in lockstep: the staircase word
+keeps lex order on both classes, so the i-th avoider must map to the i-th
+path and that path back to it.  phi_n maps the packed 312 class at once:
+the inverse images must join to the class, the descent columns must agree
+lane by lane, and the sorted images must join to the packed 213 class.
+Only an n whose pass fails is searched element by element, with every
+round-trip and class test, for its first witness.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import catalog, dyck, oracle, perms
 from .limits import (
@@ -155,50 +162,107 @@ def _run_sym_1321(params, n_max):
         True, True)
 
 
-def _run_bij_staircase(params, n_max):
-    # Avoiders and enumerated paths are valid by construction, so the round
-    # trips use the unguarded maps; each preimage gets one class test.
-    lam = (1, 3, 2) if params["map"] == "phi" else (1, 2, 3)
-    top = min(n_max, DIST_NMAX)
+def _staircase_lockstep(lam, n):
+    # staircase_word keeps lex order on both classes: two members first
+    # differ at a new left-to-right minimum, since every other column's value
+    # is fixed by the prefix, and the smaller entry there gives more D's.  So
+    # the i-th avoider maps to the i-th path, both lists are distinct and of
+    # one length, and fwd is a bijection onto the paths with inverse pre.
     fwd, pre = dyck.staircase_word, dyck.staircase_preimage
+    pairs = zip(perms.avoider_list(lam, n), dyck.enumerate_paths(n), strict=True)
+    try:
+        for p, w in pairs:
+            if fwd(p) != w or pre(w, lam) != p:
+                return False
+    except ValueError:      # the class and the paths differ in number
+        return False
+    return True
+
+
+def _staircase_witness(lam, n):
+    # Every round-trip and class test of one n, element by element; the
+    # first failure in lex order, or None.
+    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
+    for p in perms.avoider_list(lam, n):
+        back = pre(fwd(p), lam)
+        if back != p:
+            return _witness(n, perms.perm_str(p), perms.perm_str(p),
+                            perms.perm_str(back))
+    for w in dyck.enumerate_paths(n):
+        q = pre(w, lam)
+        if perms.contains_classical(q, lam):
+            return _witness(n, w, f"{perms.perm_str(lam)}-avoider",
+                            perms.perm_str(q))
+        if fwd(q) != w:
+            return _witness(n, w, w, fwd(q))
+    return None
+
+
+def _whole_class_passes(top, passes, witness):
+    """(ok, witness, n_range) of a bijection check over n = 0..top.
+
+    passes(n) is one whole-class pass; only an n whose pass fails is
+    searched element by element by witness(n), and an n that search clears
+    is certified all the same.  Every lower n passed a stronger test than
+    the search, so the witness is the first in (n, lex) order.
+    """
     for n in range(top + 1):
-        for p in perms.avoider_list(lam, n):
-            back = pre(fwd(p), lam)
-            if back != p:
-                return False, _witness(n, perms.perm_str(p), perms.perm_str(p),
-                                       perms.perm_str(back)), f"n<={top}"
-        for w in dyck.enumerate_paths(n):
-            q = pre(w, lam)
-            if perms.contains_classical(q, lam):
-                return False, _witness(n, w, f"{perms.perm_str(lam)}-avoider",
-                                       perms.perm_str(q)), f"n<={top}"
-            if fwd(q) != w:
-                return False, _witness(n, w, w, fwd(q)), f"n<={top}"
+        if not passes(n):
+            found = witness(n)
+            if found:
+                return False, found, f"n<={top}"
     return True, None, f"n<={top}"
+
+
+def _run_bij_staircase(params, n_max):
+    lam = (1, 3, 2) if params["map"] == "phi" else (1, 2, 3)
+    return _whole_class_passes(min(n_max, DIST_NMAX),
+                               partial(_staircase_lockstep, lam),
+                               partial(_staircase_witness, lam))
+
+
+def _phin_pass(n):
+    # phi_n on the packed 312 class: the inverse images joined give the
+    # class back, the descent columns agree lane by lane, and the sorted
+    # images are exactly the packed 213 class (phi_n is not lex-monotone).
+    cls = perms.avoider_list((3, 1, 2), n)
+    rows = list(map(bytes, map(perms._phi_n, cls)))
+    back = (bytes(perms._phi_n(q, inverse=True)) for q in rows)
+    if b"".join(back) != cls.rows:
+        return False
+    high = int.from_bytes(b"\x80" * len(cls), "little")
+
+    def descents(cols):
+        # Bit 7 of a lane is set iff the row descends at j.
+        return [((a | high) - b) & high for a, b in zip(cols, cols[1:])]
+    if descents(perms.PackedClass(n, rows).columns()) != descents(cls.columns()):
+        return False
+    return b"".join(sorted(rows)) == perms.avoider_list((2, 1, 3), n).rows
+
+
+def _phin_witness(n):
+    # Every class, descent and round-trip test of one n, element by
+    # element; the first failure in lex order, or None.
+    seen = set()
+    for p in perms.avoider_list((3, 1, 2), n):
+        q = perms._phi_n(p)
+        if perms.contains_classical(q, (2, 1, 3)):
+            return _witness(n, perms.perm_str(p), "213-avoider", perms.perm_str(q))
+        if perms.descent_set(q) != perms.descent_set(p):
+            return _witness(n, perms.perm_str(p), "equal descent sets",
+                            perms.perm_str(q))
+        back = perms._phi_n(q, inverse=True)
+        if back != p:
+            return _witness(n, perms.perm_str(p), perms.perm_str(p),
+                            perms.perm_str(back))
+        seen.add(q)
+    if len(seen) != catalan(n):
+        return _witness(n, "1", catalan(n), len(seen))
+    return None
 
 
 def _run_bij_phin(params, n_max):
-    # The 312-avoiders come from avoider_list and each image is tested for
-    # 213 here, so the maps run without their class guards.
-    top = min(n_max, PHIN_NMAX)
-    for n in range(top + 1):
-        seen = set()
-        for p in perms.avoider_list((3, 1, 2), n):
-            q = perms._phi_n(p)
-            if perms.contains_classical(q, (2, 1, 3)):
-                return False, _witness(n, perms.perm_str(p), "213-avoider",
-                                       perms.perm_str(q)), f"n<={top}"
-            if perms.descent_set(q) != perms.descent_set(p):
-                return False, _witness(n, perms.perm_str(p), "equal descent sets",
-                                       perms.perm_str(q)), f"n<={top}"
-            back = perms._phi_n(q, inverse=True)
-            if back != p:
-                return False, _witness(n, perms.perm_str(p), perms.perm_str(p),
-                                       perms.perm_str(back)), f"n<={top}"
-            seen.add(q)
-        if len(seen) != catalan(n):
-            return False, _witness(n, "1", catalan(n), len(seen)), f"n<={top}"
-    return True, None, f"n<={top}"
+    return _whole_class_passes(min(n_max, PHIN_NMAX), _phin_pass, _phin_witness)
 
 
 # statistic -> (avoided class, consecutive pattern, Dyck-path factors whose

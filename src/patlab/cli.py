@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, checks, dyck, oracle, perms
-from .limits import ORACLE_MAX_N
+from .limits import DIST_NMAX, ORACLE_MAX_N
 from .series import T_DEFAULT_ORDER, monomial_str, poly_str, series_str
 
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the conformance harness")
     p.add_argument("--suite", default="all",
                    choices=("all",) + checks.SUITES)
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--nmax", type=int, default=DIST_NMAX)
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(run=cmd_verify)
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from patlab import checks, dyck, perms
-from patlab.limits import AVOIDERS_CACHED_MAX_N
+from patlab.limits import AVOIDERS_CACHED_MAX_N, DIST_NMAX, PHIN_NMAX
+from patlab.series import catalan
 
 
 def test_run_check_single():
@@ -178,6 +179,185 @@ def test_bij_phi_records_a_preimage_outside_the_class(monkeypatch):
     assert res.status == "fail"
     assert res.witness == {"n": 3, "monomial": "DDDRRR",
                            "expected": "132-avoider", "actual": "132"}
+
+
+# -- the whole-class bijection passes against the element-by-element loops ---
+
+def _bij_staircase_reference(params, n_max):
+    # bij_phi / bij_psi as they were before the lockstep pass: every
+    # avoider's round trip, then every path's preimage tested for the class
+    # and mapped back.
+    lam = (1, 3, 2) if params["map"] == "phi" else (1, 2, 3)
+    top = min(n_max, DIST_NMAX)
+    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
+    for n in range(top + 1):
+        for p in perms.avoider_list(lam, n):
+            back = pre(fwd(p), lam)
+            if back != p:
+                return False, checks._witness(
+                    n, perms.perm_str(p), perms.perm_str(p),
+                    perms.perm_str(back)), f"n<={top}"
+        for w in dyck.enumerate_paths(n):
+            q = pre(w, lam)
+            if perms.contains_classical(q, lam):
+                return False, checks._witness(
+                    n, w, f"{perms.perm_str(lam)}-avoider",
+                    perms.perm_str(q)), f"n<={top}"
+            if fwd(q) != w:
+                return False, checks._witness(n, w, w, fwd(q)), f"n<={top}"
+    return True, None, f"n<={top}"
+
+
+def _bij_phin_reference(params, n_max):
+    # bij_phin as it was before the packed pass: each image tested for 213,
+    # for its descent set and for its round trip, then the images counted.
+    top = min(n_max, PHIN_NMAX)
+    for n in range(top + 1):
+        seen = set()
+        for p in perms.avoider_list((3, 1, 2), n):
+            q = perms._phi_n(p)
+            if perms.contains_classical(q, (2, 1, 3)):
+                return False, checks._witness(
+                    n, perms.perm_str(p), "213-avoider",
+                    perms.perm_str(q)), f"n<={top}"
+            if perms.descent_set(q) != perms.descent_set(p):
+                return False, checks._witness(
+                    n, perms.perm_str(p), "equal descent sets",
+                    perms.perm_str(q)), f"n<={top}"
+            back = perms._phi_n(q, inverse=True)
+            if back != p:
+                return False, checks._witness(
+                    n, perms.perm_str(p), perms.perm_str(p),
+                    perms.perm_str(back)), f"n<={top}"
+            seen.add(q)
+        if len(seen) != catalan(n):
+            return False, checks._witness(n, "1", catalan(n), len(seen)), \
+                f"n<={top}"
+    return True, None, f"n<={top}"
+
+
+def _agrees_with_reference(check_id, params, n_max):
+    res = checks.run_check(check_id, params, n_max=n_max)
+    reference = (_bij_phin_reference if check_id == "bij_phin"
+                 else _bij_staircase_reference)
+    ok, witness, n_range = reference(params, n_max)
+    assert (res.status, res.witness, res.n_range) == \
+        ("pass" if ok else "fail", witness, n_range)
+    return res
+
+
+def _wrong_preimage_on(bad):
+    real = dyck.staircase_preimage
+    return lambda w, lam: real(w, lam)[::-1] if w == bad else real(w, lam)
+
+
+@pytest.mark.parametrize("check_id, witness", [
+    ("bij_phi", {"n": 6, "monomial": "452361", "expected": "452361",
+                 "actual": "163254"}),
+    ("bij_psi", {"n": 6, "monomial": "462531", "expected": "462531",
+                 "actual": "135264"}),
+])
+def test_bij_staircase_wrong_preimage_keeps_the_witness(monkeypatch, check_id,
+                                                        witness):
+    bad = list(dyck.enumerate_paths(6))[37]
+    monkeypatch.setattr(dyck, "staircase_preimage", _wrong_preimage_on(bad))
+    params = {"map": check_id[4:]}
+    assert _agrees_with_reference(check_id, params, 10).witness == witness
+
+
+def test_bij_psi_wrong_word_keeps_the_witness(monkeypatch):
+    real = dyck.staircase_word
+    bad = perms.parse_perm("5431762")      # the 101st 123-avoider of 7
+
+    def fwd(p):
+        w = real(p)
+        return w[:2] + w[3] + w[2] + w[4:] if p == bad else w
+    monkeypatch.setattr(dyck, "staircase_word", fwd)
+    res = _agrees_with_reference("bij_psi", {"map": "psi"}, 10)
+    assert res.witness == {"n": 7, "monomial": "5431762",
+                           "expected": "5431762", "actual": "6431752"}
+
+
+_PHIN_A = perms.parse_perm("214563")       # the 51st and 52nd 312-avoiders of 6
+_PHIN_B = perms.parse_perm("214653")
+_PHIN_DESCENTS = {"n": 6, "monomial": "214563",
+                  "expected": "equal descent sets", "actual": "613542"}
+
+
+@pytest.mark.parametrize("fault, witness", [
+    # A's image is B's: a collision.
+    ("collision", _PHIN_DESCENTS),
+    # A and B swap images both ways: still a bijection onto the 213 class
+    # that undoes itself, but descent sets break.
+    ("swap", _PHIN_DESCENTS),
+    # The identity both ways keeps round trips and descents, but its images
+    # are 312-avoiders, not 213-avoiders.
+    ("identity", {"n": 3, "monomial": "213", "expected": "213-avoider",
+                  "actual": "213"}),
+])
+def test_bij_phin_faults_keep_the_witness(monkeypatch, fault, witness):
+    real = perms._phi_n
+    forward = {_PHIN_A: real(_PHIN_B)}
+    backward = {}
+    if fault == "swap":
+        forward[_PHIN_B] = real(_PHIN_A)
+        backward = {v: k for k, v in forward.items()}
+
+    def phi(p, inverse=False):
+        if fault == "identity":
+            return tuple(p)
+        table = backward if inverse else forward
+        return table.get(tuple(p)) or real(p, inverse)
+    monkeypatch.setattr(perms, "_phi_n", phi)
+    assert _agrees_with_reference("bij_phin", {}, 9).witness == witness
+
+
+@pytest.mark.parametrize("check_id", ["bij_phi", "bij_psi"])
+def test_bij_staircase_passes_a_bijection_out_of_lex_order(monkeypatch,
+                                                          check_id):
+    # Two paths of 4 swapped on both maps: still a bijection with its
+    # inverse, so the check passes, through the element-by-element search.
+    paths = list(dyck.enumerate_paths(4))
+    swap = {paths[3]: paths[9], paths[9]: paths[3]}
+    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
+    monkeypatch.setattr(dyck, "staircase_word",
+                        lambda p: swap.get(fwd(p), fwd(p)))
+    monkeypatch.setattr(dyck, "staircase_preimage",
+                        lambda w, lam: pre(swap.get(w, w), lam))
+    assert not checks._staircase_lockstep(
+        (1, 3, 2) if check_id == "bij_phi" else (1, 2, 3), 4)
+    res = _agrees_with_reference(check_id, {"map": check_id[4:]}, 6)
+    assert res.status == "pass" and res.n_range == "n<=6"
+
+
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_bijection_passes_call_each_map_once_per_element(monkeypatch):
+    counts = {}
+    for module, name in ((perms, "contains_classical"), (perms, "_phi_n"),
+                         (dyck, "staircase_word"), (dyck, "staircase_preimage")):
+        _counting(monkeypatch, module, name, counts)
+    classes = sum(catalan(n) for n in range(11))            # 23,714
+    for check_id in ("bij_phi", "bij_psi"):
+        counts.update(dict.fromkeys(counts, 0))
+        res = checks.run_check(check_id, {"map": check_id[4:]}, n_max=10)
+        assert res.status == "pass"
+        assert counts == {"contains_classical": 0, "_phi_n": 0,
+                          "staircase_word": classes,
+                          "staircase_preimage": classes}
+    counts.update(dict.fromkeys(counts, 0))
+    assert checks.run_check("bij_phin", n_max=9).status == "pass"
+    assert counts == {"contains_classical": 0,
+                      "_phi_n": 2 * sum(catalan(n) for n in range(10)),
+                      "staircase_word": 0, "staircase_preimage": 0}
 
 
 def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch):

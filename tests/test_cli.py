@@ -1,6 +1,7 @@
 import json
 
-from patlab.cli import main
+from patlab.cli import build_parser, main
+from patlab.limits import DIST_NMAX
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,10 @@ def test_verify_stdout_and_exit_codes(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "sequences",
                            "--nmax", "13")
     assert code == 2
+
+
+def test_verify_nmax_defaults_to_the_limits_table():
+    assert build_parser().parse_args(["verify"]).nmax == DIST_NMAX
 
 
 def test_verify_unwritable_report(tmp_path, capsys):

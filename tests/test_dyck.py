@@ -72,6 +72,23 @@ def test_roundtrips_exhaustive():
             assert dyck.psi_map(dyck.psi_inverse(w)) == w
 
 
+def test_staircase_word_keeps_lex_order_on_both_classes():
+    """The i-th avoider of 132 or 123 maps to the i-th path (D < R).
+
+    A word's prefix fixes the permutation's prefix: a column after D's is a
+    new left-to-right minimum, and any other column takes the least (132) or
+    greatest (123) free value, a choice made by the prefix alone.  So two
+    class members first differ at a new left-to-right minimum, and the one
+    with the smaller entry there has more D's before that R, which makes
+    its word smaller.  The bijection checks walk the class and the paths in
+    lockstep on this.
+    """
+    for lam in ((1, 3, 2), (1, 2, 3)):
+        for n in range(11):
+            assert list(map(dyck.staircase_word, perms.avoider_list(lam, n))) \
+                == list(dyck.enumerate_paths(n))
+
+
 def test_pattern_path_examples():
     g = perms.parse_perm("42351")
     assert dyck.pattern_path(g, "phi_prime") == "RDDRRRDR"
