@@ -12,6 +12,11 @@ stay far below 256 in this library (t is hard-capped at 16); a product that
 would carry out of a byte raises ValueError instead of corrupting the next
 variable.
 
+A Poly keeps this packed form in one coefficient dict.  A TruncatedSeries is
+stored as its t-slices, one t-free coefficient dict per power of t, so its
+products, inverses and comparisons work slice by slice and never regroup
+the terms by t-degree.
+
 fixed_point_solve evaluates each equation once on lazy series, which compute
 the unknown's t-slices one at a time from lower slices, and then once more
 eagerly, as TruncatedSeries at full order, to check the solution.
@@ -19,7 +24,6 @@ eagerly, as TruncatedSeries at full order, to check the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 from operator import or_
@@ -117,40 +121,15 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
+        """Product; raises ValueError if an exponent would exceed 255."""
         if not isinstance(other, (int, Poly)):
             return NotImplemented
-        return self.mul(_as_poly(other))
+        a, b = self.c, _as_poly(other).c
+        out: dict[int, int] = {}
+        _mul_into(out, a, b, reduce(or_, a, 0) | reduce(or_, b, 0))
+        return Poly(out)
 
     __rmul__ = __mul__
-
-    def mul(self, other: "Poly", tcap: int | None = None) -> "Poly":
-        """Product, optionally dropping monomials with deg_t > tcap.
-
-        Raises ValueError if an exponent of the product would exceed 255.
-        """
-        a, b = self.c, other.c
-        if len(a) > len(b):
-            a, b = b, a
-        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _HIGH:
-            _check_products(a, b, tcap)
-        out: dict[int, int] = {}
-        if tcap is None:
-            _mul_into(out, a, b)
-            return Poly(out)
-        bgroups = _by_tdeg(b)
-        for ka, ca in a.items():
-            room = tcap - (ka & _TMASK)
-            for tb, group in bgroups:
-                if tb > room:
-                    break
-                for kb, cb in group:
-                    k = ka + kb
-                    s = out.get(k, 0) + ca * cb
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return Poly(out)
 
     def __pow__(self, n: int) -> "Poly":
         return _power(self, n, Poly.const(1))
@@ -195,27 +174,40 @@ class Poly:
             yield unpack(k), self.c[k]
 
     def substitute(self, assignments: dict[str, "Poly | int"]) -> "Poly":
-        """Substitute variables by integers or polynomials, exactly."""
+        """Substitute variables by integers or polynomials, exactly.
+
+        An integer scales the coefficient; only polynomial values multiply.
+        """
         for v in assignments:
             if v not in _SHIFT:
                 raise ValueError(f"unknown variable {v!r}")
-        values = {v: _as_poly(p) for v, p in assignments.items()}
-        powers: dict[tuple[str, int], Poly] = {}
+        scalars = [(_SHIFT[v], p) for v, p in assignments.items()
+                   if isinstance(p, int)]
+        polys = [(_SHIFT[v], _as_poly(p)) for v, p in assignments.items()
+                 if not isinstance(p, int)]
+        powers: dict[tuple[int, int], Poly] = {}
         out: dict[int, int] = {}
         for k, coeff in self.c.items():
             rest = k
-            factor = Poly.const(coeff)
-            for v, p in values.items():
-                e = (k >> _SHIFT[v]) & 0xFF
+            for sh, val in scalars:
+                e = (k >> sh) & 0xFF
                 if e:
-                    rest -= e << _SHIFT[v]
-                    if (v, e) not in powers:
-                        powers[v, e] = p ** e
-                    factor = factor * powers[v, e]
-            if (rest | reduce(or_, factor.c, 0)) & _HIGH:
-                _check_products({rest: 1}, factor.c)
-            _add_into(out, ((rest + fk, fv) for fk, fv in factor.c.items()))
-        return Poly(out)
+                    rest -= e << sh
+                    coeff *= val ** e
+            if not polys:
+                out[rest] = out.get(rest, 0) + coeff
+                continue
+            factor = Poly.const(coeff)
+            for sh, p in polys:
+                e = (k >> sh) & 0xFF
+                if e:
+                    rest -= e << sh
+                    if (sh, e) not in powers:
+                        powers[sh, e] = p ** e
+                    factor = factor * powers[sh, e]
+            _mul_into(out, {rest: 1}, factor.c,
+                      rest | reduce(or_, factor.c, 0))
+        return Poly({k: v for k, v in out.items() if v})
 
     def div_exact(self, divisor: int) -> "Poly":
         """Divide every coefficient by an integer; error if not exact."""
@@ -272,8 +264,16 @@ def _add_into(out: dict[int, int], terms) -> None:
             del out[k]
 
 
-def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
-    """Add the product of two coefficient dicts into out in place."""
+def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int],
+              bits: int) -> None:
+    """Add the product of two coefficient dicts into out in place.
+
+    bits is the OR of the keys of both; see _check_products.
+    """
+    if bits & _HIGH:
+        _check_products(a, b)
+    if len(a) > len(b):
+        a, b = b, a
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
@@ -287,44 +287,65 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None
 # Multiplying monomials adds their keys, so an exponent sum above 255 would
 # carry into the next variable.  When the OR of all keys of both factors has
 # no field's top bit set, every exponent is below 128 and no sum can carry;
-# callers test that first and call _check_products only otherwise.
+# _mul_into tests that first and calls _check_products only otherwise.
 
-def _check_products(a, b, tcap: int | None = None) -> None:
-    """Raise ValueError if multiplying a key of a by a key of b (keeping
-    deg_t <= tcap) would carry out of an 8-bit exponent field."""
+def _check_products(a, b) -> None:
+    """Raise ValueError if multiplying a key of a by a key of b would carry
+    out of an 8-bit exponent field."""
     for ka in a:
         for kb in b:
-            if tcap is not None and (ka & _TMASK) + (kb & _TMASK) > tcap:
-                continue
             if (ka ^ kb ^ (ka + kb)) & _CARRY:
                 raise ValueError(
                     f"exponent overflow: {monomial_str(unpack(ka))} * "
                     f"{monomial_str(unpack(kb))} has an exponent above 255")
 
 
-def _by_tdeg(coeffs: dict[int, int]):
-    groups: dict[int, list] = {}
-    for k, v in coeffs.items():
-        groups.setdefault(k & _TMASK, []).append((k, v))
-    return sorted(groups.items())
+def _bits(slices) -> list[int]:
+    """The OR of the keys of each slice, for the overflow guard."""
+    return [reduce(or_, d, 0) for d in slices]
 
 
-@dataclass(frozen=True)
+def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a + b as coefficient dicts; an empty operand shares the other."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = dict(a)
+    _add_into(out, b.items())
+    return out
+
+
 class TruncatedSeries:
-    """A polynomial known to be correct for all t-degrees <= order.
+    """A series known to be correct for all t-degrees <= order.
 
-    Mixing two series uses the smaller order; multiplication drops monomials
-    above it.  Coefficients beyond the order are never reported.
+    It is stored as its t-slices: slices[n] is the t-free coefficient dict
+    of t^n, for n = 0..order, in Poly's packed keys; `poly` joins them into
+    one packed Poly on demand.  Every operation works slice by slice.
+    Mixing two series uses the smaller order; a product is the triangular
+    convolution of slice pairs and drops every pair above it.  Coefficients
+    beyond the order are never reported.  Series and their slice dicts are
+    treated as immutable, so slices may be shared between series and with
+    the polynomials t_slice returns.
     """
 
-    poly: Poly
-    order: int
+    __slots__ = ("slices", "order")
 
-    def __post_init__(self):
-        if self.order < 0 or self.order > T_CAP_HARD:
-            raise ValueError(f"series order {self.order} outside [0, {T_CAP_HARD}]")
-        if self.poly.t_degree() > self.order:
-            object.__setattr__(self, "poly", self.poly.truncate_t(self.order))
+    def __init__(self, poly: Poly, order: int):
+        if order < 0 or order > T_CAP_HARD:
+            raise ValueError(f"series order {order} outside [0, {T_CAP_HARD}]")
+        slices: list[dict[int, int]] = [{} for _ in range(order + 1)]
+        for k, v in poly.c.items():
+            n = k & _TMASK
+            if n <= order:
+                slices[n][k - n] = v
+        self.slices, self.order = slices, order
+
+    @classmethod
+    def _of_slices(cls, slices: list[dict[int, int]], order: int):
+        out = cls.__new__(cls)
+        out.slices, out.order = slices, order
+        return out
 
     @staticmethod
     def const(value: int, order: int) -> "TruncatedSeries":
@@ -332,24 +353,38 @@ class TruncatedSeries:
 
     @staticmethod
     def of(poly: Poly, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(poly.truncate_t(order), order)
+        return TruncatedSeries(poly, order)
+
+    @property
+    def poly(self) -> Poly:
+        # t is the lowest byte, so t^n shifts a t-free key by n and no two
+        # slices share a key.
+        return Poly({k + n: v for n, d in enumerate(self.slices)
+                     for k, v in d.items()})
 
     def _coerce(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, Poly)):
-            return TruncatedSeries.of(_as_poly(other), self.order)
+            return TruncatedSeries(_as_poly(other), self.order)
         raise TypeError(f"cannot mix TruncatedSeries with {type(other).__name__}")
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.order == other.order and self.slices == other.slices
 
     def __add__(self, other):
         other = self._coerce(other)
-        order = min(self.order, other.order)
-        return TruncatedSeries((self.poly + other.poly).truncate_t(order), order)
+        return TruncatedSeries._of_slices(
+            [_sum(a, b) for a, b in zip(self.slices, other.slices)],
+            min(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(-self.poly, self.order)
+        return TruncatedSeries._of_slices(
+            [{k: -v for k, v in d.items()} for d in self.slices], self.order)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -360,7 +395,17 @@ class TruncatedSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         order = min(self.order, other.order)
-        return TruncatedSeries(self.poly.mul(other.poly, tcap=order), order)
+        a, b = self.slices, other.slices
+        abits, bbits = _bits(a), _bits(b)
+        out: list[dict[int, int]] = [{} for _ in range(order + 1)]
+        for i in range(order + 1):
+            da = a[i]
+            if not da:
+                continue
+            for j in range(order + 1 - i):
+                if b[j]:
+                    _mul_into(out[i + j], da, b[j], abits[i] | bbits[j])
+        return TruncatedSeries._of_slices(out, order)
 
     __rmul__ = __mul__
 
@@ -369,18 +414,16 @@ class TruncatedSeries:
 
     def inverse_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse when the t^0 slice is +1 or -1."""
-        c0 = self.poly.t_slice(0)
-        if c0 != Poly.const(1) and c0 != Poly.const(-1):
+        c0 = self.slices[0]
+        if c0 != {0: 1} and c0 != {0: -1}:
             raise NonInvertibleError(
                 "series is not invertible: constant term must be +1 or -1, "
-                f"got {poly_str(c0)}")
-        unit = c0.constant_term()
-        # t-free slices as coefficient dicts, each with the OR of its keys
-        den = []
-        for j in range(1, self.order + 1):
-            dj = self.poly.t_slice(j).c
-            if dj:
-                den.append((j, dj, reduce(or_, dj, 0)))
+                f"got {poly_str(Poly(c0))}")
+        unit = c0[0]
+        # inv[n] = -unit * sum_j d[j] inv[n-j], so each slice d[j] of the
+        # series is scaled by -unit once, each with the OR of its keys
+        den = [(j, {k: -unit * v for k, v in dj.items()}, reduce(or_, dj, 0))
+               for j, dj in enumerate(self.slices) if j and dj]
         inv = [{0: unit}]
         inv_bits = [0]
         for n in range(1, self.order + 1):
@@ -388,15 +431,10 @@ class TruncatedSeries:
             for j, dj, bits in den:
                 if j > n:
                     break
-                if (bits | inv_bits[n - j]) & _HIGH:
-                    _check_products(dj, inv[n - j])
-                _mul_into(acc, dj, inv[n - j])
-            inv.append(Poly(acc).div_exact(-unit).c)
-            inv_bits.append(reduce(or_, inv[n], 0))
-        # t is the lowest byte, so t^n shifts a t-free key by n and no two
-        # slices share a key.
-        out = {k + n: v for n, c in enumerate(inv) for k, v in c.items()}
-        return TruncatedSeries(Poly(out), self.order)
+                _mul_into(acc, dj, inv[n - j], bits | inv_bits[n - j])
+            inv.append(acc)
+            inv_bits.append(reduce(or_, acc, 0))
+        return TruncatedSeries._of_slices(inv, self.order)
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
         den = self._coerce(den)
@@ -405,13 +443,12 @@ class TruncatedSeries:
     def substitute(self, assignments: dict[str, "Poly | int"]) -> "TruncatedSeries":
         if "t" in assignments:
             raise ValueError("cannot substitute t: it is the truncation grading")
-        return TruncatedSeries(self.poly.substitute(assignments).truncate_t(self.order),
-                               self.order)
+        return TruncatedSeries(self.poly.substitute(assignments), self.order)
 
     def t_slice(self, n: int) -> Poly:
         if n > self.order:
             raise ValueError(f"slice t^{n} beyond series order {self.order}")
-        return self.poly.t_slice(n)
+        return Poly(self.slices[n]) if n >= 0 else Poly()
 
     def __repr__(self):
         return f"TruncatedSeries({series_str(self)}, order={self.order})"
@@ -451,6 +488,7 @@ def fixed_point_solve(equations, order: int, seeds=None) -> list[TruncatedSeries
     vals = [TruncatedSeries.const(s, order) for s in seeds]
     ctx = EqContext(order)
     lazy_ctx = _LazyContext(ctx)
+    keys: dict[int, int] = {}
     for i, eq in enumerate(equations):
         unknown = _Unknown(seeds[i], order, i)
         lazy_vals = [_Const(v) for v in vals]
@@ -460,13 +498,14 @@ def fixed_point_solve(equations, order: int, seeds=None) -> list[TruncatedSeries
             unknown.at(order)
         finally:
             unknown.rhs = None   # break the cycle so the graph can be freed
-        # t is the lowest byte, so t^n shifts a t-free key by n
-        vals[i] = TruncatedSeries(Poly(
-            {key + n: v for n, (d, _) in enumerate(unknown.cache)
-             for key, v in d.items()}), order)
+        # The solution keeps one int per distinct t-free key: a monomial
+        # recurs in many slices, and each product made it afresh.
+        vals[i] = TruncatedSeries._of_slices(
+            [{keys.setdefault(k, k): v for k, v in d.items()}
+             for d, _ in unknown.cache], order)
         del unknown, lazy_vals   # free the graph before the eager check
         final = eq(vals, ctx)
-        if final.poly.truncate_t(order) != vals[i].poly:
+        if final.slices[:order + 1] != vals[i].slices:
             raise NonContractiveError(
                 f"equation {i} did not stabilise at order {order}")
     return vals
@@ -500,7 +539,7 @@ class EqContext:
 # eager arithmetic.  Slices are memoised only on nodes that a product or an
 # inverse reads; `cache` is None on the others, and they compute a slice
 # whenever asked.  A memoised slice is stored with the OR of its keys, for
-# the exponent-overflow guard in front of _mul_into.
+# the exponent-overflow guard in _mul_into.
 
 class _Lazy:
     __slots__ = ("order", "val", "cache")
@@ -558,13 +597,11 @@ class _Const(_Lazy):
     __slots__ = ("series",)
 
     def __init__(self, series: TruncatedSeries):
-        slices: dict[int, dict[int, int]] = {}
-        for k, v in series.poly.c.items():
-            slices.setdefault(k & _TMASK, {})[k & ~_TMASK] = v
-        super().__init__(series.order, min(slices, default=series.order + 1))
+        slices = series.slices
+        super().__init__(series.order, next(
+            (n for n, d in enumerate(slices) if d), series.order + 1))
         self.series = series
-        self.cache = [(slices.get(n, {}), reduce(or_, slices.get(n, ()), 0))
-                      for n in range(series.order + 1)]
+        self.cache = list(zip(slices, _bits(slices)))
 
     def at(self, n: int):
         return self.cache[n] if n < len(self.cache) else ({}, 0)
@@ -607,11 +644,7 @@ class _Mul(_Lazy):
             da, abits = a.at(i)
             db, bbits = b.at(n - i)
             if da and db:
-                if (abits | bbits) & _HIGH:
-                    _check_products(da, db)
-                if len(da) > len(db):
-                    da, db = db, da
-                _mul_into(out, da, db)
+                _mul_into(out, da, db, abits | bbits)
         return out
 
 
@@ -642,9 +675,7 @@ class _Inverse(_Lazy):
             dj, dbits = d.at(j)
             ij, ibits = self.at(n - j)
             if dj and ij:
-                if (dbits | ibits) & _HIGH:
-                    _check_products(dj, ij)
-                _mul_into(acc, dj, ij)
+                _mul_into(acc, dj, ij, dbits | ibits)
         if self.unit == 1:
             return {k: -v for k, v in acc.items()}
         return acc
@@ -682,7 +713,7 @@ def _lift(value, order: int) -> _Lazy:
         return value
     if isinstance(value, TruncatedSeries):
         return _Const(value)
-    return _Const(TruncatedSeries.of(_as_poly(value), order))
+    return _Const(TruncatedSeries(_as_poly(value), order))
 
 
 def _lin(terms) -> _Lazy:
@@ -701,7 +732,7 @@ def _lin(terms) -> _Lazy:
             else:
                 merged[id(sub)] = [c, sub]
     out = [(c, sub) for c, sub in merged.values() if c]
-    if const is not None and const.poly:
+    if const is not None and any(const.slices):
         out.append((1, _Const(const)))
     if not out:
         return _Const(const if const is not None
@@ -717,10 +748,12 @@ def _mul(a: _Lazy, b: _Lazy) -> _Lazy:
     if isinstance(a, _Const):
         if isinstance(b, _Const):
             return _Const(a.series * b.series)
-        if a.series.poly == 1:
-            return b
-        if not a.series.poly:
-            return a
+        first, *rest = a.series.slices
+        if not any(rest):
+            if first == {0: 1}:
+                return b
+            if not first:
+                return a
     return _Mul(a, b)
 
 

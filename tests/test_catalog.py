@@ -436,6 +436,28 @@ def test_every_identity_verdict_is_pinned():
         "5e3d59f4a438c43632139678aa8c779f78ac2215aa3ab0ab8ab448c76a8fc713")
 
 
+def test_every_catalog_solve_is_pinned():
+    # Every series of every registered (entry, m, a) system at orders 8 and
+    # 16: its name, order and terms in canonical order.
+    registered: dict[str, set] = {}
+    for c in checks.REGISTRY:
+        if "series" in c.params:
+            registered.setdefault(c.params["series"], set()).add(
+                (c.params.get("m"), c.params.get("a")))
+    digest = hashlib.sha256()
+    for order in (8, 16):
+        for eid, entry in catalog.CATALOG.items():
+            for m, a in (sorted(registered[eid], key=repr) if entry.needs_m
+                         else [(None, None)]):
+                system = catalog.solve_system(eid, order, m, a)
+                for name in sorted(system):
+                    digest.update(repr((eid, m, a, order, name,
+                                        system[name].order,
+                                        list(system[name].poly.terms()))).encode())
+    assert digest.hexdigest() == (
+        "6bcb2dc2ca44de314086dab9181a9c89aed68e5c2831773997e85d6e81009553")
+
+
 def test_solved_series_sum_to_catalan():
     for entry_id in ("thm1", "thm5", "thm8"):
         s = catalog.solve_catalog(entry_id, 8)

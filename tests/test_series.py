@@ -229,10 +229,11 @@ def test_exponent_overflow_is_rejected():
     assert Poly.variable("x", 200) * Poly.variable("x", 55) == \
         Poly.variable("x", 255)
     # a pair dropped by the t-cap cannot overflow
-    a = Poly.monomial({"t": 3, "x": 200})
-    assert a.mul(Poly.monomial({"t": 3, "x": 100}), tcap=5) == Poly()
+    a = TruncatedSeries(Poly.monomial({"t": 3, "x": 200}), 5)
+    assert a * TruncatedSeries(Poly.monomial({"t": 3, "x": 100}), 5) == \
+        TruncatedSeries.const(0, 5)
     with pytest.raises(ValueError):
-        a.mul(Poly.monomial({"t": 2, "x": 100}), tcap=5)
+        a * TruncatedSeries(Poly.monomial({"t": 2, "x": 100}), 5)
     # inverse_unit and substitute multiply without going through mul
     with pytest.raises(ValueError):
         TruncatedSeries.of(1 + T * Poly.variable("y", 200), 2).inverse_unit()
@@ -330,6 +331,37 @@ def test_inverse_unit_matches_term_by_term_sums(p, unit, order):
     inv = s.inverse_unit()
     assert inv.poly == _inverse_by_sums(s).truncate_t(order)
     assert (s * inv).poly == Poly.const(1)
+
+
+@given(mixed_polys, mixed_polys, st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 3), st.sampled_from((1, -1)), st.integers(-2, 2))
+@settings(max_examples=80, deadline=None)
+def test_series_arithmetic_matches_truncated_poly_arithmetic(
+        p, q, m, n, k, unit, scalar):
+    # The slice-by-slice series against flat Poly arithmetic cut at the
+    # smaller order.
+    a, b = TruncatedSeries(p, m), TruncatedSeries(q, n)
+    low = min(m, n)
+    assert a.poly == p.truncate_t(m)
+    for got, want, order in ((a + b, p + q, low), (a - b, p - q, low),
+                             (a * b, p * q, low), (scalar - a, scalar - p, m),
+                             (a * scalar, p * scalar, m),
+                             (a ** k, p ** k, m)):
+        assert got.order == order
+        assert got.poly == want.truncate_t(order)
+        assert got == TruncatedSeries(want, order)
+    u = TruncatedSeries(p - p.t_slice(0) + unit, m)
+    assert (u.poly * u.inverse_unit().poly).truncate_t(m) == 1
+    for assignments in ({"x": q}, {"y": scalar, "x1": q}):
+        assert a.substitute(assignments).poly == \
+            p.substitute(assignments).truncate_t(m)
+    assert a.t_slice(-1) == Poly()
+    with pytest.raises(ValueError, match="beyond series order"):
+        a.t_slice(m + 1)
+    assert [a.t_slice(j) for j in range(m + 1)] == \
+        [p.t_slice(j) for j in range(m + 1)]
+    assert (a == b) == (m == n and p.truncate_t(m) == q.truncate_t(n))
+    assert a != TruncatedSeries(p, m + 1)
 
 
 # -- the lazy fixed-point solver against the cap-by-cap iteration ------------
