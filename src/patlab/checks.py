@@ -10,20 +10,18 @@ brute-force oracle on one side wherever the claim is about permutations.
 Failures always carry a witness: the first disagreeing coefficient in
 canonical monomial order.
 
-The statistic transports (transport_*, transport_general) are data: each
-names an avoider class, a consecutive pattern and the Dyck-path factors
-whose counts add up to it.  All transports of one class and range are
-certified in a single cached pass: for each n, one whole-class count of
-every pattern and one of every factor over the class's staircase paths,
-compared as byte strings; each check looks up its verdict.
-
-The bijection checks are whole-class passes per n.  phi and psi walk the
-cached avoider class and the Dyck paths in lockstep: the staircase word
-keeps lex order on both classes, so the i-th avoider must map to the i-th
-path and that path back to it.  phi_n maps the packed 312 class at once:
-the inverse images must join to the class, the descent columns must agree
-lane by lane, and the sorted images must join to the packed 213 class.
-Only an n whose pass fails is searched element by element, with every
+The checks over the staircase classes 132 and 123 (bij_phi, bij_psi and
+the transports) share one cached pass per class: for each n it maps every
+avoider once to its staircase word, packed into one table of 2n bytes per
+avoider in class order, and keeps only the verdicts.  The words must be
+the Dyck paths in lex order, each mapped back to its avoider.  A transport
+(transport_*, transport_general) is data, a consecutive pattern and the
+Dyck factors whose counts add up to it: one whole-class count of every
+pattern and one of every factor over the table, compared as byte strings,
+certify them all.  bij_phin maps the packed 312 class at once: the inverse
+images must join to the class, the descent columns must agree lane by
+lane, and the sorted images must join to the packed 213 class.  Only an n
+whose bijection pass fails is searched element by element, with every
 round-trip and class test, for its first witness.
 """
 
@@ -41,8 +39,6 @@ from .limits import (
     IDENTITY_ORDER,
     ORACLE_MAX_N,
     PHIN_NMAX,
-    REPORT_ONLY_CF_NMAX,
-    REPORT_ONLY_NMAX,
     SYMMETRY_NMAX,
     TRANSPORT_GENERAL_NMAX,
 )
@@ -104,15 +100,15 @@ def _run_seq_catalan(params, n_max):
 def _run_seq_series(params, n_max):
     order = min(n_max, DIST_NMAX)
     s = catalog.solve_catalog(params["series"], order).substitute({"y": 1, "x": 0})
-
-    def points():
-        for n in range(order + 1):
-            try:
-                want = catalog.reference_sequence(params["sequence"], n)
-            except ValueError:
-                return  # stored prefix exhausted
-            yield n, "1", want, s.t_slice(n).constant_term()
-    return _first_disagreement(points(), f"n<={order}")
+    wants = []
+    for n in range(order + 1):
+        try:
+            wants.append(catalog.reference_sequence(params["sequence"], n))
+        except ValueError:
+            break   # stored prefix exhausted
+    return _first_disagreement(
+        ((n, "1", want, s.t_slice(n).constant_term())
+         for n, want in enumerate(wants)), f"n<={len(wants) - 1}")
 
 
 def _symmetric_slices(n_max, pairs, reverse, label):
@@ -162,23 +158,6 @@ def _run_sym_1321(params, n_max):
         True, True)
 
 
-def _staircase_lockstep(lam, n):
-    # staircase_word keeps lex order on both classes: two members first
-    # differ at a new left-to-right minimum, since every other column's value
-    # is fixed by the prefix, and the smaller entry there gives more D's.  So
-    # the i-th avoider maps to the i-th path, both lists are distinct and of
-    # one length, and fwd is a bijection onto the paths with inverse pre.
-    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
-    pairs = zip(perms.avoider_list(lam, n), dyck.enumerate_paths(n), strict=True)
-    try:
-        for p, w in pairs:
-            if fwd(p) != w or pre(w, lam) != p:
-                return False
-    except ValueError:      # the class and the paths differ in number
-        return False
-    return True
-
-
 def _staircase_witness(lam, n):
     # Every round-trip and class test of one n, element by element; the
     # first failure in lex order, or None.
@@ -212,13 +191,6 @@ def _whole_class_passes(top, passes, witness):
             if found:
                 return False, found, f"n<={top}"
     return True, None, f"n<={top}"
-
-
-def _run_bij_staircase(params, n_max):
-    lam = (1, 3, 2) if params["map"] == "phi" else (1, 2, 3)
-    return _whole_class_passes(min(n_max, DIST_NMAX),
-                               partial(_staircase_lockstep, lam),
-                               partial(_staircase_witness, lam))
 
 
 def _phin_pass(n):
@@ -278,69 +250,89 @@ _TRANSPORTS = {
 
 
 @lru_cache(maxsize=None)
-def _transport_verdicts(lam, top, stats):
-    """Certify many statistic transports over one avoider class in one pass.
+def _staircase_pass(lam, top, stats):
+    """Every verdict of the checks over one staircase class, lam 132 or 123.
 
-    stats is a tuple of (consecutive pattern, Dyck factors).  For each n <=
-    top, all patterns are counted over lam's avoiders at once by
-    perms.class_pattern_counts, and all factors over their staircase paths
-    (dyck.staircase_word, unguarded: avoider_list gives only members of the
-    class) at once by dyck.class_factor_counts; the paths are streamed, not
-    kept.  A statistic's byte string of pattern counts is compared with the
-    lane-wise sum of its factors' counts, and the lanes are scanned only on
-    a mismatch.
-    Returns {stat: (ok, witness, n_range)}; a statistic's witness is its
-    first disagreement in (n, lex) order, and a failing statistic does not
-    stop the others.
+    stats is a tuple of transports (consecutive pattern, Dyck factors, cap),
+    each certified for n <= min(top, cap), the bijection for n <= top.  The
+    words come from dyck.staircase_word, unguarded: avoider_list gives only
+    members of the class.  A statistic's pattern counts are compared with
+    the lane-wise sum of its factors' counts, and the lanes are scanned only
+    on a mismatch.
+    Returns {stat: (ok, witness, n_range)}, the bijection's under None; a
+    witness is the first disagreement in (n, lex) order, and a failing
+    check does not stop the others.
     """
-    patterns = [pattern for pattern, _ in stats]
-    factors = sorted({f for _, fs in stats for f in fs})
-    witnesses = [None] * len(stats)
+    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
+    locksteps = []
+    witnesses = dict.fromkeys(stats)
     for n in range(top + 1):
         avoiders = perms.avoider_list(lam, n)
-        lefts = perms.class_pattern_counts(avoiders, patterns)
+        paths = dyck.enumerate_paths(n)
+        table = bytearray()
+        # staircase_word keeps lex order on both classes: two members first
+        # differ at a new left-to-right minimum, since every other column's
+        # value is fixed by the prefix, and the smaller entry there gives
+        # more D's.  So the i-th avoider must map to the i-th path; both
+        # lists are then distinct and of one length, and fwd is a bijection
+        # onto the paths with inverse pre.
+        ok = True
+        for p in avoiders:
+            word = fwd(p)
+            table += word.encode()
+            ok = ok and word == next(paths, None) and pre(word, lam) == p
+        locksteps.append(ok and next(paths, None) is None)
+        live = [stat for stat in stats if n <= stat[2]]
+        patterns = list(dict.fromkeys(gamma for gamma, _, _ in live))
+        factors = list(dict.fromkeys(f for _, fs, _ in live for f in fs))
+        lefts = dict(zip(patterns, perms.class_pattern_counts(avoiders, patterns)))
         counted = dict(zip(factors, dyck.class_factor_counts(
-            map(dyck.staircase_word, avoiders), factors)))
-        for j, ((_, fs), left) in enumerate(zip(stats, lefts)):
-            cs = [counted[f] for f in fs]
+            table, len(avoiders), factors)))
+        for stat in live:
+            left, cs = lefts[stat[0]], [counted[f] for f in stat[1]]
             right = cs[0] if len(cs) == 1 else bytes(map(sum, zip(*cs)))
-            if witnesses[j] is None and left != right:
+            if witnesses[stat] is None and left != right:
                 i = next(i for i, (a, b) in enumerate(zip(left, right))
                          if a != b)
-                witnesses[j] = _witness(n, perms.perm_str(avoiders[i]),
-                                        left[i], right[i])
-    return {stat: (w is None, w, f"n<={top}")
-            for stat, w in zip(stats, witnesses)}
+                witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),
+                                           left[i], right[i])
+    verdicts = {stat: (w is None, w, f"n<={min(top, stat[2])}")
+                for stat, w in witnesses.items()}
+    verdicts[None] = _whole_class_passes(top, locksteps.__getitem__,
+                                         partial(_staircase_witness, lam))
+    return verdicts
 
 
-def _transport_verdict(lam, top, stats, stat):
-    ok, witness, n_range = _transport_verdicts(lam, top, stats)[stat]
-    return ok, dict(witness) if witness else None, n_range
-
-
-def _run_transport(params, n_max):
-    lam, gamma, factors = _TRANSPORTS[params["statistic"]]
-    stats = tuple((g, f) for c, g, f in _TRANSPORTS.values() if c == lam)
-    return _transport_verdict(lam, min(n_max, DIST_NMAX), stats,
-                              (gamma, factors))
-
-
-def _general_stat(params):
+def _staircase_stat(params):
+    """(class, statistic) of a check of the staircase pass: None for
+    bij_phi and bij_psi, (pattern, Dyck factors, cap) for a transport."""
+    if "map" in params:
+        return ((1, 3, 2) if params["map"] == "phi" else (1, 2, 3)), None
+    if "statistic" in params:
+        lam, gamma, factors = _TRANSPORTS[params["statistic"]]
+        return lam, (gamma, factors, DIST_NMAX)
     gamma = perms.parse_perm(params["gamma"])
-    return gamma, (dyck.pattern_path(gamma, params["variant"]),)
+    return (1, 3, 2), (gamma, (dyck.pattern_path(gamma, params["variant"]),),
+                       TRANSPORT_GENERAL_NMAX)
 
 
 @lru_cache(maxsize=None)
-def _general_stats():
-    # Built on first use, not at import: one statistic per registered
-    # transport_general check.
-    return tuple(_general_stat(c.params) for c in REGISTRY
-                 if c.check_id == "transport_general")
+def _class_stats():
+    # Built on first use, not at import: class -> the statistics of its
+    # registered transport checks.
+    out = {}
+    for c in REGISTRY:
+        if c.runner is _run_staircase:
+            lam, stat = _staircase_stat(c.params)
+            out[lam] = out.get(lam, ()) + ((stat,) if stat else ())
+    return out
 
 
-def _run_transport_general(params, n_max):
-    return _transport_verdict((1, 3, 2), min(n_max, TRANSPORT_GENERAL_NMAX),
-                              _general_stats(), _general_stat(params))
+def _run_staircase(params, n_max):
+    lam, stat = _staircase_stat(params)
+    ok, witness, n_range = _staircase_pass(
+        lam, min(n_max, DIST_NMAX), _class_stats()[lam])[stat]
+    return ok, dict(witness) if witness else None, n_range
 
 
 def _oracle_slice(entry, tracked, n) -> Poly:
@@ -356,7 +348,7 @@ def _run_recursion(params, n_max):
     pattern with the same distribution."""
     entry = catalog.CATALOG[params["series"]]
     m, a = params.get("m"), params.get("a")
-    top = min(n_max, DIST_NMAX if entry.trust == HARD else REPORT_ONLY_NMAX)
+    top = min(n_max, DIST_NMAX)
     solved = catalog.solve_catalog(entry.id, top, m=m, a=a)
     tracked = ((perms.parse_perm(params["gamma"]),) if "gamma" in params
                else entry.tracked(m, a))
@@ -404,9 +396,8 @@ def _closed_points(form_id, m, ns, want):
 
 def _run_closed_form(params, n_max):
     form_id, m = params["form"], params["m"]
-    form = catalog.CLOSED_FORMS[form_id]
-    family = catalog.CATALOG[form.family]
-    top = min(n_max, DIST_NMAX if form.trust == HARD else REPORT_ONLY_CF_NMAX)
+    family = catalog.CATALOG[catalog.CLOSED_FORMS[form_id].family]
+    top = min(n_max, DIST_NMAX)
     return _first_disagreement(_closed_points(
         form_id, m, range(1, top + 1),
         lambda n: _oracle_slice(family, family.tracked(m, None), n)),
@@ -515,14 +506,14 @@ def _build_registry() -> list[CheckDef]:
         add("sym_1321", "symmetries", HARD, _run_sym_1321, k=k)
 
     # bijections and transports
-    add("bij_phi", "bijections", HARD, _run_bij_staircase, map="phi")
-    add("bij_psi", "bijections", HARD, _run_bij_staircase, map="psi")
+    add("bij_phi", "bijections", HARD, _run_staircase, map="phi")
+    add("bij_psi", "bijections", HARD, _run_staircase, map="psi")
     add("bij_phin", "bijections", HARD, _run_bij_phin)
     for stat in ("psi_des", "psi_132", "psi_231", "phi_des", "phi_123"):
-        add(f"transport_{stat}", "bijections", HARD, _run_transport,
+        add(f"transport_{stat}", "bijections", HARD, _run_staircase,
             statistic=stat)
     for gamma in _admissible_patterns(5):
-        add("transport_general", "bijections", HARD, _run_transport_general,
+        add("transport_general", "bijections", HARD, _run_staircase,
             gamma=perms.perm_str(gamma),
             variant=dyck.admissible_variant(gamma))
 

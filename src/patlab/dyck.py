@@ -15,9 +15,10 @@ is one pass over the path's columns.
 
 Under these maps a consecutive pattern of the permutation becomes a count of
 path factors (path_pattern_count, overlaps included).  class_factor_counts
-counts factors over a whole list of equal-length words at once, one byte
-lane per word, as perms.class_pattern_counts counts patterns; the transport
-checks in patlab.checks certify each correspondence with the two counters.
+counts factors over a packed table of equal-length words at once, one byte
+lane per word, as perms.class_pattern_counts counts patterns; the staircase
+pass in patlab.checks fills one such table per class and n and certifies
+each correspondence with the two counters.
 """
 
 from __future__ import annotations
@@ -117,40 +118,33 @@ def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> 
 _D_LANE = bytes.maketrans(b"DR", b"\x01\x00")
 
 
-def class_factor_counts(words, factors) -> list[bytes]:
-    """Factor counts over a whole list of step words at once.
+def class_factor_counts(table, m: int, factors) -> list[bytes]:
+    """Factor counts over a packed table of m step words at once.
 
-    The twin of perms.class_pattern_counts: returns one bytes object per
-    factor, in the order given, and byte j is path_pattern_count(words[j],
-    factor).  words may be any iterable (it is read once) of words of one
-    length below 256, so that no count carries out of its byte lane;
-    otherwise ValueError.
+    The twin of perms.class_pattern_counts: table holds the m words end to
+    end as bytes (b"DR" for the word "DR"), all of one length below 256, so
+    that no count carries out of its byte lane; otherwise ValueError.
+    Returns one bytes object per factor, in the order given: byte j is
+    path_pattern_count(word j, factor).
 
     Step j of all words is one big int with a 0x01 byte lane per word
     where the step is D; an occurrence at offset i is the AND of its steps'
     lanes, an R step taken as the complement of the D lanes.
 
-    >>> [list(c) for c in class_factor_counts(["DDRR", "DRDR"], ["DR", "RD"])]
+    >>> [list(c) for c in class_factor_counts(b"DDRRDRDR", 2, ["DR", "RD"])]
     [[1, 2], [0, 1]]
     """
     for f in factors:
         if not f or f.strip("DR"):
             raise ValueError(f"factors must be nonempty words over D, R: {f!r}")
-    steps = bytearray()
-    size = m = 0
-    for w in words:
-        if not m:
-            size = len(w)
-            if size >= 256:
-                raise ValueError(
-                    f"length {size} does not fit a byte lane (2n < 256)")
-        elif len(w) != size:
-            raise ValueError("words of different lengths")
-        steps += w.encode()
-        m += 1
-    if steps.translate(None, b"DR"):
+    size = len(table) // m if m else 0
+    if size * m != len(table):
+        raise ValueError(f"{len(table)} steps do not split into {m} words")
+    if size >= 256:
+        raise ValueError(f"length {size} does not fit a byte lane (2n < 256)")
+    if table.translate(None, b"DR"):
         raise ValueError("steps must be D or R")
-    lanes = steps.translate(_D_LANE)
+    lanes = table.translate(_D_LANE)
     cols = [int.from_bytes(lanes[j::size], "little") for j in range(size)]
     ones = int.from_bytes(b"\x01" * m, "little")
     out = []

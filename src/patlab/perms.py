@@ -323,9 +323,9 @@ class PackedClass(Sequence):
 
     Built from its rows, each n bytes, in the order they are to be read.
     Reads as the tuple of Perm it stores: len, indexing (negative indices
-    included) and iteration decode rows on the fly, and nothing decoded is
-    kept.  columns() gives the byte-lane columns that class_pattern_counts
-    reads, built on the first call.
+    included), slicing (a tuple of Perm) and iteration decode rows on the
+    fly, and nothing decoded is kept.  columns() gives the byte-lane columns
+    that class_pattern_counts reads, built on the first call.
     """
 
     __slots__ = ("n", "rows", "_len", "_columns")
@@ -339,7 +339,9 @@ class PackedClass(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> Perm:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._len)[i]))
         i = range(self._len)[i]
         return tuple(self.rows[i * self.n:(i + 1) * self.n])
 

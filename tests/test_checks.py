@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,15 @@ import pytest
 from patlab import checks, dyck, perms
 from patlab.limits import AVOIDERS_CACHED_MAX_N, DIST_NMAX, PHIN_NMAX
 from patlab.series import catalan
+
+
+@pytest.fixture(autouse=True)
+def _fresh_staircase_passes():
+    # The staircase passes are cached by (class, top, statistics); a test
+    # that swaps a staircase map must neither read nor leave a verdict.
+    checks._staircase_pass.cache_clear()
+    yield
+    checks._staircase_pass.cache_clear()
 
 
 def test_run_check_single():
@@ -120,14 +130,14 @@ def _sequential_transport(lam, top, pattern, factors):
 
 
 def test_transport_pass_keeps_each_first_witness():
-    wrong = ((2, 1), ("RD",))             # psi_des without its RRR factor
-    also_wrong = ((1, 3, 2), ("DRR",))    # a factor that overcounts 132
-    stats = (((1, 3, 2), ("DRRR",)), wrong, ((2, 3, 1), ("DRRD",)),
-             also_wrong)
-    verdicts = checks._transport_verdicts((1, 2, 3), 7, stats)
+    wrong = ((2, 1), ("RD",), DIST_NMAX)  # psi_des without its RRR factor
+    also_wrong = ((1, 3, 2), ("DRR",), DIST_NMAX)  # overcounts 132
+    stats = (((1, 3, 2), ("DRRR",), DIST_NMAX), wrong,
+             ((2, 3, 1), ("DRRD",), DIST_NMAX), also_wrong)
+    verdicts = checks._staircase_pass((1, 2, 3), 7, stats)
     for stat in stats:
         ok, witness, n_range = verdicts[stat]
-        want = _sequential_transport((1, 2, 3), 7, *stat)
+        want = _sequential_transport((1, 2, 3), 7, *stat[:2])
         assert witness == want and ok == (want is None) and n_range == "n<=7"
     assert not verdicts[wrong][0] and not verdicts[also_wrong][0]
     # 132 has one descent; its path DDDRRR has no RD, only RRR
@@ -142,7 +152,7 @@ def test_transport_checks_match_the_suite_report():
     transports = [c for c in checks.REGISTRY
                   if c.check_id.startswith("transport_")]
     assert len(transports) == 5 + 32
-    checks._transport_verdicts.cache_clear()   # run_check recomputes them
+    checks._staircase_pass.cache_clear()   # run_check recomputes them
     for c in transports:
         res = checks.run_check(c.check_id, c.params, n_max=10)
         assert checks._result_json(res) == \
@@ -316,7 +326,8 @@ def test_bij_phin_faults_keep_the_witness(monkeypatch, fault, witness):
 def test_bij_staircase_passes_a_bijection_out_of_lex_order(monkeypatch,
                                                           check_id):
     # Two paths of 4 swapped on both maps: still a bijection with its
-    # inverse, so the check passes, through the element-by-element search.
+    # inverse, so the check passes, through the element-by-element search
+    # of n = 4, the one n whose lockstep fails.
     paths = list(dyck.enumerate_paths(4))
     swap = {paths[3]: paths[9], paths[9]: paths[3]}
     fwd, pre = dyck.staircase_word, dyck.staircase_preimage
@@ -324,9 +335,11 @@ def test_bij_staircase_passes_a_bijection_out_of_lex_order(monkeypatch,
                         lambda p: swap.get(fwd(p), fwd(p)))
     monkeypatch.setattr(dyck, "staircase_preimage",
                         lambda w, lam: pre(swap.get(w, w), lam))
-    assert not checks._staircase_lockstep(
-        (1, 3, 2) if check_id == "bij_phi" else (1, 2, 3), 4)
+    searched, search = [], checks._staircase_witness
+    monkeypatch.setattr(checks, "_staircase_witness",
+                        lambda lam, n: searched.append(n) or search(lam, n))
     res = _agrees_with_reference(check_id, {"map": check_id[4:]}, 6)
+    assert searched == [4]
     assert res.status == "pass" and res.n_range == "n<=6"
 
 
@@ -341,6 +354,7 @@ def _counting(monkeypatch, module, name, counts):
 
 
 def test_bijection_passes_call_each_map_once_per_element(monkeypatch):
+    checks._class_stats()   # its pattern paths are made once per process
     counts = {}
     for module, name in ((perms, "contains_classical"), (perms, "_phi_n"),
                          (dyck, "staircase_word"), (dyck, "staircase_preimage")):
@@ -360,6 +374,21 @@ def test_bijection_passes_call_each_map_once_per_element(monkeypatch):
                       "staircase_word": 0, "staircase_preimage": 0}
 
 
+def test_bijection_suite_maps_each_avoider_once(monkeypatch):
+    # One staircase pass per class serves bij_phi/bij_psi and every
+    # transport: one word and one preimage per avoider of 123 and 132 at
+    # n <= 10, and two pattern paths per transport_general check (the
+    # class's statistics and the check's own).
+    checks._class_stats.cache_clear()
+    counts = {}
+    for name in ("staircase_word", "staircase_preimage"):
+        _counting(monkeypatch, dyck, name, counts)
+    assert checks.run_suite("bijections", 10)["aggregate"] == "pass"
+    avoiders = 2 * sum(catalan(n) for n in range(11))         # 47,428
+    assert counts == {"staircase_word": avoiders + 2 * 32,
+                      "staircase_preimage": avoiders}
+
+
 def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch):
     # The counts are read off the packed classes; the cap still binds, and
     # a class above AVOIDERS_CACHED_MAX_N is built fresh and dropped.
@@ -370,3 +399,15 @@ def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch)
     monkeypatch.setenv("PATLAB_NMAX_CAP", "8")
     with pytest.raises(perms.EnumerationLimitError):
         checks.run_check("seq_catalan_avoiders", {"avoid": "312"}, n_max=10)
+
+
+def test_coverage_table_is_pinned():
+    # What every check covers at n_max = 10: a change of any check's range
+    # must show up here as a deliberate edit.
+    table = [[c.check_id, c.params, checks.run_check(c.check_id, c.params,
+                                                     n_max=10).n_range]
+             for c in checks.REGISTRY]
+    assert len(table) == 251
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "8f773512774493074592cf9b0f1147ca8e305bb0574370433b9d090426e393b1")

@@ -219,24 +219,25 @@ def test_staircase_preimage_equals_the_guarded_inverses():
                 max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_class_factor_counts_match_path_pattern_count(words, factors):
-    counts = dyck.class_factor_counts(iter(words), factors)
+    counts = dyck.class_factor_counts("".join(words).encode(), len(words),
+                                      factors)
     assert [list(c) for c in counts] == [
         [dyck.path_pattern_count(w, f) for w in words] for f in factors]
 
 
 def test_class_factor_counts_examples_and_guards():
     # overlapping occurrences each count, as in path_pattern_count
-    assert dyck.class_factor_counts(["RRRR", "DRRR"], ["RRR", "R"]) == \
+    assert dyck.class_factor_counts(b"RRRRDRRR", 2, ["RRR", "R"]) == \
         [bytes([2, 1]), bytes([4, 3])]
-    assert dyck.class_factor_counts([], ["DR"]) == [b""]
-    assert dyck.class_factor_counts([""], ["D"]) == [b"\x00"]
+    assert dyck.class_factor_counts(b"", 0, ["DR"]) == [b""]
+    assert dyck.class_factor_counts(b"", 1, ["D"]) == [b"\x00"]
     # 255 steps still fit a byte lane; 256 could carry
-    assert dyck.class_factor_counts(["R" * 255], ["R"]) == [b"\xff"]
+    assert dyck.class_factor_counts(b"R" * 255, 1, ["R"]) == [b"\xff"]
     with pytest.raises(ValueError, match="byte lane"):
-        dyck.class_factor_counts(["R" * 256], ["R"])
+        dyck.class_factor_counts(b"R" * 256, 1, ["R"])
     with pytest.raises(ValueError):
-        dyck.class_factor_counts(["DR", "DDRR"], ["DR"])
+        dyck.class_factor_counts(b"DR" + b"DDR", 2, ["DR"])
     with pytest.raises(ValueError):
-        dyck.class_factor_counts(["DX"], ["DR"])
+        dyck.class_factor_counts(b"DX", 1, ["DR"])
     with pytest.raises(ValueError):
-        dyck.class_factor_counts(["DR"], [""])
+        dyck.class_factor_counts(b"DR", 1, [""])

@@ -375,6 +375,18 @@ def test_packed_class_reads_as_the_filtered_permutations():
                 got[-len(want) - 1]
 
 
+def test_packed_class_slices_as_its_tuple():
+    assert perms.avoider_list((1, 2, 3), 4)[1:3] == ((2, 1, 4, 3), (2, 4, 1, 3))
+    for lam, n in (((1, 2, 3), 4), ((1, 3, 2), 5), ((3, 1, 2), 0)):
+        cls = perms.avoider_list(lam, n)
+        whole = tuple(cls)
+        for s in (slice(None), slice(1, 3), slice(-4, None), slice(None, -2),
+                  slice(None, None, 2), slice(None, None, -1),
+                  slice(-2, 1, -3), slice(5, 2, -1), slice(3, 3), slice(9, 99)):
+            assert cls[s] == whole[s]
+            assert type(cls[s]) is tuple
+
+
 @given(st.sampled_from(CLASSES), st.integers(0, 9),
        st.lists(st.integers(2, 5).flatmap(
            lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),
