@@ -18,11 +18,15 @@ the Dyck paths in lex order, each mapped back to its avoider.  A transport
 (transport_*, transport_general) is data, a consecutive pattern and the
 Dyck factors whose counts add up to it: one whole-class count of every
 pattern and one of every factor over the table, compared as byte strings,
-certify them all.  bij_phin maps the packed 312 class at once: the inverse
-images must join to the class, the descent columns must agree lane by
-lane, and the sorted images must join to the packed 213 class.  Only an n
-whose bijection pass fails is searched element by element, with every
-round-trip and class test, for its first witness.
+certify them all.  bij_phin certifies phi_n, the min-tree relabelling
+from 312- to 213-avoiders, by lane arithmetic on the packed 312 class's
+columns (perms.phi_n_lanes; row by row it is perms._phi_n): the lane
+inverse gives the columns back (one-to-one), the descent masks agree, no
+image has q_j < q_i < (largest entry after j) for i < j (avoids 213), and
+the 213 class is as large as the 312 class (onto).  Only an n whose
+bijection pass fails is searched element by element, with every
+round-trip and class test, for its first witness.  Every bijection check
+covers n <= min(n_max, DIST_NMAX).
 """
 
 from __future__ import annotations
@@ -33,15 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import catalog, dyck, oracle, perms
-from .limits import (
-    CLOSED_VS_SERIES_ORDER,
-    DIST_NMAX,
-    IDENTITY_ORDER,
-    ORACLE_MAX_N,
-    PHIN_NMAX,
-    SYMMETRY_NMAX,
-    TRANSPORT_GENERAL_NMAX,
-)
+from .limits import CLOSED_VS_SERIES_ORDER, DIST_NMAX, ORACLE_MAX_N, SYMMETRY_NMAX
 from .series import Poly, catalan, slice_differences, y_reverse
 
 HARD = catalog.HARD_PASS
@@ -194,22 +190,22 @@ def _whole_class_passes(top, passes, witness):
 
 
 def _phin_pass(n):
-    # phi_n on the packed 312 class: the inverse images joined give the
-    # class back, the descent columns agree lane by lane, and the sorted
-    # images are exactly the packed 213 class (phi_n is not lex-monotone).
+    # The four lane tests of the module docstring.
     cls = perms.avoider_list((3, 1, 2), n)
-    rows = list(map(bytes, map(perms._phi_n, cls)))
-    back = (bytes(perms._phi_n(q, inverse=True)) for q in rows)
-    if b"".join(back) != cls.rows:
+    m, cols = len(cls), cls.columns()
+    images = perms.phi_n_lanes(cols, m)
+    below = partial(perms.lanes_below, high=int.from_bytes(b"\x80" * m, "little"))
+    descents = lambda cs: [below(b, a) for a, b in zip(cs, cs[1:])]
+    if (perms.phi_n_lanes(images, m, inverse=True) != cols
+            or descents(images) != descents(cols)):
         return False
-    high = int.from_bytes(b"\x80" * len(cls), "little")
-
-    def descents(cols):
-        # Bit 7 of a lane is set iff the row descends at j.
-        return [((a | high) - b) & high for a, b in zip(cols, cols[1:])]
-    if descents(perms.PackedClass(n, rows).columns()) != descents(cls.columns()):
-        return False
-    return b"".join(sorted(rows)) == perms.avoider_list((2, 1, 3), n).rows
+    top = 0     # the largest entry after j, lane by lane
+    for j in range(n - 1, 0, -1):
+        q = images[j]
+        if any(below(q, qi) & below(qi, top) for qi in images[:j]):
+            return False
+        top ^= (top ^ q) & (below(top, q) >> 7) * 0xFF
+    return len(perms.avoider_list((2, 1, 3), n)) == m
 
 
 def _phin_witness(n):
@@ -234,7 +230,7 @@ def _phin_witness(n):
 
 
 def _run_bij_phin(params, n_max):
-    return _whole_class_passes(min(n_max, PHIN_NMAX), _phin_pass, _phin_witness)
+    return _whole_class_passes(min(n_max, DIST_NMAX), _phin_pass, _phin_witness)
 
 
 # statistic -> (avoided class, consecutive pattern, Dyck-path factors whose
@@ -253,12 +249,12 @@ _TRANSPORTS = {
 def _staircase_pass(lam, top, stats):
     """Every verdict of the checks over one staircase class, lam 132 or 123.
 
-    stats is a tuple of transports (consecutive pattern, Dyck factors, cap),
-    each certified for n <= min(top, cap), the bijection for n <= top.  The
-    words come from dyck.staircase_word, unguarded: avoider_list gives only
-    members of the class.  A statistic's pattern counts are compared with
-    the lane-wise sum of its factors' counts, and the lanes are scanned only
-    on a mismatch.
+    stats is a tuple of transports (consecutive pattern, Dyck factors),
+    certified with the bijection for n <= top.  The words come from
+    dyck.staircase_word, unguarded: avoider_list gives only members of the
+    class.  A statistic's pattern counts, counted when it is compared, are
+    compared with the lane-wise sum of its factors' counts, and the lanes
+    are scanned only on a mismatch.
     Returns {stat: (ok, witness, n_range)}, the bijection's under None; a
     witness is the first disagreement in (n, lex) order, and a failing
     check does not stop the others.
@@ -282,21 +278,19 @@ def _staircase_pass(lam, top, stats):
             table += word.encode()
             ok = ok and word == next(paths, None) and pre(word, lam) == p
         locksteps.append(ok and next(paths, None) is None)
-        live = [stat for stat in stats if n <= stat[2]]
-        patterns = list(dict.fromkeys(gamma for gamma, _, _ in live))
-        factors = list(dict.fromkeys(f for _, fs, _ in live for f in fs))
-        lefts = dict(zip(patterns, perms.class_pattern_counts(avoiders, patterns)))
+        factors = list(dict.fromkeys(f for _, fs in stats for f in fs))
         counted = dict(zip(factors, dyck.class_factor_counts(
             table, len(avoiders), factors)))
-        for stat in live:
-            left, cs = lefts[stat[0]], [counted[f] for f in stat[1]]
+        for stat in stats:
+            left, = perms.class_pattern_counts(avoiders, [stat[0]])
+            cs = [counted[f] for f in stat[1]]
             right = cs[0] if len(cs) == 1 else bytes(map(sum, zip(*cs)))
             if witnesses[stat] is None and left != right:
                 i = next(i for i, (a, b) in enumerate(zip(left, right))
                          if a != b)
                 witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),
                                            left[i], right[i])
-    verdicts = {stat: (w is None, w, f"n<={min(top, stat[2])}")
+    verdicts = {stat: (w is None, w, f"n<={top}")
                 for stat, w in witnesses.items()}
     verdicts[None] = _whole_class_passes(top, locksteps.__getitem__,
                                          partial(_staircase_witness, lam))
@@ -305,15 +299,14 @@ def _staircase_pass(lam, top, stats):
 
 def _staircase_stat(params):
     """(class, statistic) of a check of the staircase pass: None for
-    bij_phi and bij_psi, (pattern, Dyck factors, cap) for a transport."""
+    bij_phi and bij_psi, (pattern, Dyck factors) for a transport."""
     if "map" in params:
         return ((1, 3, 2) if params["map"] == "phi" else (1, 2, 3)), None
     if "statistic" in params:
         lam, gamma, factors = _TRANSPORTS[params["statistic"]]
-        return lam, (gamma, factors, DIST_NMAX)
+        return lam, (gamma, factors)
     gamma = perms.parse_perm(params["gamma"])
-    return (1, 3, 2), (gamma, (dyck.pattern_path(gamma, params["variant"]),),
-                       TRANSPORT_GENERAL_NMAX)
+    return (1, 3, 2), (gamma, (dyck.pattern_path(gamma, params["variant"]),))
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +408,7 @@ def _run_closed_vs_series(params, n_max):
 
 def _run_identity(params, n_max):
     ident = params["identity"]
-    order = catalog.IDENTITIES[ident].top(min(n_max, IDENTITY_ORDER))
+    order = catalog.IDENTITIES[ident].top(min(n_max, DIST_NMAX))
     verdict = catalog.printed_identity_check(ident, order, m=params.get("m"),
                                              a=params.get("a"))
     return _first_disagreement([] if verdict.ok else [verdict.witness],

@@ -144,8 +144,8 @@ def class_factor_counts(table, m: int, factors) -> list[bytes]:
         raise ValueError(f"length {size} does not fit a byte lane (2n < 256)")
     if table.translate(None, b"DR"):
         raise ValueError("steps must be D or R")
-    lanes = table.translate(_D_LANE)
-    cols = [int.from_bytes(lanes[j::size], "little") for j in range(size)]
+    cols = [int.from_bytes(table[j::size].translate(_D_LANE), "little")
+            for j in range(size)]
     ones = int.from_bytes(b"\x01" * m, "little")
     out = []
     for f in factors:

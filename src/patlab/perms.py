@@ -25,6 +25,14 @@ same pattern and are joined length by length, a side lifted by a shift
 table.  avoider_list caches any n it is called with; avoider_class and
 enumerate_avoiders read it only up to AVOIDERS_CACHED_MAX_N.
 
+phi_n (312- to 213-avoiders, descents kept) relabels a permutation's
+min-tree, its Cartesian tree by minimum: a 312-avoider is its tree
+labelled in root-left-right preorder, a 213-avoider in root-right-left
+preorder.  So entry i of the image is 1 + (i's ancestors left of i) +
+(positions right of i's subtree); the inverse swaps left and right.  Row
+form: _phi_n, one monotonic-stack scan.  Lane form: phi_n_lanes, over a
+whole class's columns at once.
+
 Text form: undelimited digits for n <= 9 ("869743251"), comma-separated
 entries for longer permutations.
 """
@@ -34,7 +42,6 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import chain
 
 from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
 
@@ -277,30 +284,27 @@ def _check_byte_lane(n: int) -> None:
         raise ValueError(f"length {n} does not fit a byte lane (n < 128)")
 
 
-def class_pattern_counts(perm_list, patterns) -> list[bytes]:
-    """Consecutive-pattern counts over a whole list of permutations at once.
+def lanes_below(a: int, b: int, high: int) -> int:
+    """Bit 7 of each byte lane set where a's lane is at most b's.
+
+    high has 0x80 in every lane; entries are below 128, so no borrow
+    crosses into the next lane of (b | high) - a."""
+    return ((b | high) - a) & high
+
+
+def class_pattern_counts(cls: PackedClass, patterns) -> list[bytes]:
+    """Consecutive-pattern counts over a whole packed class at once.
 
     Returns one bytes object per pattern, in the order given (repeats
-    included): byte j is the number of windows of perm_list[j] matching it.
-    All permutations must have one length n < 128; otherwise ValueError.
-    A PackedClass is counted from its own columns, with no checks to repeat.
+    included): byte j is the number of windows of cls[j] matching it.  The
+    class is read through its byte-lane columns.
 
-    >>> [list(c) for c in class_pattern_counts([(1, 3, 2, 4), (2, 1, 4, 3)],
-    ...                                        [(2, 1), (1, 3, 2)])]
+    >>> cls = PackedClass(4, [bytes((1, 3, 2, 4)), bytes((2, 1, 4, 3))])
+    >>> [list(c) for c in class_pattern_counts(cls, [(2, 1), (1, 3, 2)])]
     [[1, 2], [1, 1]]
     """
     compiled = [compile_pattern(pat) for pat in patterns]
-    m = len(perm_list)
-    if isinstance(perm_list, PackedClass):
-        n, cols = perm_list.n, perm_list.columns()
-    else:
-        n = len(perm_list[0]) if m else 0
-        if set(map(len, perm_list)) - {n}:
-            raise ValueError("permutations of different lengths")
-        _check_byte_lane(n)
-        # Column j holds entry j of every permutation, one byte lane each.
-        flat = bytes(chain.from_iterable(perm_list))
-        cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
+    m, n, cols = len(cls), cls.n, cls.columns()
     high = int.from_bytes(b"\x80" * m, "little")
     out = []
     for offsets in compiled:
@@ -308,9 +312,7 @@ def class_pattern_counts(perm_list, patterns) -> list[bytes]:
         for i in range(n - len(offsets) + 1):
             hits = high
             for a, b in zip(offsets, offsets[1:]):
-                # Bit 7 of a lane of (b | 0x80) - a is set iff a < b; entries
-                # are below 128, so no borrow crosses into the next lane.
-                hits &= ((cols[i + b] | high) - cols[i + a]) & high
+                hits &= lanes_below(cols[i + a], cols[i + b], high)
             total += hits >> 7
         out.append(total.to_bytes(m, "little"))
     return out
@@ -331,6 +333,7 @@ class PackedClass(Sequence):
     __slots__ = ("n", "rows", "_len", "_columns")
 
     def __init__(self, n: int, rows: list[bytes]):
+        _check_byte_lane(n)
         self.n = n
         self._len = len(rows)
         self.rows = b"".join(rows)
@@ -478,13 +481,8 @@ def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):
 # -- the descent-preserving bijection between 312- and 213-avoiders ----------
 
 def phi_n(p: Perm) -> Perm:
-    """Descent-set-preserving bijection from 312-avoiders to 213-avoiders.
-
-    Splits at the position r of the entry 1; in a 312-avoider everything
-    right of 1 exceeds everything left of it, and both blocks are rebuilt
-    the same way around a re-based 1: the left block takes the largest
-    values, the right block the values just above 1.
-    """
+    """Descent-set-preserving bijection from 312-avoiders to 213-avoiders,
+    relabelling p's min-tree (see the module docstring)."""
     if contains_classical(p, (3, 1, 2)):
         raise ValueError(f"{perm_str(p)} contains 312")
     return _phi_n(p)
@@ -498,32 +496,39 @@ def phi_n_inverse(q: Perm) -> Perm:
 
 
 def _phi_n(p: Perm, inverse: bool = False) -> Perm:
-    # phi_n (or its inverse) without the class guard, in one O(n) loop
-    # with no recursion.  phi_n keeps positions.  A block (lo, hi, a, b) is
-    # positions lo..hi-1, holding the values a+1.. of p and taking the
-    # values b+1.. of the image.  Its minimum a+1 (found through p's
-    # inverse) becomes b+1 in place; the entries left and right of it are
-    # the two sub-blocks.  phi_n re-bases the left block to the top of the
-    # block's values and the right block to just above its minimum; the
-    # inverse swaps the two offsets.
+    # phi_n (or its inverse) without the class guard.  The stack holds i's
+    # ancestors left of i; an entry popped at i has its subtree end before
+    # i.  The inverse swaps left and right: the mirrored scan.
+    if inverse:
+        return _phi_n(p[::-1])[::-1]
     n = len(p)
-    where = [0] * (n + 1)
-    for i, v in enumerate(p):
-        where[v] = i
     out = [0] * n
-    blocks = [(0, n, 0, 0)] if n else []
-    while blocks:
-        lo, hi, a, b = blocks.pop()
-        r = where[a + 1]
-        out[r] = b + 1
-        left = r - lo
-        right = hi - r - 1
-        if inverse:
-            left_ab, right_ab = (a + right + 1, b + 1), (a + 1, b + left + 1)
-        else:
-            left_ab, right_ab = (a + 1, b + right + 1), (a + left + 1, b + 1)
-        if left:
-            blocks.append((lo, r, *left_ab))
-        if right:
-            blocks.append((r + 1, hi, *right_ab))
+    stack: list[int] = []
+    for i, v in enumerate(p):
+        while stack and p[stack[-1]] > v:
+            out[stack.pop()] += n - i
+        out[i] = len(stack) + 1
+        stack.append(i)
     return tuple(out)
+
+
+def phi_n_lanes(cols: list[int], m: int, inverse: bool = False) -> list[int]:
+    """_phi_n of every row of m at once, on their byte-lane columns (as
+    PackedClass.columns() gives them); returns the images' columns.
+
+    For j < i, j is an ancestor of i, and i in j's subtree, iff entry j is
+    below entries j+1..i: a running AND of lane comparisons.  Each such
+    pair adds 1 to image entry i and takes 1 off entry j, which starts at
+    n - j."""
+    if inverse:
+        return phi_n_lanes(cols[::-1], m)[::-1]
+    n = len(cols)
+    high = int.from_bytes(b"\x80" * m, "little")
+    out = [(high >> 7) * (n - j) for j in range(n)]
+    for j in range(n):
+        below = high
+        for i in range(j + 1, n):
+            below &= lanes_below(cols[j], cols[i], high)
+            out[i] += below >> 7
+            out[j] -= below >> 7
+    return out

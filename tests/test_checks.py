@@ -4,7 +4,7 @@ import json
 import pytest
 
 from patlab import checks, dyck, perms
-from patlab.limits import AVOIDERS_CACHED_MAX_N, DIST_NMAX, PHIN_NMAX
+from patlab.limits import AVOIDERS_CACHED_MAX_N, DIST_NMAX
 from patlab.series import catalan
 
 
@@ -130,14 +130,13 @@ def _sequential_transport(lam, top, pattern, factors):
 
 
 def test_transport_pass_keeps_each_first_witness():
-    wrong = ((2, 1), ("RD",), DIST_NMAX)  # psi_des without its RRR factor
-    also_wrong = ((1, 3, 2), ("DRR",), DIST_NMAX)  # overcounts 132
-    stats = (((1, 3, 2), ("DRRR",), DIST_NMAX), wrong,
-             ((2, 3, 1), ("DRRD",), DIST_NMAX), also_wrong)
+    wrong = ((2, 1), ("RD",))  # psi_des without its RRR factor
+    also_wrong = ((1, 3, 2), ("DRR",))  # overcounts 132
+    stats = (((1, 3, 2), ("DRRR",)), wrong, ((2, 3, 1), ("DRRD",)), also_wrong)
     verdicts = checks._staircase_pass((1, 2, 3), 7, stats)
     for stat in stats:
         ok, witness, n_range = verdicts[stat]
-        want = _sequential_transport((1, 2, 3), 7, *stat[:2])
+        want = _sequential_transport((1, 2, 3), 7, *stat)
         assert witness == want and ok == (want is None) and n_range == "n<=7"
     assert not verdicts[wrong][0] and not verdicts[also_wrong][0]
     # 132 has one descent; its path DDDRRR has no RD, only RRR
@@ -157,8 +156,7 @@ def test_transport_checks_match_the_suite_report():
         res = checks.run_check(c.check_id, c.params, n_max=10)
         assert checks._result_json(res) == \
             records[(c.check_id, json.dumps(c.params, sort_keys=True))]
-        assert res.n_range == ("n<=9" if c.check_id == "transport_general"
-                               else "n<=10")
+        assert res.n_range == "n<=10"
 
 
 def _broken_preimage(real):
@@ -172,7 +170,8 @@ def _broken_preimage(real):
 def test_bij_psi_records_a_preimage_outside_the_class(monkeypatch):
     # A broken inverse whose preimage contains 123 must give a failing
     # witness, not an exception from the guarded map.
-    monkeypatch.setattr(perms, "avoider_list", lambda lam, n: ())
+    monkeypatch.setattr(perms, "avoider_list",
+                        lambda lam, n: perms.PackedClass(n, []))
     monkeypatch.setattr(dyck, "staircase_preimage",
                         _broken_preimage(dyck.staircase_preimage))
     res = checks.run_check("bij_psi", n_max=4)
@@ -182,7 +181,8 @@ def test_bij_psi_records_a_preimage_outside_the_class(monkeypatch):
 
 
 def test_bij_phi_records_a_preimage_outside_the_class(monkeypatch):
-    monkeypatch.setattr(perms, "avoider_list", lambda lam, n: ())
+    monkeypatch.setattr(perms, "avoider_list",
+                        lambda lam, n: perms.PackedClass(n, []))
     monkeypatch.setattr(dyck, "staircase_preimage",
                         _broken_preimage(dyck.staircase_preimage))
     res = checks.run_check("bij_phi", n_max=4)
@@ -221,7 +221,7 @@ def _bij_staircase_reference(params, n_max):
 def _bij_phin_reference(params, n_max):
     # bij_phin as it was before the packed pass: each image tested for 213,
     # for its descent set and for its round trip, then the images counted.
-    top = min(n_max, PHIN_NMAX)
+    top = min(n_max, DIST_NMAX)
     for n in range(top + 1):
         seen = set()
         for p in perms.avoider_list((3, 1, 2), n):
@@ -288,6 +288,16 @@ def test_bij_psi_wrong_word_keeps_the_witness(monkeypatch):
                            "expected": "5431762", "actual": "6431752"}
 
 
+def _rowwise_lanes(phi):
+    # phi_n_lanes through a per-row map: decode the rows from the columns,
+    # map each one and encode the images as columns again.
+    def lanes(cols, m, inverse=False):
+        rows = zip(*(c.to_bytes(m, "little") for c in cols)) if cols else [()] * m
+        return perms.PackedClass(len(cols), [bytes(phi(p, inverse))
+                                             for p in rows]).columns()
+    return lanes
+
+
 _PHIN_A = perms.parse_perm("214563")       # the 51st and 52nd 312-avoiders of 6
 _PHIN_B = perms.parse_perm("214653")
 _PHIN_DESCENTS = {"n": 6, "monomial": "214563",
@@ -306,6 +316,7 @@ _PHIN_DESCENTS = {"n": 6, "monomial": "214563",
                   "actual": "213"}),
 ])
 def test_bij_phin_faults_keep_the_witness(monkeypatch, fault, witness):
+    # The fault goes into the lane pass and the element-by-element search.
     real = perms._phi_n
     forward = {_PHIN_A: real(_PHIN_B)}
     backward = {}
@@ -319,7 +330,8 @@ def test_bij_phin_faults_keep_the_witness(monkeypatch, fault, witness):
         table = backward if inverse else forward
         return table.get(tuple(p)) or real(p, inverse)
     monkeypatch.setattr(perms, "_phi_n", phi)
-    assert _agrees_with_reference("bij_phin", {}, 9).witness == witness
+    monkeypatch.setattr(perms, "phi_n_lanes", _rowwise_lanes(phi))
+    assert _agrees_with_reference("bij_phin", {}, 10).witness == witness
 
 
 @pytest.mark.parametrize("check_id", ["bij_phi", "bij_psi"])
@@ -368,10 +380,8 @@ def test_bijection_passes_call_each_map_once_per_element(monkeypatch):
                           "staircase_word": classes,
                           "staircase_preimage": classes}
     counts.update(dict.fromkeys(counts, 0))
-    assert checks.run_check("bij_phin", n_max=9).status == "pass"
-    assert counts == {"contains_classical": 0,
-                      "_phi_n": 2 * sum(catalan(n) for n in range(10)),
-                      "staircase_word": 0, "staircase_preimage": 0}
+    assert checks.run_check("bij_phin", n_max=10).status == "pass"
+    assert counts == dict.fromkeys(counts, 0)   # bij_phin is lane arithmetic
 
 
 def test_bijection_suite_maps_each_avoider_once(monkeypatch):
@@ -401,6 +411,15 @@ def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch)
         checks.run_check("seq_catalan_avoiders", {"avoid": "312"}, n_max=10)
 
 
+def test_every_bijection_check_covers_one_range():
+    # One brute range for the bijection suite: min(n_max, DIST_NMAX).
+    for n_max in range(13):
+        for c in checks.REGISTRY:
+            if c.suite == "bijections":
+                res = checks.run_check(c.check_id, c.params, n_max=n_max)
+                assert res.n_range == f"n<={min(n_max, DIST_NMAX)}", (n_max, c)
+
+
 def test_coverage_table_is_pinned():
     # What every check covers at n_max = 10: a change of any check's range
     # must show up here as a deliberate edit.
@@ -410,4 +429,4 @@ def test_coverage_table_is_pinned():
     assert len(table) == 251
     digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "8f773512774493074592cf9b0f1147ca8e305bb0574370433b9d090426e393b1")
+        "5cc653dc388ce566f265f5de8566c9bb93780b543d675f785a7d82058d25804a")

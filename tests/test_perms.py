@@ -13,9 +13,14 @@ perm_strategy = st.integers(0, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
 
 
+def _packed(n, perm_list):
+    return perms.PackedClass(n, [bytes(p) for p in perm_list])
+
+
 def _counts_of_one(p, pats):
     # The whole-class counter applied to a class of one permutation.
-    return tuple(column[0] for column in perms.class_pattern_counts([p], pats))
+    return tuple(column[0] for column
+                 in perms.class_pattern_counts(_packed(len(p), [p]), pats))
 
 
 def test_reduce_word():
@@ -260,6 +265,17 @@ def test_phi_n_matches_the_recursive_definition():
             assert perms.phi_n_inverse(q) == _recursive_phi_n_inverse(q), q
 
 
+def test_phi_n_lanes_equal_the_per_permutation_map():
+    for n in range(11):
+        for lam, inverse in (((3, 1, 2), False), ((2, 1, 3), True)):
+            cls = perms.avoider_list(lam, n)
+            images = perms.phi_n_lanes(cls.columns(), len(cls), inverse)
+            want = [perms._phi_n(p, inverse) for p in cls]
+            assert images == _packed(n, want).columns(), (n, inverse)
+            back = perms.phi_n_lanes(images, len(cls), not inverse)
+            assert back == cls.columns(), (n, inverse)
+
+
 def test_phi_n_has_no_recursion_depth_limit():
     n = 3000
     identity = tuple(range(1, n + 1))
@@ -292,6 +308,7 @@ def test_compiled_matcher_agrees_with_reduce_word(p):
 
 
 @given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+           st.just(n),
            st.lists(st.permutations(list(range(1, n + 1))).map(tuple),
                     max_size=12),
            st.lists(st.integers(1, 6).flatmap(
@@ -299,8 +316,8 @@ def test_compiled_matcher_agrees_with_reduce_word(p):
                max_size=6))))
 @settings(max_examples=150, deadline=None)
 def test_class_counts_equal_per_permutation_positions(case):
-    perm_list, pats = case
-    counts = perms.class_pattern_counts(perm_list, pats)
+    n, perm_list, pats = case
+    counts = perms.class_pattern_counts(_packed(n, perm_list), pats)
     assert len(counts) == len(pats)
     for pat, column in zip(pats, counts):
         assert list(column) == [len(perms.consecutive_match_positions(p, pat))
@@ -308,13 +325,10 @@ def test_class_counts_equal_per_permutation_positions(case):
 
 
 def test_class_counts_reject_what_does_not_fit_a_byte_lane():
-    with pytest.raises(ValueError, match="different lengths"):
-        perms.class_pattern_counts([(1, 2), (1, 2, 3)], [(1, 2)])
-    with pytest.raises(ValueError, match="different lengths"):
-        perms.class_pattern_counts([(2, 1, 3), ()], [(1, 2)])
     with pytest.raises(ValueError, match="n < 128"):
-        perms.class_pattern_counts([tuple(range(1, 129))], [(1, 2)])
-    counts = perms.class_pattern_counts([tuple(range(127, 0, -1))], [(2, 1)])
+        perms.class_pattern_counts(_packed(128, [range(1, 129)]), [(1, 2)])
+    counts = perms.class_pattern_counts(_packed(127, [range(127, 0, -1)]),
+                                        [(2, 1)])
     assert counts == [bytes([126])]
 
 
@@ -336,7 +350,7 @@ def test_pattern_counter_mixed_lengths_and_repeats():
     pats = [(1, 3, 2), (2, 1), (2, 1, 3, 4), (1, 3, 2), (3, 2, 1), (1,)]
     want = tuple(len(_positions_by_definition(p, pat)) for pat in pats)
     assert _counts_of_one(p, pats) == want
-    assert perms.class_pattern_counts([p], []) == []
+    assert perms.class_pattern_counts(_packed(len(p), [p]), []) == []
 
 
 @pytest.mark.parametrize("lam, generate", [
@@ -393,9 +407,11 @@ def test_packed_class_slices_as_its_tuple():
            min_size=1, max_size=3))
 @settings(max_examples=80, deadline=None)
 def test_packed_counts_equal_the_generic_path(lam, n, pats):
+    # The generic path is the per-permutation matcher.
     packed = perms.avoider_list(lam, n)
-    assert (perms.class_pattern_counts(packed, pats)
-            == perms.class_pattern_counts(list(packed), pats))
+    assert perms.class_pattern_counts(packed, pats) == [
+        bytes(len(perms.consecutive_match_positions(p, pat)) for p in packed)
+        for pat in pats]
 
 
 def test_avoider_lists_through_n10_are_pinned():
