@@ -11,22 +11,27 @@ Failures always carry a witness: the first disagreeing coefficient in
 canonical monomial order.
 
 The checks over the staircase classes 132 and 123 (bij_phi, bij_psi and
-the transports) share one cached pass per class: for each n it maps every
-avoider once to its staircase word, packed into one table of 2n bytes per
-avoider in class order, and keeps only the verdicts.  The words must be
-the Dyck paths in lex order, each mapped back to its avoider.  A transport
+the transports) share one cached pass per class, lane arithmetic on the
+packed class's columns that keeps only the verdicts.  For each n the
+class's staircase words are the columns of their staircase counts
+(dyck.staircase_counts; row by row they are dyck.staircase_word), and no
+word string is made.  The certificate: the words are Dyck paths, strictly
+increasing, and catalan(n) of them, so they are the paths in lex order
+(dyck.is_lex_path_class); and the lane preimage rebuilds the class's
+columns from them (dyck.staircase_preimage_lanes).  A transport
 (transport_*, transport_general) is data, a consecutive pattern and the
 Dyck factors whose counts add up to it: one whole-class count of every
-pattern and one of every factor over the table, compared as byte strings,
-certify them all.  bij_phin certifies phi_n, the min-tree relabelling
-from 312- to 213-avoiders, by lane arithmetic on the packed 312 class's
-columns (perms.phi_n_lanes; row by row it is perms._phi_n): the lane
-inverse gives the columns back (one-to-one), the descent masks agree, no
-image has q_j < q_i < (largest entry after j) for i < j (avoids 213), and
-the 213 class is as large as the 312 class (onto).  Only an n whose
-bijection pass fails is searched element by element, with every
-round-trip and class test, for its first witness.  Every bijection check
-covers n <= min(n_max, DIST_NMAX).
+pattern, and one of every factor over the words' step columns
+(dyck.path_step_columns), compared as byte strings, certify them all.
+bij_phin certifies phi_n, the min-tree relabelling from 312- to
+213-avoiders, by lane arithmetic on the packed 312 class's columns
+(perms.phi_n_lanes; row by row it is perms._phi_n): the lane inverse gives
+the columns back (one-to-one), the descent masks agree, no image has
+q_j < q_i < (largest entry after j) for i < j (avoids 213), and the 213
+class is as large as the 312 class (onto).  Only an n whose bijection
+pass fails is searched element by element, with every round-trip and
+class test, for its first witness.  Every bijection check covers
+n <= min(n_max, DIST_NMAX).
 """
 
 from __future__ import annotations
@@ -250,37 +255,35 @@ def _staircase_pass(lam, top, stats):
     """Every verdict of the checks over one staircase class, lam 132 or 123.
 
     stats is a tuple of transports (consecutive pattern, Dyck factors),
-    certified with the bijection for n <= top.  The words come from
-    dyck.staircase_word, unguarded: avoider_list gives only members of the
-    class.  A statistic's pattern counts, counted when it is compared, are
-    compared with the lane-wise sum of its factors' counts, and the lanes
-    are scanned only on a mismatch.
+    certified with the bijection for n <= top.  The words are the class's
+    staircase-count columns (dyck.staircase_counts on the packed class's
+    columns; avoider_list gives only members of the class), and no word
+    string is made.  The bijection holds at n if the words are the Dyck
+    paths in lex order (dyck.is_lex_path_class) and the lane preimage
+    gives the class's columns back.  A statistic's pattern counts, counted
+    when it is compared, are compared with the lane-wise sum of its
+    factors' counts over the words' step columns, and the lanes are
+    scanned only on a mismatch.
     Returns {stat: (ok, witness, n_range)}, the bijection's under None; a
     witness is the first disagreement in (n, lex) order, and a failing
     check does not stop the others.
     """
-    fwd, pre = dyck.staircase_word, dyck.staircase_preimage
-    locksteps = []
+    certified = []
     witnesses = dict.fromkeys(stats)
+    factors = list(dict.fromkeys(f for _, fs in stats for f in fs))
     for n in range(top + 1):
         avoiders = perms.avoider_list(lam, n)
-        paths = dyck.enumerate_paths(n)
-        table = bytearray()
+        m, cols = len(avoiders), avoiders.columns()
+        counts = dyck.staircase_counts(cols, m)
         # staircase_word keeps lex order on both classes: two members first
         # differ at a new left-to-right minimum, since every other column's
         # value is fixed by the prefix, and the smaller entry there gives
-        # more D's.  So the i-th avoider must map to the i-th path; both
-        # lists are then distinct and of one length, and fwd is a bijection
-        # onto the paths with inverse pre.
-        ok = True
-        for p in avoiders:
-            word = fwd(p)
-            table += word.encode()
-            ok = ok and word == next(paths, None) and pre(word, lam) == p
-        locksteps.append(ok and next(paths, None) is None)
-        factors = list(dict.fromkeys(f for _, fs in stats for f in fs))
+        # more D's.  So the i-th avoider must map to the i-th path, and
+        # the i-th path back to it.
+        certified.append(dyck.is_lex_path_class(counts, m) and
+                         dyck.staircase_preimage_lanes(counts, m, lam) == cols)
         counted = dict(zip(factors, dyck.class_factor_counts(
-            table, len(avoiders), factors)))
+            dyck.path_step_columns(counts, m), m, factors)))
         for stat in stats:
             left, = perms.class_pattern_counts(avoiders, [stat[0]])
             cs = [counted[f] for f in stat[1]]
@@ -292,7 +295,7 @@ def _staircase_pass(lam, top, stats):
                                            left[i], right[i])
     verdicts = {stat: (w is None, w, f"n<={top}")
                 for stat, w in witnesses.items()}
-    verdicts[None] = _whole_class_passes(top, locksteps.__getitem__,
+    verdicts[None] = _whole_class_passes(top, certified.__getitem__,
                                          partial(_staircase_witness, lam))
     return verdicts
 

@@ -14,11 +14,17 @@ guards, for callers whose inputs are valid by construction; the preimage
 is one pass over the path's columns.
 
 Under these maps a consecutive pattern of the permutation becomes a count of
-path factors (path_pattern_count, overlaps included).  class_factor_counts
-counts factors over a packed table of equal-length words at once, one byte
-lane per word, as perms.class_pattern_counts counts patterns; the staircase
-pass in patlab.checks fills one such table per class and n and certifies
-each correspondence with the two counters.
+path factors (path_pattern_count, overlaps included).
+
+The staircase maps also run on a whole packed class at once, one byte lane
+per row, as perms.class_pattern_counts counts patterns.  staircase_counts
+gives the class's words as the columns of their staircase counts (the D's
+before each R); is_lex_path_class certifies that they are the Dyck paths
+in lex order, staircase_preimage_lanes maps them back to columns, and
+path_step_columns spreads them into the step columns that
+class_factor_counts counts factors over.  The staircase pass in
+patlab.checks certifies the bijections and every transport with these
+kernels; the row maps stay as their twins and for the witness search.
 """
 
 from __future__ import annotations
@@ -28,8 +34,10 @@ from .perms import (
     avoids_classical,
     check_enumeration_n,
     check_permutation,
+    lanes_below,
     perm_str,
 )
+from .series import catalan
 
 DyckWord = str
 
@@ -115,44 +123,39 @@ def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> 
     return count
 
 
-_D_LANE = bytes.maketrans(b"DR", b"\x01\x00")
+def class_factor_counts(steps: list[int], m: int, factors) -> list[bytes]:
+    """Factor counts over m step words of one length at once.
 
+    The twin of perms.class_pattern_counts: steps are the words' step
+    columns, as path_step_columns gives them, lane i of column k 1 where
+    step k of word i is D and 0 where it is R.  The words must be shorter
+    than 256, so that no count carries out of its byte lane, and every lane
+    must hold 0 or 1; otherwise ValueError.  Returns one bytes object per
+    factor, in the order given: byte i is path_pattern_count(word i, factor).
 
-def class_factor_counts(table, m: int, factors) -> list[bytes]:
-    """Factor counts over a packed table of m step words at once.
+    An occurrence at offset k is the AND of its steps' lanes, an R step
+    taken as the complement of the D lanes.
 
-    The twin of perms.class_pattern_counts: table holds the m words end to
-    end as bytes (b"DR" for the word "DR"), all of one length below 256, so
-    that no count carries out of its byte lane; otherwise ValueError.
-    Returns one bytes object per factor, in the order given: byte j is
-    path_pattern_count(word j, factor).
-
-    Step j of all words is one big int with a 0x01 byte lane per word
-    where the step is D; an occurrence at offset i is the AND of its steps'
-    lanes, an R step taken as the complement of the D lanes.
-
-    >>> [list(c) for c in class_factor_counts(b"DDRRDRDR", 2, ["DR", "RD"])]
+    >>> # the words DDRR and DRDR, step by step
+    >>> steps = [0x0101, 0x0001, 0x0100, 0x0000]
+    >>> [list(c) for c in class_factor_counts(steps, 2, ["DR", "RD"])]
     [[1, 2], [0, 1]]
     """
     for f in factors:
         if not f or f.strip("DR"):
             raise ValueError(f"factors must be nonempty words over D, R: {f!r}")
-    size = len(table) // m if m else 0
-    if size * m != len(table):
-        raise ValueError(f"{len(table)} steps do not split into {m} words")
+    size = len(steps)
     if size >= 256:
         raise ValueError(f"length {size} does not fit a byte lane (2n < 256)")
-    if table.translate(None, b"DR"):
-        raise ValueError("steps must be D or R")
-    cols = [int.from_bytes(table[j::size].translate(_D_LANE), "little")
-            for j in range(size)]
     ones = int.from_bytes(b"\x01" * m, "little")
+    if any(col & ~ones for col in steps):
+        raise ValueError(f"step lanes must each hold 0 or 1, in {m} lanes")
     out = []
     for f in factors:
         total = 0
         for i in range(size - len(f) + 1):
             hits = ones
-            for col, step in zip(cols[i:i + len(f)], f):
+            for col, step in zip(steps[i:i + len(f)], f):
                 hits &= col if step == "D" else col ^ ones
                 if not hits:
                     break
@@ -240,6 +243,127 @@ def psi_inverse(word: DyckWord) -> Perm:
     """The unique 123-avoiding preimage: gap columns take the greatest
     unused values, so the non-minima form one decreasing sequence."""
     return staircase_preimage(parse_path(word), (1, 2, 3))
+
+
+# -- the staircase maps on byte lanes -------------------------------------------
+#
+# A word ending in R, with n R's, is D^c_1 R D^c_2 R ... D^c_n R: the kernels
+# below carry m words as the byte-lane columns of their staircase counts c_j,
+# lane i of column j the c_j of word i.  Entries and counts stay below 128,
+# so that lanes_below never borrows across lanes.
+
+def _lane_units(m: int) -> tuple[int, int]:
+    # 0x01 and 0x80 in each of m byte lanes.
+    ones = int.from_bytes(b"\x01" * m, "little")
+    return ones, ones << 7
+
+
+def staircase_counts(cols: list[int], m: int) -> list[int]:
+    """staircase_word of m permutations of one length at once.
+
+    cols are their byte-lane columns (perms.PackedClass.columns()); returns
+    the columns of their words' staircase counts.  c_j is low - p_j where
+    p_j is below low, the running minimum (n + 1 at first), and 0 elsewhere:
+    one masked lane subtraction per column.
+
+    >>> cols = [0x0302, 0x0103, 0x0201]     # the rows 231 and 312
+    >>> [hex(c) for c in staircase_counts(cols, 2)]   # DDRRDR and DRDDRR
+    ['0x102', '0x200', '0x1']
+    """
+    ones, high = _lane_units(m)
+    low = (len(cols) + 1) * ones
+    out = []
+    for col in cols:
+        keep = (lanes_below(low, col, high) >> 7) * 0xFF  # not a new minimum
+        c = (low | keep) - (col | keep)
+        low -= c
+        out.append(c)
+    return out
+
+
+def is_lex_path_class(counts: list[int], m: int) -> bool:
+    """Whether the m words with these staircase-count columns are the Dyck
+    paths of size n = len(counts), each once, in lex order with D < R.
+
+    counts are as staircase_counts gives them.  Three lane tests: every
+    word is a path (the partial sums S_j = c_1 + ... + c_j have S_j >= j,
+    and S_n = n); the words strictly increase, which is the c-rows strictly
+    decreasing in lex order, each row compared with the next one through
+    c >> 8; and m is catalan(n), the number of paths.
+    """
+    n = len(counts)
+    if m != catalan(n):
+        return False
+    ones, high = _lane_units(m)
+    pairs = high >> 8       # lane i compares row i with row i + 1
+    total = settled = 0     # settled: pairs whose rows first differ downwards
+    tied = pairs
+    for j, c in enumerate(counts, 1):
+        total += c
+        if lanes_below(j * ones, total, high) != high:
+            return False
+        up = lanes_below(c, c >> 8, high)
+        settled |= tied & ~up
+        tied &= up & lanes_below(c >> 8, c, high)
+    return total == n * ones and settled == pairs
+
+
+def staircase_preimage_lanes(counts: list[int], m: int, lam: Perm) -> list[int]:
+    """staircase_preimage of m Dyck paths at once, lam being 132 or 123.
+
+    The paths are given by their staircase-count columns; returns the
+    preimages' byte-lane columns.  Unguarded like staircase_preimage.  A
+    column with c > 0 is a new minimum, low - c, and uncovers the values
+    between it and the old minimum low; a gap column (c = 0) takes the
+    least uncovered unused value for 132, the greatest for 123.  free[v]
+    is 0xFF in the lanes where v is uncovered and unused, so a column
+    costs O(n) lane operations.
+    """
+    n = len(counts)
+    if lam == (1, 3, 2):
+        order = range(1, n + 1)
+    elif lam == (1, 2, 3):
+        order = range(n, 0, -1)
+    else:
+        raise ValueError(f"no staircase preimage for the class {perm_str(lam)}")
+    ones, high = _lane_units(m)
+    low = (n + 1) * ones
+    free = [0] * (n + 1)
+    out = []
+    for c in counts:
+        new = low - c
+        gap = (lanes_below(c, 0, high) >> 7) * 0xFF
+        col = new & ~gap
+        for v in order:
+            vs = v * ones
+            # v is uncovered where new < v < low
+            inside = high ^ (lanes_below(vs, new, high) | lanes_below(low, vs, high))
+            avail = free[v] | (inside >> 7) * 0xFF
+            take = avail & gap
+            free[v] = avail ^ take
+            col |= vs & take
+            gap ^= take
+        low = new
+        out.append(col)
+    return out
+
+
+def path_step_columns(counts: list[int], m: int) -> list[int]:
+    """The 2n step columns of the m words with these staircase-count
+    columns: lane i of column k is 1 where step k of word i is D, 0 where
+    it is R, as class_factor_counts reads them.
+
+    The j-th R of a word sits at step S_j + j - 1, S_j = c_1 + ... + c_j.
+    """
+    n = len(counts)
+    ones, high = _lane_units(m)
+    steps = [ones] * (2 * n)
+    total = 0
+    for j, c in enumerate(counts, 1):
+        total += c
+        for s in range(j, n + 1):     # an R at step s + j - 1 where S_j = s
+            steps[s + j - 1] ^= lanes_below(total ^ s * ones, 0, high) >> 7
+    return steps
 
 
 # -- pattern paths for the general transport ---------------------------------

@@ -256,6 +256,31 @@ def _agrees_with_reference(check_id, params, n_max):
     return res
 
 
+def _rows(cols, m):
+    # The rows of m byte lanes, decoded from their columns.
+    return list(zip(*(c.to_bytes(m, "little") for c in cols))) if cols else [()] * m
+
+
+def _rowwise_staircase(monkeypatch):
+    # The staircase lane kernels through the per-row maps, looked up when
+    # called so that a fault in dyck.staircase_word or staircase_preimage
+    # reaches the pass: decode the rows from the columns, map each one and
+    # encode the results as columns again.
+    def columns(n, rows):
+        return perms.PackedClass(n, [bytes(r) for r in rows]).columns()
+
+    def counts(cols, m):
+        words = map(dyck.staircase_word, _rows(cols, m))
+        return columns(len(cols), [map(len, w.split("R")[:-1]) for w in words])
+
+    def preimage(counts, m, lam):
+        words = ("".join("D" * c + "R" for c in row) for row in _rows(counts, m))
+        return columns(len(counts),
+                       [dyck.staircase_preimage(w, lam) for w in words])
+    monkeypatch.setattr(dyck, "staircase_counts", counts)
+    monkeypatch.setattr(dyck, "staircase_preimage_lanes", preimage)
+
+
 def _wrong_preimage_on(bad):
     real = dyck.staircase_preimage
     return lambda w, lam: real(w, lam)[::-1] if w == bad else real(w, lam)
@@ -271,6 +296,7 @@ def test_bij_staircase_wrong_preimage_keeps_the_witness(monkeypatch, check_id,
                                                         witness):
     bad = list(dyck.enumerate_paths(6))[37]
     monkeypatch.setattr(dyck, "staircase_preimage", _wrong_preimage_on(bad))
+    _rowwise_staircase(monkeypatch)
     params = {"map": check_id[4:]}
     assert _agrees_with_reference(check_id, params, 10).witness == witness
 
@@ -283,6 +309,7 @@ def test_bij_psi_wrong_word_keeps_the_witness(monkeypatch):
         w = real(p)
         return w[:2] + w[3] + w[2] + w[4:] if p == bad else w
     monkeypatch.setattr(dyck, "staircase_word", fwd)
+    _rowwise_staircase(monkeypatch)
     res = _agrees_with_reference("bij_psi", {"map": "psi"}, 10)
     assert res.witness == {"n": 7, "monomial": "5431762",
                            "expected": "5431762", "actual": "6431752"}
@@ -292,9 +319,8 @@ def _rowwise_lanes(phi):
     # phi_n_lanes through a per-row map: decode the rows from the columns,
     # map each one and encode the images as columns again.
     def lanes(cols, m, inverse=False):
-        rows = zip(*(c.to_bytes(m, "little") for c in cols)) if cols else [()] * m
         return perms.PackedClass(len(cols), [bytes(phi(p, inverse))
-                                             for p in rows]).columns()
+                                             for p in _rows(cols, m)]).columns()
     return lanes
 
 
@@ -339,7 +365,7 @@ def test_bij_staircase_passes_a_bijection_out_of_lex_order(monkeypatch,
                                                           check_id):
     # Two paths of 4 swapped on both maps: still a bijection with its
     # inverse, so the check passes, through the element-by-element search
-    # of n = 4, the one n whose lockstep fails.
+    # of n = 4, the one n whose words are out of lex order.
     paths = list(dyck.enumerate_paths(4))
     swap = {paths[3]: paths[9], paths[9]: paths[3]}
     fwd, pre = dyck.staircase_word, dyck.staircase_preimage
@@ -347,6 +373,7 @@ def test_bij_staircase_passes_a_bijection_out_of_lex_order(monkeypatch,
                         lambda p: swap.get(fwd(p), fwd(p)))
     monkeypatch.setattr(dyck, "staircase_preimage",
                         lambda w, lam: pre(swap.get(w, w), lam))
+    _rowwise_staircase(monkeypatch)
     searched, search = [], checks._staircase_witness
     monkeypatch.setattr(checks, "_staircase_witness",
                         lambda lam, n: searched.append(n) or search(lam, n))
@@ -368,35 +395,34 @@ def _counting(monkeypatch, module, name, counts):
 def test_bijection_passes_call_each_map_once_per_element(monkeypatch):
     checks._class_stats()   # its pattern paths are made once per process
     counts = {}
+    # Every passing bijection check is lane arithmetic: no element is mapped
+    # one by one, and no path is enumerated.
     for module, name in ((perms, "contains_classical"), (perms, "_phi_n"),
-                         (dyck, "staircase_word"), (dyck, "staircase_preimage")):
+                         (dyck, "staircase_word"), (dyck, "staircase_preimage"),
+                         (dyck, "enumerate_paths")):
         _counting(monkeypatch, module, name, counts)
-    classes = sum(catalan(n) for n in range(11))            # 23,714
     for check_id in ("bij_phi", "bij_psi"):
         counts.update(dict.fromkeys(counts, 0))
         res = checks.run_check(check_id, {"map": check_id[4:]}, n_max=10)
         assert res.status == "pass"
-        assert counts == {"contains_classical": 0, "_phi_n": 0,
-                          "staircase_word": classes,
-                          "staircase_preimage": classes}
+        assert counts == dict.fromkeys(counts, 0)
     counts.update(dict.fromkeys(counts, 0))
     assert checks.run_check("bij_phin", n_max=10).status == "pass"
-    assert counts == dict.fromkeys(counts, 0)   # bij_phin is lane arithmetic
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_bijection_suite_maps_each_avoider_once(monkeypatch):
     # One staircase pass per class serves bij_phi/bij_psi and every
-    # transport: one word and one preimage per avoider of 123 and 132 at
-    # n <= 10, and two pattern paths per transport_general check (the
+    # transport, on lanes: no avoider is mapped one by one, and the only
+    # words made are two pattern paths per transport_general check (the
     # class's statistics and the check's own).
     checks._class_stats.cache_clear()
     counts = {}
-    for name in ("staircase_word", "staircase_preimage"):
+    for name in ("staircase_word", "staircase_preimage", "enumerate_paths"):
         _counting(monkeypatch, dyck, name, counts)
     assert checks.run_suite("bijections", 10)["aggregate"] == "pass"
-    avoiders = 2 * sum(catalan(n) for n in range(11))         # 47,428
-    assert counts == {"staircase_word": avoiders + 2 * 32,
-                      "staircase_preimage": avoiders}
+    assert counts == {"staircase_word": 2 * 32, "staircase_preimage": 0,
+                      "enumerate_paths": 0}
 
 
 def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch):

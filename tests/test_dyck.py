@@ -213,13 +213,69 @@ def test_staircase_preimage_equals_the_guarded_inverses():
         dyck.staircase_preimage("DR", (2, 1, 3))
 
 
+def _lane_rows(cols, m):
+    # The rows of m byte lanes, decoded from their columns.
+    return list(zip(*(c.to_bytes(m, "little") for c in cols))) if cols else [()] * m
+
+
+def _step_columns(words):
+    # class_factor_counts' input: lane i of column k is 1 where step k of
+    # word i is D.
+    size = len(words[0]) if words else 0
+    return [int.from_bytes(bytes(w[k] == "D" for w in words), "little")
+            for k in range(size)]
+
+
+def test_staircase_lanes_equal_the_row_maps():
+    # The lane kernels against staircase_word and staircase_preimage on
+    # every avoider of both classes, n = 0 included.
+    for lam in ((1, 3, 2), (1, 2, 3)):
+        for n in range(11):
+            cls = perms.avoider_list(lam, n)
+            m = len(cls)
+            words = [dyck.staircase_word(p) for p in cls]
+            counts = dyck.staircase_counts(cls.columns(), m)
+            assert _lane_rows(counts, m) == \
+                [tuple(map(len, w.split("R")[:-1])) for w in words]
+            steps = dyck.path_step_columns(counts, m)
+            assert ["".join("RD"[step] for step in row)
+                    for row in _lane_rows(steps, m)] == words
+            assert _lane_rows(dyck.staircase_preimage_lanes(counts, m, lam),
+                              m) == [dyck.staircase_preimage(w, lam)
+                                     for w in words]
+            assert dyck.is_lex_path_class(counts, m)
+    with pytest.raises(ValueError):
+        dyck.staircase_preimage_lanes([1], 1, (2, 1, 3))
+
+
+def test_is_lex_path_class_rejects_broken_classes():
+    n = 5
+    rows = _lane_rows(dyck.staircase_counts(
+        perms.avoider_list((1, 3, 2), n).columns(), catalan(n)), catalan(n))
+    assert rows[-2:] == [(1, 1, 1, 2, 0), (1, 1, 1, 1, 1)]
+
+    def certified(rows):
+        cols = perms.PackedClass(n, [bytes(r) for r in rows]).columns()
+        return dyck.is_lex_path_class(cols, len(rows))
+    assert certified(rows)
+    swapped = list(rows)
+    swapped[3], swapped[9] = rows[9], rows[3]
+    assert not certified(swapped)
+    assert not certified(rows[:10] + rows[9:10] + rows[11:])   # a duplicate
+    # The last word DRDRDRDRDR as RDDRDRDRDR: still the greatest word, but
+    # S_1 = 0 < 1; and as DRDRDRDRDDR, with S_5 = 6.
+    assert not certified(rows[:-1] + [(0, 2, 1, 1, 1)])
+    assert not certified(rows[:-1] + [(1, 1, 1, 1, 2)])
+    assert not certified(rows[:-1])                # one row short of catalan(n)
+
+
 @given(st.integers(0, 10).flatmap(lambda size: st.lists(
            st.text("DR", min_size=size, max_size=size), max_size=12)),
        st.lists(st.text("DR", min_size=1, max_size=6), min_size=1,
                 max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_class_factor_counts_match_path_pattern_count(words, factors):
-    counts = dyck.class_factor_counts("".join(words).encode(), len(words),
+    counts = dyck.class_factor_counts(_step_columns(words), len(words),
                                       factors)
     assert [list(c) for c in counts] == [
         [dyck.path_pattern_count(w, f) for w in words] for f in factors]
@@ -227,17 +283,18 @@ def test_class_factor_counts_match_path_pattern_count(words, factors):
 
 def test_class_factor_counts_examples_and_guards():
     # overlapping occurrences each count, as in path_pattern_count
-    assert dyck.class_factor_counts(b"RRRRDRRR", 2, ["RRR", "R"]) == \
+    assert dyck.class_factor_counts(_step_columns(["RRRR", "DRRR"]), 2,
+                                    ["RRR", "R"]) == \
         [bytes([2, 1]), bytes([4, 3])]
-    assert dyck.class_factor_counts(b"", 0, ["DR"]) == [b""]
-    assert dyck.class_factor_counts(b"", 1, ["D"]) == [b"\x00"]
+    assert dyck.class_factor_counts([], 0, ["DR"]) == [b""]
+    assert dyck.class_factor_counts([], 1, ["D"]) == [b"\x00"]
     # 255 steps still fit a byte lane; 256 could carry
-    assert dyck.class_factor_counts(b"R" * 255, 1, ["R"]) == [b"\xff"]
+    assert dyck.class_factor_counts([0] * 255, 1, ["R"]) == [b"\xff"]
     with pytest.raises(ValueError, match="byte lane"):
-        dyck.class_factor_counts(b"R" * 256, 1, ["R"])
+        dyck.class_factor_counts([0] * 256, 1, ["R"])
+    with pytest.raises(ValueError):     # a step wider than the 2 words
+        dyck.class_factor_counts([0x010001], 2, ["DR"])
+    with pytest.raises(ValueError):     # a step that is neither D nor R
+        dyck.class_factor_counts([1, 2], 1, ["DR"])
     with pytest.raises(ValueError):
-        dyck.class_factor_counts(b"DR" + b"DDR", 2, ["DR"])
-    with pytest.raises(ValueError):
-        dyck.class_factor_counts(b"DX", 1, ["DR"])
-    with pytest.raises(ValueError):
-        dyck.class_factor_counts(b"DR", 1, [""])
+        dyck.class_factor_counts([1, 0], 1, [""])
