@@ -320,6 +320,9 @@ def class_pattern_counts(cls: PackedClass, patterns) -> list[bytes]:
 
 # -- avoider enumeration ------------------------------------------------------
 
+_JOIN_CHUNK = 1024
+
+
 class PackedClass(Sequence):
     """Permutations of one length n < 128 as one bytes string, n bytes each.
 
@@ -336,7 +339,11 @@ class PackedClass(Sequence):
         _check_byte_lane(n)
         self.n = n
         self._len = len(rows)
-        self.rows = b"".join(rows)
+        # Joined in chunks: one join of the whole list first allocates an
+        # 80-byte buffer view per row (4.7 MB for the 58,786 rows of
+        # S_11(132)), a transient that would set the process's peak memory.
+        self.rows = b"".join([b"".join(rows[i:i + _JOIN_CHUNK])
+                              for i in range(0, len(rows), _JOIN_CHUNK)])
         self._columns = None
 
     def __len__(self) -> int:

@@ -389,6 +389,15 @@ def test_packed_class_reads_as_the_filtered_permutations():
                 got[-len(want) - 1]
 
 
+def test_packed_class_joins_its_rows_across_chunks():
+    chunk = perms._JOIN_CHUNK
+    for m in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        rows = [bytes((i % 251, i // 251 + 1)) for i in range(m)]
+        cls = perms.PackedClass(2, rows)
+        assert cls.rows == b"".join(rows)
+        assert len(cls) == m
+
+
 def test_packed_class_slices_as_its_tuple():
     assert perms.avoider_list((1, 2, 3), 4)[1:3] == ((2, 1, 4, 3), (2, 4, 1, 3))
     for lam, n in (((1, 2, 3), 4), ((1, 3, 2), 5), ((3, 1, 2), 0)):
