@@ -4,19 +4,23 @@ These are the ground truth that every solved generating function is checked
 against: full enumeration of an avoidance class, counting descents and
 consecutive matches, accumulated into an exact polynomial.  The counts come
 from one pass over the whole class (perms.class_pattern_counts over the
-packed class's byte-lane columns, one lane per permutation, so n < 128);
-each distinct tuple of counts is tallied and packed into a monomial once.
+packed class's byte-lane columns, one lane per permutation, so n < 128).
+A Poly key holds one byte per variable, so each pattern's counts are laid
+into its variable's byte of an 8-byte record per permutation; read as
+native unsigned 64-bit ints, the records are the monomial keys, and their
+tally is the coefficient dict.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .limits import ORACLE_MAX_N
 from .perms import Perm, avoider_list, check_enumeration_n, class_pattern_counts
-from .series import VARS, Poly, pack
+from .series import _SHIFT, VARS, Poly
 
 
 @dataclass(frozen=True)
@@ -38,14 +42,11 @@ def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
     names = (("y",) if track_des else ()) + variables
     patterns = (((2, 1),) if track_des else ()) + tracked
     avoiders = avoider_list(avoided, n)
-    counts = class_pattern_counts(avoiders, patterns)
-    # With nothing counted, every avoider has the empty tuple of counts.
-    tally = Counter(zip(*counts) if counts else [()] * len(avoiders))
-    counter: dict[int, int] = {}
-    for exps, c in tally.items():
-        key = pack({v: e for v, e in zip(names, exps) if e})
-        counter[key] = counter.get(key, 0) + c
-    return Poly(counter)
+    records = bytearray(8 * len(avoiders))
+    for name, counts in zip(names, class_pattern_counts(avoiders, patterns)):
+        byte = _SHIFT[name] // 8
+        records[(byte if sys.byteorder == "little" else 7 - byte)::8] = counts
+    return Poly(dict(Counter(memoryview(records).cast("Q"))))
 
 
 def brute_distribution(avoided: Perm, tracked, n: int,

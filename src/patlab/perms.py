@@ -19,11 +19,13 @@ patterns only; a miss reads no cache.  Each class is stored as one
 PackedClass: a bytes string of n bytes per permutation, in lex order.  A
 Perm tuple exists only as a decoded view, when the class is indexed or
 iterated; class_pattern_counts reads its byte-lane columns, which the class
-builds once.  123 and 321 grow on West's generating trees.  132, 231, 312
-and 213 split at their maximum or minimum into two shorter avoiders of the
-same pattern and are joined length by length, a side lifted by a shift
-table.  avoider_list caches any n it is called with; avoider_class and
-enumerate_avoiders read it only up to AVOIDERS_CACHED_MAX_N.
+builds once.  123 and 321 grow by prepending a first entry, one mark per
+row saying which entries may go first, so each level comes out in lex
+order with no sort (_rows_prepending).  132, 231, 312 and 213 split at
+their maximum or minimum into two shorter avoiders of the same pattern and
+are joined length by length, a side lifted by a shift table.  avoider_list
+caches any n it is called with; avoider_class and enumerate_avoiders read
+it only up to AVOIDERS_CACHED_MAX_N.
 
 phi_n (312- to 213-avoiders, descents kept) relabels a permutation's
 min-tree, its Cartesian tree by minimum: a 312-avoider is its tree
@@ -42,6 +44,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import compress
 
 from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
 
@@ -370,49 +373,47 @@ class PackedClass(Sequence):
         return self._columns
 
 
-def _rows_avoiding_123(n: int) -> list[bytes]:
-    # West's generating tree, level by level.  Inserting m into a 123-avoider
-    # of [m-1] keeps it 123-free iff every entry left of m is decreasing, so
-    # the slots are 0..d, d the length of the leading decreasing run.  Slot 0
-    # gives a child with run d+1, slot j >= 1 a child with run j.
-    level, runs = [b""], [0]
-    for m in range(1, n + 1):
-        top = bytes((m,))
-        children, child_runs = [], []
-        for p, d in zip(level, runs):
-            children.append(top + p)
-            child_runs.append(d + 1)
-            for j in range(1, d + 1):
-                children.append(p[:j] + top + p[j:])
-            child_runs.extend(range(1, d + 1))
-        level, runs = children, child_runs
-    level.sort()
-    return level
-
-
-def _rows_avoiding_321(n: int) -> list[bytes]:
-    # The mirror tree: m may go anywhere right of which every entry is
-    # increasing, so the slots are the last r+1, r the length of the trailing
-    # increasing run.  Appending gives run r+1, slot i from the end run i.
-    level, runs = [b""], [0]
-    for m in range(1, n + 1):
-        top = bytes((m,))
-        children, child_runs = [], []
-        for p, r in zip(level, runs):
-            children.append(p + top)
-            child_runs.append(r + 1)
-            for j in range(m - 1 - r, m - 1):
-                children.append(p[:j] + top + p[j:])
-            child_runs.extend(range(r, 0, -1))
-        level, runs = children, child_runs
-    level.sort()
-    return level
-
-
 @lru_cache(maxsize=None)
 def _shift_table(d: int) -> bytes:
     # bytes.translate table adding d to every entry below 256 - d.
     return bytes(range(d, 256)) + bytes(d)
+
+
+def _rows_prepending(n: int, pattern: Perm) -> list[bytes]:
+    """S_n(123) or S_n(321) as rows in lex order, with no sort.
+
+    Level m prepends a first entry v to every row of level m - 1, lifting
+    its entries >= v by one.  v ascends outside and the parent rows, in lex
+    order, inside, so the level comes out in lex order.  Each row carries
+    one mark s, and v starts no 123 (no 321) iff the lifted s does not
+    exceed v (is not below v):
+    - 123: s is the largest entry with a larger one to its right, 0 if
+      none; v is allowed iff s < v; the child's mark is v if v < m, else s.
+    - 321: s is the smallest entry with a smaller one to its right, the
+      length + 1 if none; v is allowed iff s >= v; the child's mark is v if
+      v > 1, else s + 1.
+
+    >>> [tuple(row) for row in _rows_prepending(3, (1, 2, 3))]
+    [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    """
+    rise = pattern == (1, 2, 3)
+    level, marks = [b""], bytes((0 if rise else 1,))
+    for m in range(1, n + 1):
+        children, child_marks = [], []
+        for v in range(1, m + 1):
+            head, lift = bytes((v,)), bytes(range(v)) + _shift_table(1)[v:]
+            # 1 where v may go first: s < v for 123, s >= v for 321.
+            mask = marks.translate(b"\1" * v + bytes(256 - v) if rise
+                                   else bytes(v) + b"\1" * (256 - v))
+            kept = list(compress(level, mask))
+            children += [head + p.translate(lift) for p in kept]
+            if v == (m if rise else 1):  # the child's mark is s, or s + 1
+                child_marks.append(bytes(compress(marks, mask)).translate(
+                    _shift_table(0 if rise else 1)))
+            else:
+                child_marks.append(head * len(kept))
+        level, marks = children, b"".join(child_marks)
+    return level
 
 
 def _rows_split_at_extreme(n: int, pattern: Perm) -> list[bytes]:
@@ -448,10 +449,8 @@ def _rows_split_at_extreme(n: int, pattern: Perm) -> list[bytes]:
 def _build_class(pattern: Perm, n: int) -> PackedClass:
     # No cache is read here, so an avoider_list miss stays a miss.
     _check_byte_lane(n)
-    if pattern == (1, 2, 3):
-        rows = _rows_avoiding_123(n)
-    elif pattern == (3, 2, 1):
-        rows = _rows_avoiding_321(n)
+    if pattern in ((1, 2, 3), (3, 2, 1)):
+        rows = _rows_prepending(n, pattern)
     elif pattern in ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
         rows = _rows_split_at_extreme(n, pattern)
     else:

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patlab import checks, perms
 from patlab.limits import ORACLE_MAX_N
-from patlab.oracle import brute_distribution
-from patlab.series import Poly, catalan, poly_str
+from patlab.oracle import _distribution, brute_distribution
+from patlab.series import VARS, Poly, catalan, pack, poly_str
 
 X = Poly.variable("x")
 Y = Poly.variable("y")
@@ -128,3 +129,39 @@ def test_env_cap_binds_the_oracle(monkeypatch):
     # the library's n_max does not reach past the cap either
     with pytest.raises(perms.EnumerationLimitError):
         checks.run_check("rec_thm1", n_max=10)
+
+
+def _recount_packed(avoided, tracked, n, variables, track_des):
+    # One avoider at a time: count each statistic and pack its monomial.
+    counter = {}
+    for p in perms.avoider_list(avoided, n):
+        exps = {v: len(perms.consecutive_match_positions(p, g))
+                for v, g in zip(variables, tracked)}
+        if track_des:
+            exps["y"] = len(perms.descent_set(p))
+        key = pack(exps)
+        counter[key] = counter.get(key, 0) + 1
+    return counter
+
+
+_pattern = st.integers(1, 4).flatmap(
+    lambda k: st.permutations(range(1, k + 1))).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(avoided=st.permutations((1, 2, 3)).map(tuple), n=st.integers(0, 8),
+       marks=st.lists(st.tuples(st.sampled_from(VARS[2:]), _pattern),
+                      unique_by=lambda mark: mark[0], max_size=5),
+       track_des=st.booleans())
+@example(avoided=(1, 3, 2), n=8, marks=[("x4", (2, 1)), ("x", (1, 2, 3))],
+         track_des=True)
+@example(avoided=(3, 2, 1), n=7, marks=[("x", (1, 3, 2)), ("x4", (2, 1))],
+         track_des=False)
+@example(avoided=(1, 2, 3), n=0, marks=[("x2", (1,))], track_des=True)
+@example(avoided=(2, 1, 3), n=6, marks=[], track_des=False)
+def test_packed_tally_matches_a_per_permutation_recount(avoided, n, marks,
+                                                        track_des):
+    variables = tuple(v for v, _ in marks)
+    tracked = tuple(g for _, g in marks)
+    poly = _distribution(avoided, tracked, n, variables, track_des)
+    assert poly.c == _recount_packed(avoided, tracked, n, variables, track_des)
