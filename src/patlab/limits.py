@@ -16,4 +16,4 @@ DIST_NMAX = 10                # distributions, bijections, series, identities
 SYMMETRY_NMAX = 9             # symmetries: brute force on both sides
 EXPANSION_ORDER = 5           # the printed expansions stop at t^5
 CLOSED_VS_SERIES_ORDER = 14   # fixed: closed form against its cheap (t, x) series
-AVOIDERS_CACHED_MAX_N = 10    # enumerate_avoiders reads avoider_list up to here
+AVOIDERS_CACHED_MAX_N = 10    # avoider_class caches up to here, grows uncached above

@@ -15,17 +15,17 @@ lane, and the counts come back as one byte per permutation, so the length
 must be below 128.
 
 avoider_list is the one cache of class lists, for the six length-3
-patterns only; a miss reads no cache.  Each class is stored as one
-PackedClass: a bytes string of n bytes per permutation, in lex order.  A
-Perm tuple exists only as a decoded view, when the class is indexed or
-iterated; class_pattern_counts reads its byte-lane columns, which the class
-builds once.  123 and 321 grow by prepending a first entry, one mark per
-row saying which entries may go first, so each level comes out in lex
-order with no sort (_rows_prepending).  132, 231, 312 and 213 split at
-their maximum or minimum into two shorter avoiders of the same pattern and
-are joined length by length, a side lifted by a shift table.  avoider_list
-caches any n it is called with; avoider_class and enumerate_avoiders read
-it only up to AVOIDERS_CACHED_MAX_N.
+patterns only.  Each class is stored as one PackedClass: a bytes string of
+n bytes per permutation, in lex order.  A Perm tuple exists only as a
+decoded view, when the class is indexed or iterated; class_pattern_counts
+reads its byte-lane columns, which the class builds once.  One step grows
+every class by its first entry (_grow, West's generating trees): S_m is
+the union over v = 1..m of v followed by the rows of S_{m-1} that take v
+(_RULES), lifted; v ascends and S_{m-1} is in lex order, so S_m comes out
+in lex order with no sort.  An avoider_list miss at n >= 1 grows S_{n-1}
+read from the cache; avoider_class and enumerate_avoiders read the cache
+only up to AVOIDERS_CACHED_MAX_N and grow the class at the cap, uncached,
+above it.
 
 phi_n (312- to 213-avoiders, descents kept) relabels a permutation's
 min-tree, its Cartesian tree by minimum: a 312-avoider is its tree
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 
 from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
@@ -326,27 +326,35 @@ def class_pattern_counts(cls: PackedClass, patterns) -> list[bytes]:
 _JOIN_CHUNK = 1024
 
 
+def _join(items: list[bytes]) -> bytes:
+    """b"".join(items), in chunks: one join of a long list first allocates an
+    80-byte buffer view per item (4.7 MB for the 58,786 rows of S_11(132)),
+    a transient that would set the process's peak memory."""
+    return b"".join([b"".join(items[i:i + _JOIN_CHUNK])
+                     for i in range(0, len(items), _JOIN_CHUNK)])
+
+
 class PackedClass(Sequence):
     """Permutations of one length n < 128 as one bytes string, n bytes each.
 
-    Built from its rows, each n bytes, in the order they are to be read.
-    Reads as the tuple of Perm it stores: len, indexing (negative indices
-    included), slicing (a tuple of Perm) and iteration decode rows on the
-    fly, and nothing decoded is kept.  columns() gives the byte-lane columns
-    that class_pattern_counts reads, built on the first call.
+    Built from byte strings, one row each or blocks of many, in the order
+    they are to be read; data that does not join into whole rows of n bytes
+    is a ValueError.  For n = 0 each string is one (empty) row.  Reads as the
+    tuple of Perm it stores: len, indexing (negative indices included),
+    slicing (a tuple of Perm) and iteration decode rows on the fly, and
+    nothing decoded is kept.  columns() gives the byte-lane columns that
+    class_pattern_counts reads, built on the first call.
     """
 
     __slots__ = ("n", "rows", "_len", "_columns")
 
-    def __init__(self, n: int, rows: list[bytes]):
+    def __init__(self, n: int, blocks: list[bytes]):
         _check_byte_lane(n)
         self.n = n
-        self._len = len(rows)
-        # Joined in chunks: one join of the whole list first allocates an
-        # 80-byte buffer view per row (4.7 MB for the 58,786 rows of
-        # S_11(132)), a transient that would set the process's peak memory.
-        self.rows = b"".join([b"".join(rows[i:i + _JOIN_CHUNK])
-                              for i in range(0, len(rows), _JOIN_CHUNK)])
+        self.rows = _join(blocks)
+        if len(self.rows) % n if n else self.rows:
+            raise ValueError(f"{len(self.rows)} bytes are not whole rows of {n}")
+        self._len = len(self.rows) // n if n else len(blocks)
         self._columns = None
 
     def __len__(self) -> int:
@@ -373,110 +381,107 @@ class PackedClass(Sequence):
         return self._columns
 
 
-@lru_cache(maxsize=None)
-def _shift_table(d: int) -> bytes:
-    # bytes.translate table adding d to every entry below 256 - d.
-    return bytes(range(d, 256)) + bytes(d)
+# West's rule, one row per class: a row q of S_L(pattern) takes v in
+# 1..m = L + 1 as its first entry (v followed by q, q's entries >= v up by
+# one, avoids the pattern) iff a key of q is at most (or at least) v plus
+# an offset.  A key over no entries is neutral: 0 (or m).
+_RULES = {                              # key, at most, offset
+    (1, 3, 2): ("first", True, 0),      # q_1 <= v
+    (3, 1, 2): ("first", False, -1),    # q_1 >= v - 1
+    (1, 2, 3): ("run", True, -1),       # first entry off L, L-1, .. <= v - 1
+    (3, 2, 1): ("run", False, 0),       # first entry off 1, 2, .. >= v
+    (2, 3, 1): ("prefix", True, -1),    # largest of q_1..q_{v-1} <= v - 1
+    (2, 1, 3): ("prefix", False, 0),    # smallest of q_1..q_{m-v} >= v
+}
 
 
-def _rows_prepending(n: int, pattern: Perm) -> list[bytes]:
-    """S_n(123) or S_n(321) as rows in lex order, with no sort.
+def _takes(pattern: Perm, prev: PackedClass):
+    """For v = 1..m, one 0/1 byte per row of prev = S_{m-1}(pattern): 1
+    where the row takes v (_RULES), read off prev's byte-lane columns."""
+    kind, at_most, offset = _RULES[pattern]
+    L, m, count = prev.n, prev.n + 1, len(prev)
+    cols = [int.from_bytes(prev.rows[j::L], "little") for j in range(L)]
+    high = int.from_bytes(b"\x80" * count, "little")
+    ones = high >> 7
+    le = partial(lanes_below, high=high)  # bit 7 of the lanes where a <= b
 
-    Level m prepends a first entry v to every row of level m - 1, lifting
-    its entries >= v by one.  v ascends outside and the parent rows, in lex
-    order, inside, so the level comes out in lex order.  Each row carries
-    one mark s, and v starts no 123 (no 321) iff the lifted s does not
-    exceed v (is not below v):
-    - 123: s is the largest entry with a larger one to its right, 0 if
-      none; v is allowed iff s < v; the child's mark is v if v < m, else s.
-    - 321: s is the smallest entry with a smaller one to its right, the
-      length + 1 if none; v is allowed iff s >= v; the child's mark is v if
-      v > 1, else s + 1.
+    def pick(flags, a, b):  # a in the flagged lanes, b in the others
+        return b ^ (a ^ b) & (flags >> 7) * 0xFF
 
-    >>> [tuple(row) for row in _rows_prepending(3, (1, 2, 3))]
-    [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    def holds(key, bound):
+        return le(key, bound) if at_most else le(bound, key)
+
+    neutral = (0 if at_most else m) * ones
+    if kind == "first":
+        keys = [cols[0] if L else neutral] * m
+    elif kind == "run":  # from the right, so the leftmost entry off it stays
+        key = neutral
+        for j in reversed(range(L)):
+            run = (L - j if at_most else j + 1) * ones
+            key = pick(le(cols[j], run) & le(run, cols[j]), key, cols[j])
+        keys = [key] * m
+    else:  # keys[k]: the extreme of q_1..q_k, indexed by v - 1 or by m - v
+        keys = [neutral]
+        for c in cols:
+            keys.append(pick(holds(keys[-1], c), c, keys[-1]))
+        keys = keys if at_most else keys[::-1]
+    return ((holds(key, (v + offset) * ones) >> 7).to_bytes(count, "little")
+            for v, key in zip(range(1, m + 1), keys))
+
+
+def _grow(prev: PackedClass, pattern: Perm) -> PackedClass:
+    """S_m(pattern) from prev = S_{m-1}(pattern), in lex order (see the
+    module docstring).  Each row of prev gets a 0 placeholder in front; one
+    bytes.translate per v turns it into v and lifts the entries >= v by one.
+
+    >>> for lam in ((1, 3, 2), (3, 1, 2), (1, 2, 3), (3, 2, 1), (2, 3, 1), (2, 1, 3)):
+    ...     print(perm_str(lam), [perm_str(p) for p in _grow(avoider_list(lam, 2), lam)])
+    132 ['123', '213', '231', '312', '321']
+    312 ['123', '132', '213', '231', '321']
+    123 ['132', '213', '231', '312', '321']
+    321 ['123', '132', '213', '231', '312']
+    231 ['123', '132', '213', '312', '321']
+    213 ['123', '132', '231', '312', '321']
     """
-    rise = pattern == (1, 2, 3)
-    level, marks = [b""], bytes((0 if rise else 1,))
-    for m in range(1, n + 1):
-        children, child_marks = [], []
-        for v in range(1, m + 1):
-            head, lift = bytes((v,)), bytes(range(v)) + _shift_table(1)[v:]
-            # 1 where v may go first: s < v for 123, s >= v for 321.
-            mask = marks.translate(b"\1" * v + bytes(256 - v) if rise
-                                   else bytes(v) + b"\1" * (256 - v))
-            kept = list(compress(level, mask))
-            children += [head + p.translate(lift) for p in kept]
-            if v == (m if rise else 1):  # the child's mark is s, or s + 1
-                child_marks.append(bytes(compress(marks, mask)).translate(
-                    _shift_table(0 if rise else 1)))
-            else:
-                child_marks.append(head * len(kept))
-        level, marks = children, b"".join(child_marks)
-    return level
-
-
-def _rows_split_at_extreme(n: int, pattern: Perm) -> list[bytes]:
-    # The entries left of the maximum (132, 231) or minimum (312, 213) all
-    # lie above those right of it (132, 213) or all below (231, 312), and
-    # both sides avoid the pattern: one sorted run per left size k.  The
-    # last length takes the pairs (k, m-1-k) from the outside in and frees
-    # each pair after its use, so the largest lists go first.
-    def lift(rows, d):
-        if not d:
-            return rows
-        table = _shift_table(d)
-        return [row.translate(table) for row in rows]
-
-    at_max, left_high = pattern[1] == 3, pattern[0] < pattern[2]
-    levels = [[b""]]
-    for m in range(1, n + 1):
-        pivot, base = (bytes((m,)), 0) if at_max else (b"\x01", 1)
-        level = []
-        for k in sorted(range(m), key=lambda k: (min(k, m - 1 - k), k)):
-            lefts = lift(levels[k], base + (m - 1 - k if left_high else 0))
-            rights = lift(levels[m - 1 - k], base + (0 if left_high else k))
-            for left in lefts:
-                prefix = left + pivot
-                level.extend([prefix + right for right in rights])
-            if m == n and 2 * k >= m - 1:
-                levels[k] = levels[m - 1 - k] = None
-        level.sort()
-        levels.append(level)
-    return levels[n]
-
-
-def _build_class(pattern: Perm, n: int) -> PackedClass:
-    # No cache is read here, so an avoider_list miss stays a miss.
-    _check_byte_lane(n)
-    if pattern in ((1, 2, 3), (3, 2, 1)):
-        rows = _rows_prepending(n, pattern)
-    elif pattern in ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
-        rows = _rows_split_at_extreme(n, pattern)
-    else:
-        raise ValueError(f"avoider lists cover only the length-3 patterns, "
-                         f"not {perm_str(pattern)}")
-    return PackedClass(n, rows)
+    L, m = prev.n, prev.n + 1
+    padded = bytearray(m * len(prev))
+    for j in range(L):
+        padded[j + 1::m] = prev.rows[j::L]
+    padded = bytes(padded)
+    rows = [padded[i:i + m] for i in range(0, len(padded), m)]
+    return PackedClass(m, [
+        _join(list(compress(rows, takes))).translate(
+            bytes((v, *range(1, v), *range(v + 1, 256), 0)))
+        for v, takes in zip(range(1, m + 1), _takes(pattern, prev))])
 
 
 @lru_cache(maxsize=128)
 def avoider_list(pattern: Perm, n: int) -> PackedClass:
     """All of S_n avoiding the length-3 pattern, sorted lexicographically.
 
-    Cached, as one packed bytes string; it reads as a tuple of Perm.  Use
-    avoider_class or enumerate_avoiders for one-shot large n.
+    Cached, as one packed bytes string; it reads as a tuple of Perm.  For
+    n >= 1 the class is grown by one step (_grow) from S_{n-1}, read from
+    this cache.  Use avoider_class or enumerate_avoiders for large n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _build_class(pattern, n)
+    _check_byte_lane(n)
+    if pattern not in _RULES:
+        raise ValueError(f"avoider lists cover only the length-3 patterns, "
+                         f"not {perm_str(pattern)}")
+    return _grow(avoider_list(pattern, n - 1), pattern) if n else PackedClass(0, [b""])
 
 
 def avoider_class(n: int, pattern: Perm, max_n: int | None = None) -> PackedClass:
     """S_n(pattern) in lex order, within the enumeration cap: avoider_list's
-    cached class up to AVOIDERS_CACHED_MAX_N, a fresh uncached build above."""
+    cached class up to AVOIDERS_CACHED_MAX_N; above it, the class at the
+    cap grown step by step (_grow), nothing above the cap cached."""
     check_enumeration_n(n, max_n)
     pattern = check_permutation(pattern)
-    return (avoider_list if n <= AVOIDERS_CACHED_MAX_N else _build_class)(pattern, n)
+    cls = avoider_list(pattern, min(n, AVOIDERS_CACHED_MAX_N))
+    for _ in range(AVOIDERS_CACHED_MAX_N, n):
+        cls = _grow(cls, pattern)
+    return cls
 
 
 def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):

@@ -25,7 +25,8 @@ eagerly, as TruncatedSeries at full order, to check the solution.
 from __future__ import annotations
 
 from functools import reduce
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 from operator import or_
 
 VARS = ("t", "y", "x", "x1", "x2", "x3", "x4")
@@ -828,12 +829,9 @@ def gen_binom(alpha: int, j: int) -> int:
     """
     if j < 0:
         return 0
-    if j == 0:
-        return 1
-    num = 1
-    for i in range(j):
-        num *= alpha - i
-    return num // factorial(j)
+    if alpha >= 0:
+        return comb(alpha, j)
+    return prod(range(alpha, alpha - j, -1)) // factorial(j)
 
 
 def multinom(n: int, parts) -> int:
@@ -841,20 +839,17 @@ def multinom(n: int, parts) -> int:
     parts = list(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return 0
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
+    return prod(map(comb, accumulate(parts), parts))
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient with the multinomial convention: 0 unless 0<=k<=n."""
-    return multinom(n, [k, n - k]) if 0 <= k <= n else 0
+    """Binomial coefficient, 0 unless 0 <= k <= n."""
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, (1/(n+1)) * C(2n, n)."""
-    return binom(2 * n, n) // (n + 1)
+    return comb(2 * n, n) // (n + 1)
 
 
 # -- rendering ----------------------------------------------------------------

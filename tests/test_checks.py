@@ -427,7 +427,7 @@ def test_bijection_suite_maps_each_avoider_once(monkeypatch):
 
 def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch):
     # The counts are read off the packed classes; the cap still binds, and
-    # a class above AVOIDERS_CACHED_MAX_N is built fresh and dropped.
+    # a class above AVOIDERS_CACHED_MAX_N is grown from the cap and dropped.
     perms.avoider_list.cache_clear()
     res = checks.run_check("seq_catalan_avoiders", {"avoid": "312"}, n_max=12)
     assert res.status == "pass" and res.n_range == "n<=12"

@@ -178,28 +178,43 @@ def test_enumerate_avoiders_generic_pattern():
 
 
 def test_classes_above_the_cache_cap_are_never_cached():
-    # enumerate_avoiders and avoider_class build a class above the cap
-    # fresh, and a build reads no cache: avoider_list's cache is neither
-    # read nor filled.
-    n = AVOIDERS_CACHED_MAX_N + 1
+    # enumerate_avoiders and avoider_class grow a class above the cap from
+    # the cached class at the cap: every length up to the cap is cached
+    # (one miss each, the second read of the cap a hit), none above it.
+    cap = AVOIDERS_CACHED_MAX_N
     perms.avoider_list.cache_clear()
     for lam in itertools.permutations((1, 2, 3)):
-        got = list(perms.enumerate_avoiders(n, lam))
-        assert len(got) == len(perms.avoider_class(n, lam)) == catalan(n)
+        got = list(perms.enumerate_avoiders(cap + 1, lam))
+        assert len(got) == len(perms.avoider_class(cap + 1, lam)) == catalan(cap + 1)
         assert all(p < q for p, q in zip(got, got[1:]))
-    assert perms.avoider_list.cache_info()[:2] == (0, 0)
-    assert perms.avoider_list.cache_info().currsize == 0
+    info = perms.avoider_list.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (6, 6 * (cap + 1), 6 * (cap + 1))
+    perms.avoider_list((1, 2, 3), cap + 1)  # a miss, reading the cap: a hit
+    assert perms.avoider_list.cache_info()[:2] == (7, 6 * (cap + 1) + 1)
 
 
-def test_an_avoider_list_miss_is_a_miss_all_the_way_down():
-    # A miss does not read the lists already cached, so the cache's hit
-    # count grows only on a repeated call.
+def test_an_avoider_list_miss_reads_the_length_below_from_the_cache():
+    # A miss at n >= 1 grows S_{n-1}, which it reads from the cache: here
+    # a hit, since the loop asks for n - 1 first.
     perms.avoider_list.cache_clear()
     for n in range(7):
         for lam in itertools.permutations((1, 2, 3)):
             assert len(perms.avoider_list(lam, n)) == catalan(n)
     info = perms.avoider_list.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 42, 42)
+    assert (info.hits, info.misses, info.currsize) == (36, 42, 42)
+
+
+def test_warming_a_class_in_ascending_n_grows_each_length_once(monkeypatch):
+    calls, grow = [], perms._grow
+
+    def counted(prev, pattern):
+        calls.append(prev.n + 1)
+        return grow(prev, pattern)
+    monkeypatch.setattr(perms, "_grow", counted)
+    perms.avoider_list.cache_clear()
+    for n in range(11):
+        assert len(perms.avoider_list((2, 3, 1), n)) == catalan(n)
+    assert calls == list(range(1, 11))
 
 
 def test_enumeration_cap(monkeypatch):
@@ -353,23 +368,27 @@ def test_pattern_counter_mixed_lengths_and_repeats():
     assert perms.class_pattern_counts(_packed(len(p), [p]), []) == []
 
 
-@pytest.mark.parametrize("lam", [(1, 2, 3), (3, 2, 1)])
-def test_generating_trees_match_filtered_permutations(lam):
-    for n in range(9):
-        want = [bytes(p) for p in itertools.permutations(range(1, n + 1))
-                if not perms.contains_classical(p, lam)]
-        # itertools yields lexicographic order
-        assert perms._rows_prepending(n, lam) == want
-    for n in range(9, 13):
-        assert len(perms._rows_prepending(n, lam)) == catalan(n)
-
-
 CLASSES = list(itertools.permutations((1, 2, 3)))
 
 
 def _filtered(lam, n):
     return [p for p in itertools.permutations(range(1, n + 1))
             if not perms.contains_classical(p, lam)]
+
+
+@pytest.mark.parametrize("lam", CLASSES)
+def test_generating_trees_match_filtered_permutations(lam):
+    # Each step grows the filtered class below it, so no cache is read;
+    # itertools yields lexicographic order.
+    below = _filtered(lam, 0)
+    for n in range(1, 9):
+        want = _filtered(lam, n)
+        assert perms._grow(_packed(n - 1, below), lam).rows == b"".join(map(bytes, want))
+        below = want
+    cls = _packed(8, below)
+    for n in range(9, 13):
+        cls = perms._grow(cls, lam)
+        assert len(cls) == catalan(n)
 
 
 def test_packed_class_reads_as_the_filtered_permutations():
@@ -394,6 +413,15 @@ def test_packed_class_joins_its_rows_across_chunks():
         cls = perms.PackedClass(2, rows)
         assert cls.rows == b"".join(rows)
         assert len(cls) == m
+
+
+def test_packed_class_rejects_data_that_is_not_whole_rows():
+    for n, blocks in ((2, [b"\1\2\2"]), (2, [b"\1\2", b"\1"]), (3, [b"\1\2"]),
+                      (0, [b"\1"])):
+        with pytest.raises(ValueError, match="not whole rows"):
+            perms.PackedClass(n, blocks)
+    assert len(perms.PackedClass(2, [b"\1\2", b"\2\1\1\2"])) == 3
+    assert list(perms.PackedClass(0, [b""])) == [()]
 
 
 def test_packed_class_slices_as_its_tuple():
@@ -441,11 +469,28 @@ def test_avoider_lists_through_n10_are_pinned():
      "88fe21f0c3aa3d9e533b69f84c13a1d71e5c3b5e0bcfa2c880668e65060619da"),
     ((3, 2, 1), 12,
      "5c32e3601e7c5fb9a60c94f715cc2205072ab6c54ac78451341b2c9f02f7c715"),
+    ((1, 3, 2), 11,
+     "d29ca31c0f51923d634aef6d36ba26454ebf7633dd3e2630c9658c776264bb45"),
+    ((1, 3, 2), 12,
+     "f4d8f8e06f9cb29ca45abe08ff7713bd47d529ef928d176067f07260d9a92bfc"),
+    ((2, 3, 1), 11,
+     "dd5d566e83efa9c089f59653b5d7dabdc630dc9a9aea4397a28d96c20428d2a2"),
+    ((2, 3, 1), 12,
+     "36dcf7d053b7a3e41b656612d815a5557810e2386cb54a362a3bb4c94c97d4fe"),
+    ((3, 1, 2), 11,
+     "11c30c45084a2a7d327a111410d098f79b37c064111670fb876537383d159886"),
+    ((3, 1, 2), 12,
+     "2a5cd8d28f4f3c16b71aee080751099acc923f06910097cc3f47dc5a42c58b47"),
+    ((2, 1, 3), 11,
+     "00608ba318eac408f6d266cc95dfac1f924f3a34987c14b3c66bcc85c4a35510"),
+    ((2, 1, 3), 12,
+     "5db13a80d6e0dbff1ab184052e2bd0cb5bb7c28f2f8625902b503dc7ed0c8dd8"),
 ])
 def test_avoider_lists_at_n11_and_n12_are_pinned(lam, n, want):
     # sha256 of the class's bytes, each permutation's entries in lex order,
-    # recorded from West's generating trees with a final sort, a
-    # construction independent of _rows_prepending.
+    # recorded from constructions independent of _grow: 123 and 321 from
+    # West's generating trees with a final sort, the other four by joining
+    # shorter avoiders at the maximum or minimum and sorting.
     cls = perms.avoider_class(n, lam)
     assert len(cls) == catalan(n)
     assert hashlib.sha256(cls.rows).hexdigest() == want
@@ -455,8 +500,7 @@ def test_avoider_list_rejects_what_does_not_fit_a_byte_lane(monkeypatch):
     # The guard comes before any enumeration.
     def never(*args):
         raise AssertionError("enumerated")
-    for name in ("_rows_prepending", "_rows_split_at_extreme"):
-        monkeypatch.setattr(perms, name, never)
+    monkeypatch.setattr(perms, "_grow", never)
     for lam in CLASSES:
         with pytest.raises(ValueError, match=r"length 128 does not fit a byte "
                                              r"lane \(n < 128\)"):
