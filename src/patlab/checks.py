@@ -94,8 +94,8 @@ def _run_seq_catalan(params, n_max):
     lam = perms.parse_perm(params["avoid"])
     top = min(n_max, ORACLE_MAX_N)
     return _first_disagreement(
-        ((n, "1", catalan(n), len(perms.avoider_class(n, lam)))
-         for n in range(top + 1)), f"n<={top}")
+        ((n, "1", catalan(n), len(cls))
+         for n, cls in enumerate(perms.avoider_levels(top, lam))), f"n<={top}")
 
 
 def _run_seq_series(params, n_max):

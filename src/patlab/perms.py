@@ -25,7 +25,8 @@ the union over v = 1..m of v followed by the rows of S_{m-1} that take v
 in lex order with no sort.  An avoider_list miss at n >= 1 grows S_{n-1}
 read from the cache; avoider_class and enumerate_avoiders read the cache
 only up to AVOIDERS_CACHED_MAX_N and grow the class at the cap, uncached,
-above it.
+above it.  avoider_levels gives S_0, S_1, ... in turn and grows each level
+above the cap once.
 
 phi_n (312- to 213-avoiders, descents kept) relabels a permutation's
 min-tree, its Cartesian tree by minimum: a 312-avoider is its tree
@@ -482,6 +483,19 @@ def avoider_class(n: int, pattern: Perm, max_n: int | None = None) -> PackedClas
     for _ in range(AVOIDERS_CACHED_MAX_N, n):
         cls = _grow(cls, pattern)
     return cls
+
+
+def avoider_levels(top: int, pattern: Perm, max_n: int | None = None):
+    """Yield avoider_class(n, pattern, max_n) for n = 0..top in turn; each
+    level above AVOIDERS_CACHED_MAX_N is grown once, from the one before."""
+    pattern = check_permutation(pattern)
+    for n in range(top + 1):
+        if n <= AVOIDERS_CACHED_MAX_N:
+            cls = avoider_class(n, pattern, max_n)
+        else:
+            check_enumeration_n(n, max_n)
+            cls = _grow(cls, pattern)
+        yield cls
 
 
 def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):

@@ -17,9 +17,10 @@ stored as its t-slices, one t-free coefficient dict per power of t, so its
 products, inverses and comparisons work slice by slice and never regroup
 the terms by t-degree.
 
-fixed_point_solve evaluates each equation once on lazy series, which compute
-the unknown's t-slices one at a time from lower slices, and then once more
-eagerly, as TruncatedSeries at full order, to check the solution.
+fixed_point_solve evaluates a whole system of equations once on lazy series,
+which compute every unknown's t-slices in one pass, each slice from lower
+slices, and then once more eagerly, as TruncatedSeries at full order, to
+check the solution.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class NonInvertibleError(ValueError):
 
 
 class NonContractiveError(RuntimeError):
-    """A fixed-point equation is not contractive: a slice of its unknown
-    depends on itself, or the solution does not satisfy the equation."""
+    """A fixed-point system is not contractive: a slice of an unknown
+    depends on itself, or the solution does not satisfy the system."""
 
 
 def pack(exps: dict[str, int]) -> int:
@@ -465,51 +466,58 @@ def geometric(first: TruncatedSeries, ratio: TruncatedSeries) -> TruncatedSeries
 
 
 def fixed_point_solve(equations, order: int, seeds=None) -> list[TruncatedSeries]:
-    """Solve a triangular system S_i = F_i(S_1..S_i) by t-adic fixed point.
+    """Solve a system S_i = F_i(S_1..S_k) by t-adic fixed point.
 
-    Each equation is a callable f(vals, ctx), where vals holds a value for
-    every unknown and ctx provides ring constants at the working order (see
-    EqContext).  Equations are solved in listed order, each with two calls.
-    The first call builds the equation on lazy series (see _Lazy): slice 0
-    of the unknown is its seed, and slice n is slice n of the right-hand
-    side, computed once from lower slices.  A slice that needs itself
-    raises NonContractiveError.  The second call evaluates the equation
-    eagerly on the solved values at full order and must give the solution
-    back, which checks both stabilisation and the lazy arithmetic.  Seeds
-    give the constant terms (default all 1).
+    equations(vals, ctx) gives one right-hand side per unknown, where vals
+    holds a value for every unknown and ctx provides ring constants at the
+    working order (see EqContext).  Seeds give the unknowns' constant terms,
+    one per unknown (default: one unknown, seed 1).  The system is called
+    twice.  The first call builds every right-hand side on lazy series (see
+    _Lazy): slice 0 of an unknown is its seed, slice n is slice n of its
+    right-hand side, and one relaxed pass computes slice n of every unknown
+    from lower slices, n = 1..order.  A slice that needs itself raises
+    NonContractiveError.  The second call evaluates the system eagerly on
+    the solved values at full order; each right-hand side must give its
+    unknown back, which checks both stabilisation and the lazy arithmetic.
+    A part that several right-hand sides share is built once per call, as
+    one of the system's local values.
 
-    >>> (c,) = fixed_point_solve([lambda v, ctx: ctx.one + ctx.t * v[0] ** 2], 6)
+    >>> (c,) = fixed_point_solve(lambda v, ctx: (ctx.one + ctx.t * v[0] ** 2,), 6)
     >>> series_str(c)
     '1 + t + 2*t^2 + 5*t^3 + 14*t^4 + 42*t^5 + 132*t^6'
     """
     if order < 0 or order > T_CAP_HARD:
         raise ValueError(f"order {order} outside [0, {T_CAP_HARD}]")
-    k = len(equations)
-    seeds = [1] * k if seeds is None else list(seeds)
-    vals = [TruncatedSeries.const(s, order) for s in seeds]
     ctx = EqContext(order)
-    lazy_ctx = _LazyContext(ctx)
-    keys: dict[int, int] = {}
-    for i, eq in enumerate(equations):
-        unknown = _Unknown(seeds[i], order, i)
-        lazy_vals = [_Const(v) for v in vals]
-        lazy_vals[i] = unknown
-        try:
-            unknown.rhs = _lift(eq(lazy_vals, lazy_ctx), order)
-            unknown.at(order)
-        finally:
-            unknown.rhs = None   # break the cycle so the graph can be freed
-        # The solution keeps one int per distinct t-free key: a monomial
-        # recurs in many slices, and each product made it afresh.
-        vals[i] = TruncatedSeries._of_slices(
-            [{keys.setdefault(k, k): v for k, v in d.items()}
-             for d, _ in unknown.cache], order)
-        del unknown, lazy_vals   # free the graph before the eager check
-        final = eq(vals, ctx)
-        if final.slices[:order + 1] != vals[i].slices:
+    vals = _solve_lazily(equations, ctx, [1] if seeds is None else seeds)
+    for i, (final, val) in enumerate(zip(equations(vals, ctx), vals, strict=True)):
+        if final.slices[:order + 1] != val.slices:
             raise NonContractiveError(
-                f"equation {i} did not stabilise at order {order}")
+                f"unknown {i} did not stabilise at order {order}")
     return vals
+
+
+def _solve_lazily(equations, ctx: EqContext, seeds) -> list[TruncatedSeries]:
+    """The relaxed pass of fixed_point_solve; the lazy graph is freed when
+    it returns, before the eager check."""
+    order = ctx.order
+    unknowns = [_Unknown(s, order, i) for i, s in enumerate(seeds)]
+    try:
+        for unknown, rhs in zip(unknowns, equations(unknowns, _LazyContext(ctx)),
+                                strict=True):
+            unknown.rhs = _lift(rhs, order)
+        for n in range(order + 1):
+            for unknown in unknowns:
+                unknown.at(n)
+    finally:
+        for unknown in unknowns:
+            unknown.rhs = None   # break the cycles so the graph can be freed
+    # The solution keeps one int per distinct t-free key: a monomial recurs
+    # in many slices, and each product made it afresh.
+    keys: dict[int, int] = {}
+    return [TruncatedSeries._of_slices(
+        [{keys.setdefault(k, k): v for k, v in d.items()} for d, _ in u.cache],
+        order) for u in unknowns]
 
 
 class EqContext:
@@ -535,8 +543,8 @@ class EqContext:
 # slice as a t-free coefficient dict, computed from lower slices of its
 # operands.  `val` is a static lower bound on the node's t-valuation; a
 # product reads only the slice pairs (i, n-i) within its operands' bounds,
-# so t*X never asks X for slice n.  Sub-expressions without the unknown are
-# folded into TruncatedSeries constants as the equation is built, with the
+# so t*X never asks X for slice n.  Sub-expressions without an unknown are
+# folded into TruncatedSeries constants as the system is built, with the
 # eager arithmetic.  Slices are memoised only on nodes that a product or an
 # inverse reads; `cache` is None on the others, and they compute a slice
 # whenever asked.  A memoised slice is stored with the OR of its keys, for
@@ -628,7 +636,7 @@ class _Lin(_Lazy):
 
 
 class _Mul(_Lazy):
-    """A product of two nodes, one of them with the unknown in it."""
+    """A product of two nodes, at least one of them with an unknown in it."""
 
     __slots__ = ("a", "b")
 
@@ -683,7 +691,7 @@ class _Inverse(_Lazy):
 
 
 class _Unknown(_Lazy):
-    """The unknown of one equation: its seed, then the slices of its
+    """One unknown of the system: its seed, then the slices of its
     right-hand side."""
 
     __slots__ = ("seed", "index", "rhs", "busy")
@@ -700,8 +708,7 @@ class _Unknown(_Lazy):
             return {0: self.seed} if self.seed else {}
         if self.busy:
             raise NonContractiveError(
-                f"equation {self.index}: slice t^{n} of the unknown depends "
-                "on itself")
+                f"unknown {self.index}: its slice t^{n} depends on itself")
         self.busy = True
         try:
             return self.rhs.slice(n) if self.rhs.val <= n else {}

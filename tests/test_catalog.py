@@ -187,6 +187,11 @@ def eq_thm8_a(v, c):
     return out
 
 
+def _system(*equations):
+    """A system whose i-th right-hand side is the i-th equation's."""
+    return lambda v, c: tuple(eq(v, c) for eq in equations)
+
+
 @pytest.mark.parametrize("entry_id,raw", [
     ("thm3", [eq_thm3_a0, eq_thm3_a1, eq_thm3_a]),
     ("thm7", [eq_thm7_a0, eq_thm7_a1, eq_thm7_a]),
@@ -194,7 +199,7 @@ def eq_thm8_a(v, c):
 ])
 def test_compressed_equations_match_raw_sums(entry_id, raw):
     order = 6
-    raw_solution = fixed_point_solve(raw, order)
+    raw_solution = fixed_point_solve(_system(*raw), order, [1] * len(raw))
     system = catalog.solve_system(entry_id, order)
     names = ["A0", "A1", "A"]
     for name, raw_series in zip(names, raw_solution):
@@ -216,9 +221,9 @@ def test_thm1_thm2_raw_sums():
             out = out + c.t ** k * c.y ** (k - 1) * v[0] ** k
         return out
 
-    assert fixed_point_solve([thm1_a1], order)[0].poly == \
+    assert fixed_point_solve(_system(thm1_a1), order)[0].poly == \
         catalog.solve_system("thm1", order)["A1"].poly
-    assert fixed_point_solve([thm2_a1], order)[0].poly == \
+    assert fixed_point_solve(_system(thm2_a1), order)[0].poly == \
         catalog.solve_system("thm2", order)["A1"].poly
 
 
@@ -239,9 +244,9 @@ def test_thm4_thm6_raw_sums():
             out = out + c.t ** k * (c.x * c.y * (v[0] - 1) + 1) * q ** (k - 1)
         return out
 
-    assert fixed_point_solve([thm4_a], order)[0].poly == \
+    assert fixed_point_solve(_system(thm4_a), order)[0].poly == \
         catalog.solve_catalog("thm4", order).poly
-    assert fixed_point_solve([thm6_a], order)[0].poly == \
+    assert fixed_point_solve(_system(thm6_a), order)[0].poly == \
         catalog.solve_catalog("thm6", order).poly
 
 
@@ -268,9 +273,9 @@ def raw_fam_132_1m(m):
 def test_family_raw_sums():
     order = 7
     for m in (2, 3, 4):
-        assert fixed_point_solve([raw_fam_123_1m2(m)], order)[0].poly == \
+        assert fixed_point_solve(_system(raw_fam_123_1m2(m)), order)[0].poly == \
             catalog.solve_catalog("fam_123_1m2", order, m=m).poly
-        assert fixed_point_solve([raw_fam_132_1m(m)], order)[0].poly == \
+        assert fixed_point_solve(_system(raw_fam_132_1m(m)), order)[0].poly == \
             catalog.solve_catalog("fam_132_1m", order, m=m).poly
 
 
@@ -281,7 +286,7 @@ def test_family_raw_sums_at_the_hard_cap_need_no_deep_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
-        solved = {(raw, m): fixed_point_solve([raw(m)], order)[0]
+        solved = {(raw, m): fixed_point_solve(_system(raw(m)), order)[0]
                   for raw in (raw_fam_123_1m2, raw_fam_132_1m) for m in (2, 3, 4)}
     finally:
         sys.setrecursionlimit(limit)
@@ -436,26 +441,46 @@ def test_every_identity_verdict_is_pinned():
         "5e3d59f4a438c43632139678aa8c779f78ac2215aa3ab0ab8ab448c76a8fc713")
 
 
-def test_every_catalog_solve_is_pinned():
-    # Every series of every registered (entry, m, a) system at orders 8 and
-    # 16: its name, order and terms in canonical order.
+def _registered_solves():
+    """Every registered (entry, m, a) system, in catalog order."""
     registered: dict[str, set] = {}
     for c in checks.REGISTRY:
         if "series" in c.params:
             registered.setdefault(c.params["series"], set()).add(
                 (c.params.get("m"), c.params.get("a")))
-    digest = hashlib.sha256()
-    for order in (8, 16):
-        for eid, entry in catalog.CATALOG.items():
+    return [(eid, m, a) for eid, entry in catalog.CATALOG.items()
             for m, a in (sorted(registered[eid], key=repr) if entry.needs_m
-                         else [(None, None)]):
-                system = catalog.solve_system(eid, order, m, a)
-                for name in sorted(system):
-                    digest.update(repr((eid, m, a, order, name,
-                                        system[name].order,
-                                        list(system[name].poly.terms()))).encode())
-    assert digest.hexdigest() == (
+                         else [(None, None)])]
+
+
+def _solves_digest(orders):
+    # Every series of every registered system, derived ones included: its
+    # name, order and terms in canonical order.
+    digest = hashlib.sha256()
+    for order in orders:
+        for eid, m, a in _registered_solves():
+            system = catalog.solve_system(eid, order, m, a)
+            for name in sorted(system):
+                digest.update(repr((eid, m, a, order, name,
+                                    system[name].order,
+                                    list(system[name].poly.terms()))).encode())
+    return digest.hexdigest()
+
+
+def test_every_catalog_solve_is_pinned():
+    assert _solves_digest((8, 16)) == (
         "6bcb2dc2ca44de314086dab9181a9c89aed68e5c2831773997e85d6e81009553")
+
+
+@pytest.mark.parametrize("order, want", [
+    (10,
+     "0d424fb38f272cf9e5d7fd24d3eb11ebaefb54dd0df7e4506c55464639c96930"),
+    (16,
+     "c580cd063c4cbb83a414e9cca2c24832fc175fa3c4c5dc575bbbc5241c2d8e1e"),
+])
+def test_every_catalog_solve_is_pinned_at(order, want):
+    # Recorded before the solver took whole systems in one pass.
+    assert _solves_digest((order,)) == want
 
 
 def test_solved_series_sum_to_catalan():
@@ -491,7 +516,8 @@ def test_identity_check_reuses_the_solved_system(entry_id):
 # Until the entries carried their own equations, patterns and domains, these
 # were an if chain in solve_system, one in family_pattern and two domain
 # tables.  The copies below are that code, with the two equations that are
-# now one (thm3's and thm7's A) copied too.
+# now one (thm3's and thm7's A) copied too.  It calls each entry's system
+# function, since a solve takes a whole system.
 
 def _old_thm3_a(v, c):
     a0, a1 = v[0], v[1]
@@ -511,66 +537,65 @@ def _old_thm7_a(v, c):
             + tail * (a1 - 1) * (a0 + a0 ** 2 * c.geo(c.one, u * a0)))
 
 
+def _with_old_a(system, old_a):
+    """The system with its A equation replaced by the old one."""
+    return lambda v, c: system(v, c)[:2] + (old_a(v, c),)
+
+
 def _old_solve_system(entry_id, order, m=None, a=None):
     if entry_id == "thm1":
-        (a1,) = fixed_point_solve([catalog._thm1_a1], order)
+        (a1,) = fixed_point_solve(catalog._thm1, order)
         return {"A1": a1, "A": catalog._a_from_a1(a1)}
     if entry_id == "thm2":
-        (a1,) = fixed_point_solve([catalog._thm2_a1], order)
+        (a1,) = fixed_point_solve(catalog._thm2, order)
         c = EqContext(order)
         return {"A1": a1, "A": catalog._a_from_a1(a1) + c.t ** 2 * (1 - c.x) * a1 ** 2}
     if entry_id == "thm3":
-        a0, a1, a = fixed_point_solve([catalog._thm3_a0, catalog._thm3_a1, _old_thm3_a],
-                                      order)
+        a0, a1, a = fixed_point_solve(_with_old_a(catalog._thm3, _old_thm3_a),
+                                      order, [1, 1, 1])
         return {"A0": a0, "A1": a1, "A": a}
     if entry_id == "thm4":
-        (a,) = fixed_point_solve([catalog._thm4_a], order)
+        (a,) = fixed_point_solve(catalog._thm4, order)
         return {"A": a}
     if entry_id == "thm5":
-        (a,) = fixed_point_solve([catalog._thm5_a], order)
+        (a,) = fixed_point_solve(catalog._thm5, order)
         return {"A": a}
     if entry_id == "thm5_remark":
-        a1, a = fixed_point_solve([catalog._thm5_remark_a1, catalog._thm5_remark_a],
-                                  order)
+        a1, a = fixed_point_solve(catalog._thm5_remark, order, [1, 1])
         return {"A1": a1, "A": a}
     if entry_id == "thm6":
-        (a,) = fixed_point_solve([catalog._thm6_a], order)
+        (a,) = fixed_point_solve(catalog._thm6, order)
         return {"A": a}
     if entry_id == "thm7":
-        a0, a1, a = fixed_point_solve([catalog._thm7_a0, catalog._thm7_a1, _old_thm7_a],
-                                      order)
+        a0, a1, a = fixed_point_solve(_with_old_a(catalog._thm7, _old_thm7_a),
+                                      order, [1, 1, 1])
         return {"A0": a0, "A1": a1, "A": a}
     if entry_id == "thm8":
-        a0, a1, a = fixed_point_solve([catalog._thm8_a0, catalog._thm8_a1,
-                                      catalog._thm8_a], order)
+        a0, a1, a = fixed_point_solve(catalog._thm8, order, [1, 1, 1])
         return {"A0": a0, "A1": a1, "A": a}
     if entry_id == "fam_123_1m2":
-        (b,) = fixed_point_solve([catalog._fam_123_1m2(m)], order)
+        (b,) = fixed_point_solve(catalog._fam_123_1m2(m), order)
         return {"B": b}
     if entry_id == "fam_123_2m31":
-        b1, b = fixed_point_solve([catalog._fam_123_2m31_b1(m), catalog._b_over_b1],
-                                  order)
+        b1, b = fixed_point_solve(catalog._fam_123_2m31(m), order, [1, 1])
         return {"B1": b1, "B": b}
     if entry_id == "fam_132_1m":
-        (b,) = fixed_point_solve([catalog._fam_132_1m(m)], order)
+        (b,) = fixed_point_solve(catalog._fam_132_1m(m), order)
         return {"B": b}
     if entry_id == "fam_132_a1m":
-        (b,) = fixed_point_solve([catalog._fam_132_a1m(m, a)], order)
+        (b,) = fixed_point_solve(catalog._fam_132_a1m(m, a), order)
         return {"B": b}
     if entry_id == "fam_132_m1head":
-        (b,) = fixed_point_solve([catalog._fam_132_m1head(m)], order)
+        (b,) = fixed_point_solve(catalog._fam_132_m1head(m), order)
         return {"B": b}
     if entry_id == "fam_132_2m1":
-        b1, b = fixed_point_solve([catalog._fam_132_2m1_b1(m), catalog._b_over_b1],
-                                  order)
+        b1, b = fixed_point_solve(catalog._fam_132_2m1(m), order, [1, 1])
         return {"B1": b1, "B": b}
     if entry_id == "fam_132_a2m1":
-        b1, b = fixed_point_solve([catalog._fam_132_a2m1_b1(m, a), catalog._b_over_b1],
-                                  order)
+        b1, b = fixed_point_solve(catalog._fam_132_a2m1(m, a), order, [1, 1])
         return {"B1": b1, "B": b}
     if entry_id == "fam_132_m1m1":
-        b1, b = fixed_point_solve([catalog._fam_132_m1m1_b1(m), catalog._b_over_b1],
-                                  order)
+        b1, b = fixed_point_solve(catalog._fam_132_m1m1(m), order, [1, 1])
         return {"B1": b1, "B": b}
     raise ValueError(f"unknown catalog id {entry_id!r}")
 

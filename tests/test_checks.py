@@ -437,6 +437,22 @@ def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch)
         checks.run_check("seq_catalan_avoiders", {"avoid": "312"}, n_max=10)
 
 
+def test_catalan_counts_grow_each_level_above_the_cache_cap_once(monkeypatch):
+    # With S_0..S_10 cached, n_max = 12 grows S_11 and S_12 once each per
+    # class; asking avoider_class for 11 and then 12 grew S_11 twice.
+    registered = [c for c in checks.REGISTRY
+                  if c.check_id == "seq_catalan_avoiders"]
+    assert len(registered) == 6
+    for c in registered:
+        perms.avoider_list(perms.parse_perm(c.params["avoid"]),
+                           AVOIDERS_CACHED_MAX_N)
+    counts = {}
+    _counting(monkeypatch, perms, "_grow", counts)
+    for c in registered:
+        assert checks.run_check(c.check_id, c.params, n_max=12).status == "pass"
+    assert counts == {"_grow": 2 * 6}
+
+
 def test_every_bijection_check_covers_one_range():
     # One brute range for the bijection suite: min(n_max, DIST_NMAX).
     for n_max in range(13):

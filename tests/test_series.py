@@ -33,11 +33,26 @@ def test_poly_basic_products():
     assert (1 + T) * (1 - T) == 1 - T ** 2
     s = TruncatedSeries.of(Poly.const(1) + T * Y, 1)
     assert series_str(s * s) == "1 + 2*t*y"
-    a = fixed_point_solve([lambda v, c: c.one + c.t], 2)[0]
+    a = fixed_point_solve(lambda v, c: (c.one + c.t,), 2)[0]
     q = (Y * (a - 1) + 1) ** 2
     assert q.t_slice(0) == Poly.const(1)
     assert q.t_slice(1) == 2 * Y
     assert q.t_slice(2) == Y * Y
+
+
+def test_cancelling_products_leave_no_zero_coefficient():
+    # Within one product kernel call: the x terms of (1 + x)(1 - x).
+    p = (1 + X) * (1 - X)
+    assert p.c == (1 - X * X).c and 0 not in p.c.values()
+    # Across two calls into the same slice: slice 1 of (1 + t x)(1 - t x)
+    # takes -x from the pair (0, 1) and then x from the pair (1, 0).
+    s = TruncatedSeries.of(1 + T * X, 3) * TruncatedSeries.of(1 - T * X, 3)
+    assert s.slices == [{0: 1}, {}, {(X * X).c.popitem()[0]: -1}, {}]
+    # So in a lazy product: slice 2 of (t x v)(1 - t x) is x^2 - x^2.
+    (lazy,) = fixed_point_solve(
+        lambda v, c: (c.one + c.t * c.x * v[0] * (c.one - c.t * c.x),), 3)
+    assert lazy.slices[2] == {}
+    assert all(0 not in d.values() for d in lazy.slices)
 
 
 def test_series_mixing_uses_min_order():
@@ -55,7 +70,7 @@ def test_geometric_series():
 
 def test_division_by_catalan_denominator():
     # 1/(1 - t D) reproduces D itself when D is the Catalan series.
-    d = fixed_point_solve([lambda v, c: c.one + c.t * v[0] ** 2], 3)[0]
+    d = fixed_point_solve(lambda v, c: (c.one + c.t * v[0] ** 2,), 3)[0]
     one = TruncatedSeries.const(1, 3)
     t = TruncatedSeries(T, 3)
     quotient = one.div_unit(one - t * d)
@@ -63,7 +78,7 @@ def test_division_by_catalan_denominator():
 
 
 def test_division_requires_unit_constant_term():
-    d = fixed_point_solve([lambda v, c: c.one + c.t * v[0] ** 2], 3)[0]
+    d = fixed_point_solve(lambda v, c: (c.one + c.t * v[0] ** 2,), 3)[0]
     with pytest.raises(NonInvertibleError):
         (d - 1).inverse_unit()
 
@@ -76,11 +91,11 @@ def test_div_unit_cancels_products():
 
 def test_all_three_catalan_recursions_agree():
     last_segment = fixed_point_solve(
-        [lambda v, c: c.geo(c.one, c.t * v[0])], 9)[0]
+        lambda v, c: (c.geo(c.one, c.t * v[0]),), 9)[0]
     first_return = fixed_point_solve(
-        [lambda v, c: c.one + c.t * v[0] ** 2], 9)[0]
+        lambda v, c: (c.one + c.t * v[0] ** 2,), 9)[0]
     combined = fixed_point_solve(
-        [lambda v, c: c.one + v[0] * c.geo(c.t, c.t * v[0])], 9)[0]
+        lambda v, c: (c.one + v[0] * c.geo(c.t, c.t * v[0]),), 9)[0]
     expected = [catalan(n) for n in range(10)]
     assert coeffs(last_segment) == expected
     assert coeffs(first_return) == expected
@@ -89,11 +104,11 @@ def test_all_three_catalan_recursions_agree():
 
 def test_fixed_point_rejects_non_contractive_equation():
     with pytest.raises(NonContractiveError):
-        fixed_point_solve([lambda v, c: v[0] + c.t], 4)
+        fixed_point_solve(lambda v, c: (v[0] + c.t,), 4)
 
 
 def test_fixed_point_solver_residual_postcondition():
-    sol = fixed_point_solve([lambda v, c: c.one + c.t * v[0] ** 2], 6)[0]
+    sol = fixed_point_solve(lambda v, c: (c.one + c.t * v[0] ** 2,), 6)[0]
     ctx_eval = TruncatedSeries.const(1, 6) + TruncatedSeries(T, 6) * sol ** 2
     assert ctx_eval.poly == sol.poly
 
@@ -102,7 +117,7 @@ def test_substitution_motzkin():
     # M = 1 + t y M + t^2 x M^2 turns into the Motzkin series at y = x = 1
     # and into 1/(1 - t) when the quadratic part is switched off.
     s = fixed_point_solve(
-        [lambda v, c: c.one + c.t * c.y * v[0] + c.t ** 2 * c.x * v[0] ** 2],
+        lambda v, c: (c.one + c.t * c.y * v[0] + c.t ** 2 * c.x * v[0] ** 2,),
         6)[0]
     assert coeffs(s.substitute({"y": 1, "x": 1})) == [1, 1, 2, 4, 9, 21, 51]
     assert coeffs(s.substitute({"y": 1, "x": 0})) == [1] * 7
@@ -164,11 +179,11 @@ def test_lagrange_inversion_property():
     # For F = t * delta(F) with delta = (1 + (x-1) z^m)/(1 - z), the t^n
     # coefficient equals (1/n) [z^(n-1)] delta(z)^n.
     for m in (2, 3, 4):
-        def eq(v, c, m=m):
+        def system(v, c, m=m):
             # 1 - F is a unit because F has no constant term
-            return c.t * c.geo(c.one + (c.x - 1) * v[0] ** m, v[0])
+            return (c.t * c.geo(c.one + (c.x - 1) * v[0] ** m, v[0]),)
 
-        f = fixed_point_solve([eq], 12, seeds=[0])[0]
+        f = fixed_point_solve(system, 12, seeds=[0])[0]
         for n in range(1, 13):
             # delta(z)^n with z played by t
             one = TruncatedSeries.const(1, max(n - 1, 0))
@@ -367,20 +382,21 @@ def test_series_arithmetic_matches_truncated_poly_arithmetic(
 # -- the lazy fixed-point solver against the cap-by-cap iteration ------------
 
 def _solve_cap_by_cap(equations, order, seeds=None):
-    # The solver as it was before lazy evaluation: each equation iterated
-    # with the truncation cap growing 1..order, then re-evaluated once at
-    # full order to verify stabilisation.
-    seeds = [1] * len(equations) if seeds is None else list(seeds)
+    # The solver as it was before lazy evaluation: one unknown after the
+    # other, each iterated on its right-hand side of the system with the
+    # truncation cap growing 1..order, then re-evaluated once at full order
+    # to verify stabilisation.
+    seeds = [1] if seeds is None else list(seeds)
     vals = [TruncatedSeries.const(s, order) for s in seeds]
-    for i, eq in enumerate(equations):
+    for i in range(len(seeds)):
         for cap in range(1, order + 1):
             capped = [TruncatedSeries(v.poly.truncate_t(cap), cap) for v in vals]
-            step = eq(capped, EqContext(cap))
+            step = equations(capped, EqContext(cap))[i]
             vals[i] = TruncatedSeries(step.poly.truncate_t(cap), order)
-        final = eq(vals, EqContext(order))
+        final = equations(vals, EqContext(order))[i]
         if final.poly.truncate_t(order) != vals[i].poly:
             raise NonContractiveError(
-                f"equation {i} did not stabilise at order {order}")
+                f"unknown {i} did not stabilise at order {order}")
         vals[i] = TruncatedSeries(final.poly.truncate_t(order), order)
     return vals
 
@@ -416,19 +432,20 @@ _eq_terms = st.lists(
 
 
 def _equation(seed, terms, ratio_terms):
-    """seed + t*P(v, y, x), or seed + t*P/(1 - t*R) with a ratio R."""
+    """The one-unknown system seed + t*P(v, y, x), or seed + t*P/(1 - t*R)
+    with a ratio R."""
     def poly_in(v, c, terms):
         out = c.const(0)
         for coeff, tj, ya, xb, vk in terms:
             out = out + coeff * c.t ** tj * c.y ** ya * c.x ** xb * v[0] ** vk
         return out
 
-    def eq(v, c):
+    def system(v, c):
         p = poly_in(v, c, terms)
         if ratio_terms:
             p = c.geo(p, c.t * poly_in(v, c, ratio_terms))
-        return seed + c.t * p
-    return eq
+        return (seed + c.t * p,)
+    return system
 
 
 @given(st.sampled_from((1, 0)), _eq_terms,
@@ -436,11 +453,11 @@ def _equation(seed, terms, ratio_terms):
 @settings(max_examples=80, deadline=None)
 def test_contractive_equations_match_the_cap_by_cap_iteration(
         seed, terms, ratio_terms, order):
-    eq = _equation(seed, terms, ratio_terms)
-    want = _solve_cap_by_cap([eq], order, seeds=[seed])
-    assert fixed_point_solve([eq], order, seeds=[seed]) == want
+    system = _equation(seed, terms, ratio_terms)
+    want = _solve_cap_by_cap(system, order, seeds=[seed])
+    assert fixed_point_solve(system, order, seeds=[seed]) == want
     if seed == 1:
-        assert fixed_point_solve([eq], order) == want
+        assert fixed_point_solve(system, order) == want
 
 
 def test_sums_with_repeated_and_constant_terms_match():
@@ -450,24 +467,24 @@ def test_sums_with_repeated_and_constant_terms_match():
                lambda v, c: 1 - c.t * (2 * v[0] - (v[0] * v[0] - v[0])) + c.t,
                lambda v, c: c.one + c.geo(c.t * v[0], c.t - c.t + c.t * v[0]),
                lambda v, c: c.one - c.t * -(v[0] * c.y)):
-        assert fixed_point_solve([eq], 6) == _solve_cap_by_cap([eq], 6)
+        system = lambda v, c: (eq(v, c),)
+        assert fixed_point_solve(system, 6) == _solve_cap_by_cap(system, 6)
 
 
 def test_lazy_solve_keeps_the_exponent_overflow_guard():
     calls = []
 
-    def eq(v, c):
+    def system(v, c):
         calls.append(c)
-        return c.one + c.t * c.y ** 200 * v[0] ** 2
+        return (c.one + c.t * c.y ** 200 * v[0] ** 2,)
 
     for order in (2, 5):
         calls.clear()
         with pytest.raises(ValueError):
-            fixed_point_solve([eq], order)
+            fixed_point_solve(system, order)
         assert len(calls) == 1   # raised by the lazy pass, not the check
     # one slice short of the overflow
-    (s,) = fixed_point_solve(
-        [lambda v, c: c.one + c.t * c.y ** 200 * v[0] ** 2], 1)
+    (s,) = fixed_point_solve(system, 1)
     assert s.poly == 1 + T * Poly.variable("y", 200)
 
 
@@ -476,25 +493,46 @@ def test_a_slice_that_needs_itself_is_not_contractive():
                lambda v, c: c.one + v[0] * v[0] - v[0],
                lambda v, c: c.one + c.t * v[0] + (c.x - 1) * v[0]):
         with pytest.raises(NonContractiveError):
-            fixed_point_solve([eq], 3)
+            fixed_point_solve(lambda v, c: (eq(v, c),), 3)
     # the seed is slice 0; a right-hand side that disagrees fails the check
     with pytest.raises(NonContractiveError):
-        fixed_point_solve([lambda v, c: 2 + c.t * v[0]], 3)
+        fixed_point_solve(lambda v, c: (2 + c.t * v[0],), 3)
+
+
+def test_a_later_unknown_reads_an_earlier_one_at_the_same_slice():
+    # Slice n of v1 = v0^2 needs slice n of v0, solved in the same pass.
+    def system(v, c):
+        return (c.one + c.t * v[0] ** 2, v[0] * v[0])
+
+    for order in (0, 1, 6, 16):
+        v0, v1 = fixed_point_solve(system, order, seeds=[1, 1])
+        assert coeffs(v0) == [catalan(n) for n in range(order + 1)]
+        assert v1 == v0 * v0
+    assert fixed_point_solve(system, 8, seeds=[1, 1]) == \
+        _solve_cap_by_cap(system, 8, seeds=[1, 1])
+    with pytest.raises(ValueError):   # one seed per right-hand side
+        fixed_point_solve(system, 3)
+
+
+def test_a_cycle_between_two_unknowns_is_not_contractive():
+    # v0 = v1 and v1 = v0: the seeds agree, and slice 1 of each needs the
+    # other's slice 1.
+    with pytest.raises(NonContractiveError,
+                       match="^unknown 0: its slice t\\^1 depends on itself$"):
+        fixed_point_solve(lambda v, c: (1 + v[1] - 1, 1 + v[0] - 1), 3,
+                          seeds=[1, 1])
 
 
 @pytest.mark.parametrize("order", (0, 1, 8, 16))
-def test_each_equation_is_called_once_to_build_and_once_to_check(order):
-    calls = []
+def test_the_system_is_called_once_lazily_and_once_eagerly(order):
+    eager = []
 
-    def counted(i, eq):
-        def wrapped(v, c):
-            calls.append(i)
-            return eq(v, c)
-        return wrapped
+    def counted(v, c):
+        eager.append(isinstance(c, EqContext))
+        return catalog._thm8(v, c)
 
-    eqs = [catalog._thm8_a0, catalog._thm8_a1, catalog._thm8_a]
-    fixed_point_solve([counted(i, eq) for i, eq in enumerate(eqs)], order)
-    assert calls == [0, 0, 1, 1, 2, 2]
+    fixed_point_solve(counted, order, seeds=[1, 1, 1])
+    assert eager == [False, True]
 
 
 def test_powers_agree_with_repeated_products_and_reject_negative_exponents():
@@ -504,14 +542,14 @@ def test_powers_agree_with_repeated_products_and_reject_negative_exponents():
         assert p ** n == _repeated(p, n, Poly.const(1))
         assert s ** n == _repeated(s, n, TruncatedSeries.const(1, 4))
         (lazy,) = fixed_point_solve(
-            [lambda v, c: c.one + c.t * v[0] ** n], 6)
+            lambda v, c: (c.one + c.t * v[0] ** n,), 6)
         assert lazy == fixed_point_solve(
-            [lambda v, c: c.one + c.t * _repeated(v[0], n, c.one)], 6)[0]
+            lambda v, c: (c.one + c.t * _repeated(v[0], n, c.one),), 6)[0]
     for base in (p, s):
         with pytest.raises(ValueError, match="negative power"):
             base ** -1
     with pytest.raises(ValueError, match="negative power"):
-        fixed_point_solve([lambda v, c: c.one + c.t * v[0] ** -1], 3)
+        fixed_point_solve(lambda v, c: (c.one + c.t * v[0] ** -1,), 3)
 
 
 def _repeated(base, n, one):
