@@ -5,10 +5,12 @@ against: full enumeration of an avoidance class, counting descents and
 consecutive matches, accumulated into an exact polynomial.  The counts come
 from one pass over the whole class (perms.class_pattern_counts over the
 packed class's byte-lane columns, one lane per permutation, so n < 128).
-A Poly key holds one byte per variable, so each pattern's counts are laid
-into its variable's byte of an 8-byte record per permutation; read as
-native unsigned 64-bit ints, the records are the monomial keys, and their
-tally is the coefficient dict.
+A pattern of length k matches at most n - k + 1 windows, so its count is a
+digit of radix max(n - k + 2, 1); descents are the pattern 21.  The count
+lanes, in order, are grouped into bytes of mixed-radix codes, and the group
+bytes are laid into a record of 1, 2 or 4 bytes per permutation.  Read as
+native unsigned ints, the records are tallied, and each distinct code (a
+few dozen) is decoded into its monomial key.
 """
 
 from __future__ import annotations
@@ -35,18 +37,62 @@ class DistributionSlice:
     poly: Poly
 
 
+# The native unsigned record of each width.  Six lanes (y and five x
+# variables) fill at most three bytes: two radices of at most n + 1 <= 13
+# always share a byte.
+_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def _byte_groups(radices) -> list[list[int]]:
+    """Lane indices, in order, grouped so that each group's radices multiply
+    to at most 256: each group's mixed-radix code is one byte.
+
+    >>> _byte_groups([12, 11, 11, 11, 11])
+    [[0, 1], [2, 3], [4]]
+    """
+    groups, span = [[]], 1
+    for i, radix in enumerate(radices):
+        if span * radix > 256:
+            groups.append([])
+            span = 1
+        groups[-1].append(i)
+        span *= radix
+    return groups
+
+
 @lru_cache(maxsize=None)
 def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
                   variables: tuple[str, ...], track_des: bool) -> Poly:
     # One pass over the class: descents are the consecutive pattern 21.
     names = (("y",) if track_des else ()) + variables
     patterns = (((2, 1),) if track_des else ()) + tracked
+    radices = [max(n - len(p) + 2, 1) for p in patterns]
+    groups = _byte_groups(radices)
+    width = next(w for w in _FORMATS if w >= len(groups))
     avoiders = avoider_list(avoided, n)
-    records = bytearray(8 * len(avoiders))
-    for name, counts in zip(names, class_pattern_counts(avoiders, patterns)):
-        byte = _SHIFT[name] // 8
-        records[(byte if sys.byteorder == "little" else 7 - byte)::8] = counts
-    return Poly(dict(Counter(memoryview(records).cast("Q"))))
+    counts = class_pattern_counts(avoiders, patterns)
+    m = len(avoiders)
+    records = bytearray(width * m)
+    for g, group in enumerate(groups):
+        # Every digit is below its radix, so every code is below 256 and no
+        # carry crosses from one permutation's byte into the next.
+        code, place = 0, 1
+        for i in group:
+            code += int.from_bytes(counts[i], "little") * place
+            place *= radices[i]
+        byte = g if sys.byteorder == "little" else width - 1 - g
+        records[byte::width] = code.to_bytes(m, "little")
+    out = {}
+    tally = Counter(memoryview(records).cast(_FORMATS[width]))
+    for record, count in tally.items():
+        key = 0
+        for group in groups:
+            record, code = divmod(record, 256)
+            for i in group:
+                code, e = divmod(code, radices[i])
+                key |= e << _SHIFT[names[i]]
+        out[key] = count
+    return Poly(out)
 
 
 def brute_distribution(avoided: Perm, tracked, n: int,
