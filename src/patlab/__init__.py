@@ -13,12 +13,9 @@ from .catalog import (
 from .checks import run_check, run_suite
 from .dyck import (
     enumerate_paths,
-    first_return,
-    horizontal_segments,
     parse_path,
     path_pattern_count,
     pattern_path,
-    peaks,
     phi_inverse,
     phi_map,
     psi_inverse,

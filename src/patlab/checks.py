@@ -11,18 +11,18 @@ Failures always carry a witness: the first disagreeing coefficient in
 canonical monomial order.
 
 The checks over the staircase classes 132 and 123 (bij_phi, bij_psi and
-the transports) share one cached pass per class, lane arithmetic on the
-packed class's columns that keeps only the verdicts.  For each n the
-class's staircase words are the columns of their staircase counts
-(dyck.staircase_counts; row by row they are dyck.staircase_word), and no
-word string is made.  The certificate: the words are Dyck paths, strictly
-increasing, and catalan(n) of them, so they are the paths in lex order
-(dyck.is_lex_path_class); and the lane preimage rebuilds the class's
+the transports) share one cached pass per class, lane arithmetic
+(patlab.lanes) on the packed class's columns that keeps only the verdicts.
+For each n the class's staircase words are the columns of their staircase
+counts (dyck.staircase_counts; row by row they are dyck.staircase_word),
+and no word string is made.  The certificate: the words are Dyck paths,
+strictly increasing, and catalan(n) of them, so they are the paths in lex
+order (dyck.is_lex_path_class); and the lane preimage rebuilds the class's
 columns from them (dyck.staircase_preimage_lanes).  A transport
 (transport_*, transport_general) is data, a consecutive pattern and the
 Dyck factors whose counts add up to it: one whole-class count of every
 pattern, and one of every factor over the words' step columns
-(dyck.path_step_columns), compared as byte strings, certify them all.
+(dyck.path_step_columns), each an int, certify them all.
 bij_phin certifies phi_n, the min-tree relabelling from 312- to
 213-avoiders, by lane arithmetic on the packed 312 class's columns
 (perms.phi_n_lanes; row by row it is perms._phi_n): the lane inverse gives
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from . import catalog, dyck, oracle, perms
+from . import catalog, dyck, lanes, oracle, perms
 from .limits import CLOSED_VS_SERIES_ORDER, DIST_NMAX, ORACLE_MAX_N, SYMMETRY_NMAX
 from .series import Poly, catalan, slice_differences, y_reverse
 
@@ -199,7 +199,7 @@ def _phin_pass(n):
     cls = perms.avoider_list((3, 1, 2), n)
     m, cols = len(cls), cls.columns()
     images = perms.phi_n_lanes(cols, m)
-    below = partial(perms.lanes_below, high=int.from_bytes(b"\x80" * m, "little"))
+    below = partial(lanes.below, high=lanes.units(m)[1])
     descents = lambda cs: [below(b, a) for a, b in zip(cs, cs[1:])]
     if (perms.phi_n_lanes(images, m, inverse=True) != cols
             or descents(images) != descents(cols)):
@@ -209,7 +209,7 @@ def _phin_pass(n):
         q = images[j]
         if any(below(q, qi) & below(qi, top) for qi in images[:j]):
             return False
-        top ^= (top ^ q) & (below(top, q) >> 7) * 0xFF
+        top = lanes.select(below(top, q), q, top)
     return len(perms.avoider_list((2, 1, 3), n)) == m
 
 
@@ -261,9 +261,9 @@ def _staircase_pass(lam, top, stats):
     string is made.  The bijection holds at n if the words are the Dyck
     paths in lex order (dyck.is_lex_path_class) and the lane preimage
     gives the class's columns back.  A statistic's pattern counts, counted
-    when it is compared, are compared with the lane-wise sum of its
-    factors' counts over the words' step columns, and the lanes are
-    scanned only on a mismatch.
+    when it is compared, are compared with the sum of its factors' counts
+    over the words' step columns, one int each, and the lanes are decoded
+    only on a mismatch.
     Returns {stat: (ok, witness, n_range)}, the bijection's under None; a
     witness is the first disagreement in (n, lex) order, and a failing
     check does not stop the others.
@@ -286,9 +286,12 @@ def _staircase_pass(lam, top, stats):
             dyck.path_step_columns(counts, m), m, factors)))
         for stat in stats:
             left, = perms.class_pattern_counts(avoiders, [stat[0]])
-            cs = [counted[f] for f in stat[1]]
-            right = cs[0] if len(cs) == 1 else bytes(map(sum, zip(*cs)))
+            # No lane carries into the next: a factor count is at most
+            # 2n <= 24 for n <= ORACLE_MAX_N, and a transport adds at most
+            # two factors.
+            right = sum(counted[f] for f in stat[1])
             if witnesses[stat] is None and left != right:
+                left, right = lanes.unpack(left, m), lanes.unpack(right, m)
                 i = next(i for i, (a, b) in enumerate(zip(left, right))
                          if a != b)
                 witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),

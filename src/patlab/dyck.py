@@ -16,25 +16,25 @@ is one pass over the path's columns.
 Under these maps a consecutive pattern of the permutation becomes a count of
 path factors (path_pattern_count, overlaps included).
 
-The staircase maps also run on a whole packed class at once, one byte lane
-per row, as perms.class_pattern_counts counts patterns.  staircase_counts
-gives the class's words as the columns of their staircase counts (the D's
-before each R); is_lex_path_class certifies that they are the Dyck paths
-in lex order, staircase_preimage_lanes maps them back to columns, and
-path_step_columns spreads them into the step columns that
-class_factor_counts counts factors over.  The staircase pass in
-patlab.checks certifies the bijections and every transport with these
-kernels; the row maps stay as their twins and for the witness search.
+The staircase maps also run on a whole packed class, one byte lane per row
+(patlab.lanes).  staircase_counts gives the class's words as the columns of
+their staircase counts (the D's before each R); is_lex_path_class certifies
+that they are the Dyck paths in lex order, staircase_preimage_lanes maps
+them back to columns, and path_step_columns spreads them into the step
+columns over which class_factor_counts counts factors, one int each.  The
+staircase pass in patlab.checks certifies the bijections and every
+transport with these kernels; the row maps stay as their twins and for the
+witness search.
 """
 
 from __future__ import annotations
 
+from . import lanes
 from .perms import (
     Perm,
     avoids_classical,
     check_enumeration_n,
     check_permutation,
-    lanes_below,
     perm_str,
 )
 from .series import catalan
@@ -68,43 +68,6 @@ def parse_path(text: str) -> DyckWord:
     return text
 
 
-def first_return(word: DyckWord) -> int:
-    """Least i > 0 such that some prefix holds exactly i D's and i R's."""
-    if not word:
-        raise ValueError("the empty path has no return")
-    depth = 0
-    rs = 0
-    for step in word:
-        if step == "D":
-            depth += 1
-        else:
-            depth -= 1
-            rs += 1
-            if depth == 0:
-                return rs
-    raise InvalidPathError("word never returns to the diagonal")
-
-
-def horizontal_segments(word: DyckWord) -> list[int]:
-    """Lengths of the maximal R-runs, in step order (top to bottom)."""
-    out = []
-    run = 0
-    for step in word:
-        if step == "R":
-            run += 1
-        elif run:
-            out.append(run)
-            run = 0
-    if run:
-        out.append(run)
-    return out
-
-
-def peaks(word: DyckWord) -> int:
-    """Number of DR factors."""
-    return sum(1 for i in range(len(word) - 1) if word[i] == "D" and word[i + 1] == "R")
-
-
 def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> int:
     """Contiguous-factor occurrences of pattern, overlaps included.
 
@@ -123,23 +86,23 @@ def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> 
     return count
 
 
-def class_factor_counts(steps: list[int], m: int, factors) -> list[bytes]:
+def class_factor_counts(steps: list[int], m: int, factors) -> list[int]:
     """Factor counts over m step words of one length at once.
 
     The twin of perms.class_pattern_counts: steps are the words' step
     columns, as path_step_columns gives them, lane i of column k 1 where
     step k of word i is D and 0 where it is R.  The words must be shorter
     than 256, so that no count carries out of its byte lane, and every lane
-    must hold 0 or 1; otherwise ValueError.  Returns one bytes object per
-    factor, in the order given: byte i is path_pattern_count(word i, factor).
+    must hold 0 or 1; otherwise ValueError.  Returns one int per factor, in
+    the order given: byte lane i is path_pattern_count(word i, factor).
 
     An occurrence at offset k is the AND of its steps' lanes, an R step
     taken as the complement of the D lanes.
 
     >>> # the words DDRR and DRDR, step by step
     >>> steps = [0x0101, 0x0001, 0x0100, 0x0000]
-    >>> [list(c) for c in class_factor_counts(steps, 2, ["DR", "RD"])]
-    [[1, 2], [0, 1]]
+    >>> [hex(c) for c in class_factor_counts(steps, 2, ["DR", "RD"])]
+    ['0x201', '0x100']
     """
     for f in factors:
         if not f or f.strip("DR"):
@@ -147,7 +110,7 @@ def class_factor_counts(steps: list[int], m: int, factors) -> list[bytes]:
     size = len(steps)
     if size >= 256:
         raise ValueError(f"length {size} does not fit a byte lane (2n < 256)")
-    ones = int.from_bytes(b"\x01" * m, "little")
+    ones, _ = lanes.units(m)
     if any(col & ~ones for col in steps):
         raise ValueError(f"step lanes must each hold 0 or 1, in {m} lanes")
     out = []
@@ -160,7 +123,7 @@ def class_factor_counts(steps: list[int], m: int, factors) -> list[bytes]:
                 if not hits:
                     break
             total += hits
-        out.append(total.to_bytes(m, "little"))
+        out.append(total)
     return out
 
 
@@ -250,12 +213,7 @@ def psi_inverse(word: DyckWord) -> Perm:
 # A word ending in R, with n R's, is D^c_1 R D^c_2 R ... D^c_n R: the kernels
 # below carry m words as the byte-lane columns of their staircase counts c_j,
 # lane i of column j the c_j of word i.  Entries and counts stay below 128,
-# so that lanes_below never borrows across lanes.
-
-def _lane_units(m: int) -> tuple[int, int]:
-    # 0x01 and 0x80 in each of m byte lanes.
-    ones = int.from_bytes(b"\x01" * m, "little")
-    return ones, ones << 7
+# so that lanes.below never borrows across lanes.
 
 
 def staircase_counts(cols: list[int], m: int) -> list[int]:
@@ -270,11 +228,11 @@ def staircase_counts(cols: list[int], m: int) -> list[int]:
     >>> [hex(c) for c in staircase_counts(cols, 2)]   # DDRRDR and DRDDRR
     ['0x102', '0x200', '0x1']
     """
-    ones, high = _lane_units(m)
+    ones, high = lanes.units(m)
     low = (len(cols) + 1) * ones
     out = []
     for col in cols:
-        keep = (lanes_below(low, col, high) >> 7) * 0xFF  # not a new minimum
+        keep = lanes.spread(lanes.below(low, col, high))  # not a new minimum
         c = (low | keep) - (col | keep)
         low -= c
         out.append(c)
@@ -294,17 +252,17 @@ def is_lex_path_class(counts: list[int], m: int) -> bool:
     n = len(counts)
     if m != catalan(n):
         return False
-    ones, high = _lane_units(m)
+    ones, high = lanes.units(m)
     pairs = high >> 8       # lane i compares row i with row i + 1
     total = settled = 0     # settled: pairs whose rows first differ downwards
     tied = pairs
     for j, c in enumerate(counts, 1):
         total += c
-        if lanes_below(j * ones, total, high) != high:
+        if lanes.below(j * ones, total, high) != high:
             return False
-        up = lanes_below(c, c >> 8, high)
+        up = lanes.below(c, c >> 8, high)
         settled |= tied & ~up
-        tied &= up & lanes_below(c >> 8, c, high)
+        tied &= up & lanes.below(c >> 8, c, high)
     return total == n * ones and settled == pairs
 
 
@@ -326,19 +284,19 @@ def staircase_preimage_lanes(counts: list[int], m: int, lam: Perm) -> list[int]:
         order = range(n, 0, -1)
     else:
         raise ValueError(f"no staircase preimage for the class {perm_str(lam)}")
-    ones, high = _lane_units(m)
+    ones, high = lanes.units(m)
     low = (n + 1) * ones
     free = [0] * (n + 1)
     out = []
     for c in counts:
         new = low - c
-        gap = (lanes_below(c, 0, high) >> 7) * 0xFF
+        gap = lanes.spread(lanes.below(c, 0, high))
         col = new & ~gap
         for v in order:
             vs = v * ones
             # v is uncovered where new < v < low
-            inside = high ^ (lanes_below(vs, new, high) | lanes_below(low, vs, high))
-            avail = free[v] | (inside >> 7) * 0xFF
+            inside = high ^ (lanes.below(vs, new, high) | lanes.below(low, vs, high))
+            avail = free[v] | lanes.spread(inside)
             take = avail & gap
             free[v] = avail ^ take
             col |= vs & take
@@ -356,13 +314,13 @@ def path_step_columns(counts: list[int], m: int) -> list[int]:
     The j-th R of a word sits at step S_j + j - 1, S_j = c_1 + ... + c_j.
     """
     n = len(counts)
-    ones, high = _lane_units(m)
+    ones, high = lanes.units(m)
     steps = [ones] * (2 * n)
     total = 0
     for j, c in enumerate(counts, 1):
         total += c
         for s in range(j, n + 1):     # an R at step s + j - 1 where S_j = s
-            steps[s + j - 1] ^= lanes_below(total ^ s * ones, 0, high) >> 7
+            steps[s + j - 1] ^= lanes.below(total ^ s * ones, 0, high) >> 7
     return steps
 
 

@@ -1,0 +1,52 @@
+"""Byte lanes: one small unsigned value per row, carried in one big int.
+
+Lane i of an int is its byte i, little-endian.  A column of m rows is one
+int with m lanes, and one big-int operation acts on every lane at once.
+Values compared stay below 128, so that a comparison never borrows from the
+next lane; sums stay below 256, so that no carry crosses into it.  This
+module owns the format; it imports nothing from patlab.
+
+>>> high = units(3)[1]                             # 0x808080
+>>> a, b = columns(bytes((1, 5, 7, 7, 9, 2)), 2)   # the rows 15, 77, 92
+>>> unpack(below(a, b, high), 3)                   # 1 <= 5, 7 <= 7, 9 > 2
+b'\\x80\\x80\\x00'
+>>> list(unpack(select(below(a, b, high), a, b), 3))   # the row minima
+[1, 7, 2]
+"""
+
+from __future__ import annotations
+
+
+def units(m: int) -> tuple[int, int]:
+    """0x01 and 0x80 in each of m lanes."""
+    ones = int.from_bytes(b"\x01" * m, "little")
+    return ones, ones << 7
+
+
+def below(a: int, b: int, high: int) -> int:
+    """Bit 7 of each lane set where a's lane is at most b's.
+
+    high is units(m)[1]; lanes hold values below 128, so no borrow crosses
+    into the next lane of (b | high) - a."""
+    return ((b | high) - a) & high
+
+
+def spread(flags: int) -> int:
+    """0xFF in each lane whose bit 7 is set in flags, 0 in the others."""
+    return (flags >> 7) * 0xFF
+
+
+def select(flags: int, a: int, b: int) -> int:
+    """a's lanes where flags has bit 7 set, b's in the others."""
+    return b ^ (a ^ b) & spread(flags)
+
+
+def columns(rows: bytes, n: int) -> list[int]:
+    """The n columns of rows of n bytes each: column j holds entry j of
+    every row, one lane per row."""
+    return [int.from_bytes(rows[j::n], "little") for j in range(n)]
+
+
+def unpack(x: int, m: int) -> bytes:
+    """The values of x's m lanes, lane 0 first."""
+    return x.to_bytes(m, "little")

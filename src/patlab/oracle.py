@@ -3,14 +3,14 @@
 These are the ground truth that every solved generating function is checked
 against: full enumeration of an avoidance class, counting descents and
 consecutive matches, accumulated into an exact polynomial.  The counts come
-from one pass over the whole class (perms.class_pattern_counts over the
-packed class's byte-lane columns, one lane per permutation, so n < 128).
-A pattern of length k matches at most n - k + 1 windows, so its count is a
-digit of radix max(n - k + 2, 1); descents are the pattern 21.  The count
-lanes, in order, are grouped into bytes of mixed-radix codes, and the group
-bytes are laid into a record of 1, 2 or 4 bytes per permutation.  Read as
-native unsigned ints, the records are tallied, and each distinct code (a
-few dozen) is decoded into its monomial key.
+from one pass over the whole class (perms.class_pattern_counts: one int per
+pattern, a byte lane per permutation, so n < 128).  A pattern of length k
+matches at most n - k + 1 windows, so its count is a digit of radix
+max(n - k + 2, 1); descents are the pattern 21.  The count ints, in order,
+are grouped into one-byte mixed-radix codes, and the group bytes are laid
+into a record of 1, 2 or 4 bytes per permutation.  Read as native unsigned
+ints, the records are tallied, and each distinct code (a few dozen) is
+decoded into its monomial key.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
         # carry crosses from one permutation's byte into the next.
         code, place = 0, 1
         for i in group:
-            code += int.from_bytes(counts[i], "little") * place
+            code += counts[i] * place
             place *= radices[i]
         byte = g if sys.byteorder == "little" else width - 1 - g
         records[byte::width] = code.to_bytes(m, "little")

@@ -10,9 +10,9 @@ inverse, so a window matches when its entries at those offsets increase
 (k-1 comparisons).  consecutive_match_positions applies it to one
 permutation.  class_pattern_counts applies it to a whole avoider class at
 once: column j of the class is one big int with one byte lane per
-permutation, a single big-int subtraction compares two columns in every
-lane, and the counts come back as one byte per permutation, so the length
-must be below 128.
+permutation (patlab.lanes), a single big-int subtraction compares two
+columns in every lane, and each pattern's counts come back as one int, a
+byte lane per permutation, so the length must be below 128.
 
 avoider_list is the one cache of class lists, for the six length-3
 patterns only.  Each class is stored as one PackedClass: a bytes string of
@@ -47,6 +47,7 @@ from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import compress
 
+from . import lanes
 from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
 
 Perm = tuple[int, ...]
@@ -288,37 +289,30 @@ def _check_byte_lane(n: int) -> None:
         raise ValueError(f"length {n} does not fit a byte lane (n < 128)")
 
 
-def lanes_below(a: int, b: int, high: int) -> int:
-    """Bit 7 of each byte lane set where a's lane is at most b's.
-
-    high has 0x80 in every lane; entries are below 128, so no borrow
-    crosses into the next lane of (b | high) - a."""
-    return ((b | high) - a) & high
-
-
-def class_pattern_counts(cls: PackedClass, patterns) -> list[bytes]:
+def class_pattern_counts(cls: PackedClass, patterns) -> list[int]:
     """Consecutive-pattern counts over a whole packed class at once.
 
-    Returns one bytes object per pattern, in the order given (repeats
-    included): byte j is the number of windows of cls[j] matching it.  The
-    class is read through its byte-lane columns.
+    Returns one int per pattern, in the order given (repeats included):
+    byte lane j is the number of windows of cls[j] matching it.  The class
+    is read through its byte-lane columns.
 
     >>> cls = PackedClass(4, [bytes((1, 3, 2, 4)), bytes((2, 1, 4, 3))])
-    >>> [list(c) for c in class_pattern_counts(cls, [(2, 1), (1, 3, 2)])]
-    [[1, 2], [1, 1]]
+    >>> [hex(c) for c in class_pattern_counts(cls, [(2, 1), (1, 3, 2)])]
+    ['0x201', '0x101']
     """
     compiled = [compile_pattern(pat) for pat in patterns]
     m, n, cols = len(cls), cls.n, cls.columns()
-    high = int.from_bytes(b"\x80" * m, "little")
+    _, high = lanes.units(m)
+    below = lanes.below
     out = []
     for offsets in compiled:
         total = 0
         for i in range(n - len(offsets) + 1):
             hits = high
             for a, b in zip(offsets, offsets[1:]):
-                hits &= lanes_below(cols[i + a], cols[i + b], high)
+                hits &= below(cols[i + a], cols[i + b], high)
             total += hits >> 7
-        out.append(total.to_bytes(m, "little"))
+        out.append(total)
     return out
 
 
@@ -376,9 +370,7 @@ class PackedClass(Sequence):
     def columns(self) -> list[int]:
         """Column j: entry j of every row, one little-endian byte lane each."""
         if self._columns is None:
-            n, rows = self.n, self.rows
-            self._columns = [int.from_bytes(rows[j::n], "little")
-                             for j in range(n)]
+            self._columns = lanes.columns(self.rows, self.n)
         return self._columns
 
 
@@ -401,13 +393,9 @@ def _takes(pattern: Perm, prev: PackedClass):
     where the row takes v (_RULES), read off prev's byte-lane columns."""
     kind, at_most, offset = _RULES[pattern]
     L, m, count = prev.n, prev.n + 1, len(prev)
-    cols = [int.from_bytes(prev.rows[j::L], "little") for j in range(L)]
-    high = int.from_bytes(b"\x80" * count, "little")
-    ones = high >> 7
-    le = partial(lanes_below, high=high)  # bit 7 of the lanes where a <= b
-
-    def pick(flags, a, b):  # a in the flagged lanes, b in the others
-        return b ^ (a ^ b) & (flags >> 7) * 0xFF
+    cols = lanes.columns(prev.rows, L)  # prev.columns() would keep them on prev
+    ones, high = lanes.units(count)
+    le = partial(lanes.below, high=high)  # bit 7 of the lanes where a <= b
 
     def holds(key, bound):
         return le(key, bound) if at_most else le(bound, key)
@@ -419,14 +407,14 @@ def _takes(pattern: Perm, prev: PackedClass):
         key = neutral
         for j in reversed(range(L)):
             run = (L - j if at_most else j + 1) * ones
-            key = pick(le(cols[j], run) & le(run, cols[j]), key, cols[j])
+            key = lanes.select(le(cols[j], run) & le(run, cols[j]), key, cols[j])
         keys = [key] * m
     else:  # keys[k]: the extreme of q_1..q_k, indexed by v - 1 or by m - v
         keys = [neutral]
         for c in cols:
-            keys.append(pick(holds(keys[-1], c), c, keys[-1]))
+            keys.append(lanes.select(holds(keys[-1], c), c, keys[-1]))
         keys = keys if at_most else keys[::-1]
-    return ((holds(key, (v + offset) * ones) >> 7).to_bytes(count, "little")
+    return (lanes.unpack(holds(key, (v + offset) * ones) >> 7, count)
             for v, key in zip(range(1, m + 1), keys))
 
 
@@ -548,12 +536,12 @@ def phi_n_lanes(cols: list[int], m: int, inverse: bool = False) -> list[int]:
     if inverse:
         return phi_n_lanes(cols[::-1], m)[::-1]
     n = len(cols)
-    high = int.from_bytes(b"\x80" * m, "little")
-    out = [(high >> 7) * (n - j) for j in range(n)]
+    ones, high = lanes.units(m)
+    out = [ones * (n - j) for j in range(n)]
     for j in range(n):
         below = high
         for i in range(j + 1, n):
-            below &= lanes_below(cols[j], cols[i], high)
+            below &= lanes.below(cols[j], cols[i], high)
             out[i] += below >> 7
             out[j] -= below >> 7
     return out

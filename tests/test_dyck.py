@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patlab import dyck, perms
+from patlab import dyck, lanes, perms
 from patlab.series import catalan
 
 PAPER_PATH = "DDRDDRRRDDRDRDRRDR"
@@ -19,22 +19,6 @@ def test_parse_path():
     with pytest.raises(dyck.InvalidPathError) as err:
         dyck.parse_path("DXDR")
     assert err.value.index == 1
-
-
-def test_path_statistics():
-    assert dyck.first_return(PAPER_PATH) == 4
-    assert dyck.first_return("DR") == 1
-    assert dyck.first_return("DDRR") == 2
-    with pytest.raises(ValueError):
-        dyck.first_return("")
-    assert dyck.horizontal_segments(PAPER_PATH) == [1, 3, 1, 1, 2, 1]
-    assert dyck.horizontal_segments("DR") == [1]
-    assert dyck.horizontal_segments("DDRR") == [2]
-    assert dyck.horizontal_segments("") == []
-    assert dyck.peaks(PAPER_PATH) == 6
-    assert dyck.peaks("DR") == 1
-    assert dyck.peaks("DRDR") == 2
-    assert dyck.peaks("") == 0
 
 
 def test_path_pattern_count():
@@ -166,15 +150,6 @@ def test_path_pattern_count_matches_startswith_definition(word, pattern,
     assert dyck.path_pattern_count(word, pattern, extended) == want
 
 
-def test_segment_sum_and_return_bounds():
-    for n in range(7):
-        for w in dyck.enumerate_paths(n):
-            assert sum(dyck.horizontal_segments(w)) == n
-            if n >= 1:
-                assert 1 <= dyck.first_return(w) <= n
-                assert dyck.peaks(w) >= 1
-
-
 def test_statistic_transport_examples():
     # Descents map to RD under the 132-side, RD+RRR under the 123-side.
     for n in range(8):
@@ -199,7 +174,8 @@ def test_peaks_equal_left_to_right_minima():
     for n in range(7):
         for p in perms.avoider_list((1, 3, 2), n):
             minima = sum(1 for i in range(n) if all(p[j] > p[i] for j in range(i)))
-            assert dyck.peaks(dyck.phi_map(p)) == minima
+            # a peak is a DR factor
+            assert dyck.path_pattern_count(dyck.phi_map(p), "DR") == minima
 
 
 def test_staircase_preimage_equals_the_guarded_inverses():
@@ -277,19 +253,18 @@ def test_is_lex_path_class_rejects_broken_classes():
 def test_class_factor_counts_match_path_pattern_count(words, factors):
     counts = dyck.class_factor_counts(_step_columns(words), len(words),
                                       factors)
-    assert [list(c) for c in counts] == [
+    assert [list(lanes.unpack(c, len(words))) for c in counts] == [
         [dyck.path_pattern_count(w, f) for w in words] for f in factors]
 
 
 def test_class_factor_counts_examples_and_guards():
     # overlapping occurrences each count, as in path_pattern_count
     assert dyck.class_factor_counts(_step_columns(["RRRR", "DRRR"]), 2,
-                                    ["RRR", "R"]) == \
-        [bytes([2, 1]), bytes([4, 3])]
-    assert dyck.class_factor_counts([], 0, ["DR"]) == [b""]
-    assert dyck.class_factor_counts([], 1, ["D"]) == [b"\x00"]
+                                    ["RRR", "R"]) == [0x0102, 0x0304]
+    assert dyck.class_factor_counts([], 0, ["DR"]) == [0]
+    assert dyck.class_factor_counts([], 1, ["D"]) == [0]
     # 255 steps still fit a byte lane; 256 could carry
-    assert dyck.class_factor_counts([0] * 255, 1, ["R"]) == [b"\xff"]
+    assert dyck.class_factor_counts([0] * 255, 1, ["R"]) == [0xFF]
     with pytest.raises(ValueError, match="byte lane"):
         dyck.class_factor_counts([0] * 256, 1, ["R"])
     with pytest.raises(ValueError):     # a step wider than the 2 words

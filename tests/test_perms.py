@@ -5,7 +5,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patlab import perms
+from patlab import lanes, perms
 from patlab.limits import AVOIDERS_CACHED_MAX_N
 from patlab.series import catalan
 
@@ -18,9 +18,9 @@ def _packed(n, perm_list):
 
 
 def _counts_of_one(p, pats):
-    # The whole-class counter applied to a class of one permutation.
-    return tuple(column[0] for column
-                 in perms.class_pattern_counts(_packed(len(p), [p]), pats))
+    # The whole-class counter applied to a class of one permutation: one
+    # int per pattern, one byte lane.
+    return tuple(perms.class_pattern_counts(_packed(len(p), [p]), pats))
 
 
 def test_reduce_word():
@@ -335,8 +335,8 @@ def test_class_counts_equal_per_permutation_positions(case):
     counts = perms.class_pattern_counts(_packed(n, perm_list), pats)
     assert len(counts) == len(pats)
     for pat, column in zip(pats, counts):
-        assert list(column) == [len(perms.consecutive_match_positions(p, pat))
-                                for p in perm_list]
+        assert list(lanes.unpack(column, len(perm_list))) == [
+            len(perms.consecutive_match_positions(p, pat)) for p in perm_list]
 
 
 def test_class_counts_reject_what_does_not_fit_a_byte_lane():
@@ -344,7 +344,7 @@ def test_class_counts_reject_what_does_not_fit_a_byte_lane():
         perms.class_pattern_counts(_packed(128, [range(1, 129)]), [(1, 2)])
     counts = perms.class_pattern_counts(_packed(127, [range(127, 0, -1)]),
                                         [(2, 1)])
-    assert counts == [bytes([126])]
+    assert counts == [126]
 
 
 def test_compile_pattern_is_the_inverse():
@@ -444,7 +444,8 @@ def test_packed_class_slices_as_its_tuple():
 def test_packed_counts_equal_the_generic_path(lam, n, pats):
     # The generic path is the per-permutation matcher.
     packed = perms.avoider_list(lam, n)
-    assert perms.class_pattern_counts(packed, pats) == [
+    assert [lanes.unpack(c, len(packed))
+            for c in perms.class_pattern_counts(packed, pats)] == [
         bytes(len(perms.consecutive_match_positions(p, pat)) for p in packed)
         for pat in pats]
 
