@@ -16,6 +16,8 @@ b'\\x80\\x80\\x00'
 
 from __future__ import annotations
 
+_FLAGGED = bytes(range(128, 256))  # the byte values with bit 7 set
+
 
 def units(m: int) -> tuple[int, int]:
     """0x01 and 0x80 in each of m lanes."""
@@ -41,10 +43,28 @@ def select(flags: int, a: int, b: int) -> int:
     return b ^ (a ^ b) & spread(flags)
 
 
+def drop(x: int, flags: int, m: int, table: bytes) -> bytes:
+    """The values of x's m lanes, lane 0 first, each mapped through table
+    (a bytes.translate table), without the lanes where flags has bit 7 set.
+    x's lanes hold values below 128, so one translate of x | flags that
+    deletes the bytes 128..255 does both.
+
+    >>> x, flags = 0x07040903, 0x00008000        # lanes 3, 9, 4, 7; lane 1 flagged
+    >>> list(drop(x, flags, 4, bytes(range(1, 256)) + b"\\0"))   # the rest, plus one
+    [4, 5, 8]
+    """
+    return unpack(x | flags, m).translate(table, _FLAGGED)
+
+
+def pack(values: bytes) -> int:
+    """The int whose lanes hold values, lane 0 first."""
+    return int.from_bytes(values, "little")
+
+
 def columns(rows: bytes, n: int) -> list[int]:
     """The n columns of rows of n bytes each: column j holds entry j of
     every row, one lane per row."""
-    return [int.from_bytes(rows[j::n], "little") for j in range(n)]
+    return [pack(rows[j::n]) for j in range(n)]
 
 
 def unpack(x: int, m: int) -> bytes:

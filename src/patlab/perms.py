@@ -15,18 +15,20 @@ columns in every lane, and each pattern's counts come back as one int, a
 byte lane per permutation, so the length must be below 128.
 
 avoider_list is the one cache of class lists, for the six length-3
-patterns only.  Each class is stored as one PackedClass: a bytes string of
-n bytes per permutation, in lex order.  A Perm tuple exists only as a
-decoded view, when the class is indexed or iterated; class_pattern_counts
-reads its byte-lane columns, which the class builds once.  One step grows
-every class by its first entry (_grow, West's generating trees): S_m is
-the union over v = 1..m of v followed by the rows of S_{m-1} that take v
-(_RULES), lifted; v ascends and S_{m-1} is in lex order, so S_m comes out
-in lex order with no sort.  An avoider_list miss at n >= 1 grows S_{n-1}
-read from the cache; avoider_class and enumerate_avoiders read the cache
-only up to AVOIDERS_CACHED_MAX_N and grow the class at the cap, uncached,
-above it.  avoider_levels gives S_0, S_1, ... in turn and grows each level
-above the cap once.
+patterns only.  Each class is stored once, as one PackedClass: its n
+byte-lane columns, with one lane per permutation, in lex order.  A Perm
+tuple exists only as a decoded view, when the class is indexed or
+iterated; class_pattern_counts reads the columns as they are.  One step
+grows every class by its first entry (_grow, West's generating trees):
+S_m is the union over v = 1..m of v followed by the rows of S_{m-1} that
+take v (_RULES), lifted; v ascends and S_{m-1} is in lex order, so S_m
+comes out in lex order with no sort.  The step reads S_{m-1}'s columns
+and writes S_m's, column by column, with no row form in between.  An
+avoider_list miss at n >= 1 grows S_{n-1} read from the cache;
+avoider_class and enumerate_avoiders read the cache only up to
+AVOIDERS_CACHED_MAX_N and grow the class at the cap, uncached, above it.
+avoider_levels gives S_0, S_1, ... in turn and grows each level above the
+cap once.
 
 phi_n (312- to 213-avoiders, descents kept) relabels a permutation's
 min-tree, its Cartesian tree by minimum: a 312-avoider is its tree
@@ -45,7 +47,6 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from functools import lru_cache, partial
-from itertools import compress
 
 from . import lanes
 from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
@@ -318,59 +319,69 @@ def class_pattern_counts(cls: PackedClass, patterns) -> list[int]:
 
 # -- avoider enumeration ------------------------------------------------------
 
-_JOIN_CHUNK = 1024
-
-
-def _join(items: list[bytes]) -> bytes:
-    """b"".join(items), in chunks: one join of a long list first allocates an
-    80-byte buffer view per item (4.7 MB for the 58,786 rows of S_11(132)),
-    a transient that would set the process's peak memory."""
-    return b"".join([b"".join(items[i:i + _JOIN_CHUNK])
-                     for i in range(0, len(items), _JOIN_CHUNK)])
-
-
 class PackedClass(Sequence):
-    """Permutations of one length n < 128 as one bytes string, n bytes each.
+    """Permutations of one length n < 128, stored only as n byte-lane columns.
 
+    Column j is one int whose lane i is entry j of row i (patlab.lanes);
+    columns() gives them to class_pattern_counts and the other lane passes.
     Built from byte strings, one row each or blocks of many, in the order
     they are to be read; data that does not join into whole rows of n bytes
-    is a ValueError.  For n = 0 each string is one (empty) row.  Reads as the
-    tuple of Perm it stores: len, indexing (negative indices included),
-    slicing (a tuple of Perm) and iteration decode rows on the fly, and
-    nothing decoded is kept.  columns() gives the byte-lane columns that
-    class_pattern_counts reads, built on the first call.
+    is a ValueError.  For n = 0 each string is one (empty) row.  _grow builds
+    a class from columns directly (of_columns).  Reads as the tuple of Perm
+    it stores: len, indexing (negative indices included), slicing (a tuple
+    of Perm), iteration, reversed() and index() decode rows from the
+    columns, each column's bytes once per call, and nothing decoded is kept.
     """
 
-    __slots__ = ("n", "rows", "_len", "_columns")
+    __slots__ = ("n", "_len", "_columns")
 
     def __init__(self, n: int, blocks: list[bytes]):
         _check_byte_lane(n)
+        rows = b"".join(blocks)
+        if len(rows) % n if n else rows:
+            raise ValueError(f"{len(rows)} bytes are not whole rows of {n}")
         self.n = n
-        self.rows = _join(blocks)
-        if len(self.rows) % n if n else self.rows:
-            raise ValueError(f"{len(self.rows)} bytes are not whole rows of {n}")
-        self._len = len(self.rows) // n if n else len(blocks)
-        self._columns = None
+        self._len = len(rows) // n if n else len(blocks)
+        self._columns = lanes.columns(rows, n)
+
+    @classmethod
+    def of_columns(cls, columns: list[int], m: int) -> PackedClass:
+        """The class of m rows whose byte-lane columns are columns."""
+        _check_byte_lane(len(columns))
+        self = cls.__new__(cls)
+        self.n, self._len, self._columns = len(columns), m, columns
+        return self
+
+    def _decode(self, s: slice):
+        """The rows range(len(self))[s], in that order, one tuple each."""
+        if not self.n:
+            return iter([()] * len(range(self._len)[s]))
+        return zip(*[lanes.unpack(c, self._len)[s] for c in self._columns])
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(self._len)[i]))
+            return tuple(self._decode(i))
         i = range(self._len)[i]
-        return tuple(self.rows[i * self.n:(i + 1) * self.n])
+        return next(self._decode(slice(i, i + 1)))
 
     def __iter__(self):
-        n, rows = self.n, self.rows
-        if not n:
-            return iter([()] * self._len)
-        return zip(*[rows[j::n] for j in range(n)])
+        return self._decode(slice(None))
+
+    def __reversed__(self):
+        return self._decode(slice(None, None, -1))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        s = slice(start, stop)
+        for i, row in zip(range(self._len)[s], self._decode(s)):
+            if row == value:
+                return i
+        raise ValueError(f"{value!r} is not in the class")
 
     def columns(self) -> list[int]:
         """Column j: entry j of every row, one little-endian byte lane each."""
-        if self._columns is None:
-            self._columns = lanes.columns(self.rows, self.n)
         return self._columns
 
 
@@ -389,12 +400,12 @@ _RULES = {                              # key, at most, offset
 
 
 def _takes(pattern: Perm, prev: PackedClass):
-    """For v = 1..m, one 0/1 byte per row of prev = S_{m-1}(pattern): 1
-    where the row takes v (_RULES), read off prev's byte-lane columns."""
+    """For v = 1..m, the lane flags of the rows of prev = S_{m-1}(pattern)
+    that take v (_RULES): bit 7 set in each such row's lane, read off
+    prev.columns()."""
     kind, at_most, offset = _RULES[pattern]
-    L, m, count = prev.n, prev.n + 1, len(prev)
-    cols = lanes.columns(prev.rows, L)  # prev.columns() would keep them on prev
-    ones, high = lanes.units(count)
+    L, m, cols = prev.n, prev.n + 1, prev.columns()
+    ones, high = lanes.units(len(prev))
     le = partial(lanes.below, high=high)  # bit 7 of the lanes where a <= b
 
     def holds(key, bound):
@@ -414,14 +425,16 @@ def _takes(pattern: Perm, prev: PackedClass):
         for c in cols:
             keys.append(lanes.select(holds(keys[-1], c), c, keys[-1]))
         keys = keys if at_most else keys[::-1]
-    return (lanes.unpack(holds(key, (v + offset) * ones) >> 7, count)
+    return (holds(key, (v + offset) * ones)
             for v, key in zip(range(1, m + 1), keys))
 
 
 def _grow(prev: PackedClass, pattern: Perm) -> PackedClass:
     """S_m(pattern) from prev = S_{m-1}(pattern), in lex order (see the
-    module docstring).  Each row of prev gets a 0 placeholder in front; one
-    bytes.translate per v turns it into v and lifts the entries >= v by one.
+    module docstring), built column by column from prev's columns.  Column
+    0 is each v once per row that takes it.  Column j + 1 is, for each v in
+    turn, column j of prev without the rows that do not take v and with
+    the entries >= v lifted by one: one lanes.drop per v and column.
 
     >>> for lam in ((1, 3, 2), (3, 1, 2), (1, 2, 3), (3, 2, 1), (2, 3, 1), (2, 1, 3)):
     ...     print(perm_str(lam), [perm_str(p) for p in _grow(avoider_list(lam, 2), lam)])
@@ -432,23 +445,26 @@ def _grow(prev: PackedClass, pattern: Perm) -> PackedClass:
     231 ['123', '132', '213', '312', '321']
     213 ['123', '132', '231', '312', '321']
     """
-    L, m = prev.n, prev.n + 1
-    padded = bytearray(m * len(prev))
-    for j in range(L):
-        padded[j + 1::m] = prev.rows[j::L]
-    padded = bytes(padded)
-    rows = [padded[i:i + m] for i in range(0, len(padded), m)]
-    return PackedClass(m, [
-        _join(list(compress(rows, takes))).translate(
-            bytes((v, *range(1, v), *range(v + 1, 256), 0)))
-        for v, takes in zip(range(1, m + 1), _takes(pattern, prev))])
+    count, m = len(prev), prev.n + 1
+    high = lanes.units(count)[1]
+    heads, drops = [], []
+    for v, takes in zip(range(1, m + 1), _takes(pattern, prev)):
+        heads.append(bytes((v,)) * takes.bit_count())
+        drops.append(high ^ takes)
+    lifts = [bytes((*range(v), *range(v + 1, 256), 0)) for v in range(1, m + 1)]
+    head = b"".join(heads)
+    cols = [lanes.pack(head)]
+    for c in prev.columns():
+        cols.append(lanes.pack(b"".join([lanes.drop(c, d, count, lift)
+                                         for d, lift in zip(drops, lifts)])))
+    return PackedClass.of_columns(cols, len(head))
 
 
 @lru_cache(maxsize=128)
 def avoider_list(pattern: Perm, n: int) -> PackedClass:
     """All of S_n avoiding the length-3 pattern, sorted lexicographically.
 
-    Cached, as one packed bytes string; it reads as a tuple of Perm.  For
+    Cached, as its byte-lane columns; it reads as a tuple of Perm.  For
     n >= 1 the class is grown by one step (_grow) from S_{n-1}, read from
     this cache.  Use avoider_class or enumerate_avoiders for large n.
     """

@@ -1,6 +1,7 @@
 """patlab.lanes is the one owner of the byte-lane format: its primitives
 against their per-lane definitions, and a structural pin, in the style of
-tests/test_limits.py, that no other module builds the lane masks."""
+tests/test_limits.py, that no other module builds the lane masks or the
+bit-7 delete set."""
 
 import ast
 from pathlib import Path
@@ -52,11 +53,25 @@ def test_select_is_the_per_lane_choice(lanes_drawn):
 def test_columns_round_trip_the_rows_of_a_packed_class(case):
     n, rows = case
     cls = perms.PackedClass(n, [bytes(r) for r in rows])
-    cols = lanes.columns(cls.rows, n)
+    cols = lanes.columns(b"".join(map(bytes, cls)), n)
     assert cls.columns() == cols
     assert len(cols) == n
-    back = zip(*(lanes.unpack(c, len(cls)) for c in cols))
-    assert b"".join(map(bytes, back)) == cls.rows
+    assert list(cls) == [tuple(r) for r in rows]
+    assert list(perms.PackedClass.of_columns(cols, len(rows))) == list(cls)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 127)), max_size=20),
+       st.binary(min_size=256, max_size=256))
+@example([], bytes(256))
+@example([(False, 0)], bytes(range(1, 256)) + b"\0")
+@example([(True, 127)], bytes(256))
+@settings(max_examples=200, deadline=None)
+def test_drop_is_the_per_lane_filter_and_map(lanes_drawn, table):
+    m = len(lanes_drawn)
+    x = _int(v for _, v in lanes_drawn)
+    flags = _int(0x80 if f else 0 for f, _ in lanes_drawn)
+    assert lanes.drop(x, flags, m, table) == bytes(
+        table[v] for f, v in lanes_drawn if not f)
 
 
 def _is_int_from_bytes(node):
@@ -66,6 +81,14 @@ def _is_int_from_bytes(node):
             and node.func.value.id == "int")
 
 
+def _is_range_from_128(node):
+    # range(128, ...): the start of the bit-7 delete set of lanes.drop.
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "range" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == 128)
+
+
 def test_lanes_is_the_one_owner_of_the_lane_masks():
     builders = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -73,6 +96,8 @@ def test_lanes_is_the_one_owner_of_the_lane_masks():
             if (path.name != "lanes.py" and isinstance(node, ast.Constant)
                     and node.value in (b"\x80", b"\x01")):
                 builders.append(f"{path.name}:{node.lineno}")
+            if path.name != "lanes.py" and _is_range_from_128(node):
+                builders.append(f"{path.name}:{node.lineno} bit-7 delete set")
             if path.name == "oracle.py" and _is_int_from_bytes(node):
                 builders.append(f"{path.name}:{node.lineno} int.from_bytes")
     assert not builders, f"lane masks built outside lanes.py: {builders}"

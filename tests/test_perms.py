@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import itertools
+import tracemalloc
+from collections.abc import Sequence
 from itertools import chain
 
 import pytest
@@ -383,7 +386,8 @@ def test_generating_trees_match_filtered_permutations(lam):
     below = _filtered(lam, 0)
     for n in range(1, 9):
         want = _filtered(lam, n)
-        assert perms._grow(_packed(n - 1, below), lam).rows == b"".join(map(bytes, want))
+        grown = perms._grow(_packed(n - 1, below), lam)
+        assert b"".join(map(bytes, grown)) == b"".join(map(bytes, want))
         below = want
     cls = _packed(8, below)
     for n in range(9, 13):
@@ -406,13 +410,13 @@ def test_packed_class_reads_as_the_filtered_permutations():
                 got[-len(want) - 1]
 
 
-def test_packed_class_joins_its_rows_across_chunks():
-    chunk = perms._JOIN_CHUNK
-    for m in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-        rows = [bytes((i % 251, i // 251 + 1)) for i in range(m)]
-        cls = perms.PackedClass(2, rows)
-        assert cls.rows == b"".join(rows)
-        assert len(cls) == m
+def test_packed_class_round_trips_its_row_blocks():
+    for n in (0, 2):
+        for m in (0, 1, 1023, 1024, 1025, 2049):
+            rows = [bytes((i % 127 + 1, i // 127 + 1))[:n] for i in range(m)]
+            cls = perms.PackedClass(n, rows)
+            assert len(cls) == m
+            assert list(cls) == [tuple(r) for r in rows]
 
 
 def test_packed_class_rejects_data_that_is_not_whole_rows():
@@ -425,15 +429,28 @@ def test_packed_class_rejects_data_that_is_not_whole_rows():
 
 
 def test_packed_class_slices_as_its_tuple():
+    # All six classes at n <= 8.  PackedClass decodes each column once per
+    # call; the Sequence mixin's reversed() and index() would decode every
+    # column once per row.
+    assert perms.PackedClass.__reversed__ is not Sequence.__reversed__
+    assert perms.PackedClass.index is not Sequence.index
     assert perms.avoider_list((1, 2, 3), 4)[1:3] == ((2, 1, 4, 3), (2, 4, 1, 3))
-    for lam, n in (((1, 2, 3), 4), ((1, 3, 2), 5), ((3, 1, 2), 0)):
-        cls = perms.avoider_list(lam, n)
-        whole = tuple(cls)
-        for s in (slice(None), slice(1, 3), slice(-4, None), slice(None, -2),
-                  slice(None, None, 2), slice(None, None, -1),
-                  slice(-2, 1, -3), slice(5, 2, -1), slice(3, 3), slice(9, 99)):
-            assert cls[s] == whole[s]
-            assert type(cls[s]) is tuple
+    for lam in CLASSES:
+        for n in range(9):
+            cls = perms.avoider_list(lam, n)
+            whole = tuple(cls)
+            assert tuple(reversed(cls)) == whole[::-1]
+            for s in (slice(None), slice(1, 3), slice(-4, None), slice(None, -2),
+                      slice(None, None, 2), slice(1, None, 3),
+                      slice(None, None, -1), slice(-2, 1, -3), slice(5, 2, -1),
+                      slice(99, None, -5), slice(3, 3), slice(9, 99)):
+                assert cls[s] == whole[s]
+                assert type(cls[s]) is tuple
+            for i in {0, len(whole) // 2, len(whole) - 1}:
+                assert cls.index(whole[i]) == i
+                assert cls.index(whole[i], -len(whole) - 3) == i
+            with pytest.raises(ValueError):
+                cls.index(whole[-1], 0, -1)
 
 
 @given(st.sampled_from(CLASSES), st.integers(0, 9),
@@ -494,7 +511,26 @@ def test_avoider_lists_at_n11_and_n12_are_pinned(lam, n, want):
     # shorter avoiders at the maximum or minimum and sorting.
     cls = perms.avoider_class(n, lam)
     assert len(cls) == catalan(n)
-    assert hashlib.sha256(cls.rows).hexdigest() == want
+    assert hashlib.sha256(b"".join(map(bytes, cls))).hexdigest() == want
+
+
+CHAIN_BYTES = sum(n * catalan(n) for n in range(12))  # 873,885: S_0..S_11, a byte an entry
+
+
+@pytest.mark.parametrize("lam", [(1, 3, 2), (1, 2, 3)])
+def test_a_cached_class_chain_is_stored_once_as_its_columns(lam):
+    # Every cached S_n is held as its columns only (about a byte per entry),
+    # and no growth step holds a second copy of the class it builds.
+    perms.avoider_list.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        perms.avoider_list(lam, 11).columns()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live <= 1.25 * CHAIN_BYTES, live / CHAIN_BYTES
+    assert peak <= 2.5 * CHAIN_BYTES, peak / CHAIN_BYTES
 
 
 def test_avoider_list_rejects_what_does_not_fit_a_byte_lane(monkeypatch):
