@@ -260,10 +260,11 @@ def _staircase_pass(lam, top, stats):
     columns; avoider_list gives only members of the class), and no word
     string is made.  The bijection holds at n if the words are the Dyck
     paths in lex order (dyck.is_lex_path_class) and the lane preimage
-    gives the class's columns back.  A statistic's pattern counts, counted
-    when it is compared, are compared with the sum of its factors' counts
-    over the words' step columns, one int each, and the lanes are decoded
-    only on a mismatch.
+    gives the class's columns back.  A statistic's pattern counts are
+    compared with the sum of its factors' counts over the words' step
+    columns, one int each, and the lanes are decoded only on a mismatch.
+    Each pattern is counted once per n, and every statistic of that
+    pattern is compared before the next pattern is counted.
     Returns {stat: (ok, witness, n_range)}, the bijection's under None; a
     witness is the first disagreement in (n, lex) order, and a failing
     check does not stop the others.
@@ -271,6 +272,9 @@ def _staircase_pass(lam, top, stats):
     certified = []
     witnesses = dict.fromkeys(stats)
     factors = list(dict.fromkeys(f for _, fs in stats for f in fs))
+    by_pattern = {}
+    for stat in stats:
+        by_pattern.setdefault(stat[0], []).append(stat)
     for n in range(top + 1):
         avoiders = perms.avoider_list(lam, n)
         m, cols = len(avoiders), avoiders.columns()
@@ -284,18 +288,18 @@ def _staircase_pass(lam, top, stats):
                          dyck.staircase_preimage_lanes(counts, m, lam) == cols)
         counted = dict(zip(factors, dyck.class_factor_counts(
             dyck.path_step_columns(counts, m), m, factors)))
-        for stat in stats:
-            left, = perms.class_pattern_counts(avoiders, [stat[0]])
-            # No lane carries into the next: a factor count is at most
-            # 2n <= 24 for n <= ORACLE_MAX_N, and a transport adds at most
-            # two factors.
-            right = sum(counted[f] for f in stat[1])
-            if witnesses[stat] is None and left != right:
-                left, right = lanes.unpack(left, m), lanes.unpack(right, m)
-                i = next(i for i, (a, b) in enumerate(zip(left, right))
-                         if a != b)
-                witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),
-                                           left[i], right[i])
+        for gamma, group in by_pattern.items():
+            left, = perms.class_pattern_counts(avoiders, [gamma])
+            for stat in group:
+                # No lane carries into the next: a factor count is at most
+                # 2n <= 24 for n <= ORACLE_MAX_N, and a transport adds at
+                # most two factors.
+                right = sum(counted[f] for f in stat[1])
+                if witnesses[stat] is None and left != right:
+                    ls, rs = lanes.unpack(left, m), lanes.unpack(right, m)
+                    i = next(i for i in range(m) if ls[i] != rs[i])
+                    witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),
+                                               ls[i], rs[i])
     verdicts = {stat: (w is None, w, f"n<={top}")
                 for stat, w in witnesses.items()}
     verdicts[None] = _whole_class_passes(top, certified.__getitem__,

@@ -16,7 +16,9 @@ b'\\x80\\x80\\x00'
 
 from __future__ import annotations
 
-_FLAGGED = bytes(range(128, 256))  # the byte values with bit 7 set
+_BYTES = bytes(range(256))  # every byte value; slices are delete sets
+_FLAGGED = _BYTES[128:]      # the byte values with bit 7 set
+_LEAF = 8  # tally counts a range of at most this many values one by one
 
 
 def units(m: int) -> tuple[int, int]:
@@ -54,6 +56,38 @@ def drop(x: int, flags: int, m: int, table: bytes) -> bytes:
     [4, 5, 8]
     """
     return unpack(x | flags, m).translate(table, _FLAGGED)
+
+
+def tally(values: bytes, radix: int) -> dict[int, int]:
+    """{value: count} over the bytes of values, each below radix <= 256.
+
+    The value range is halved until it is at most _LEAF values wide, each
+    half kept by one translate that deletes the other half's values; then
+    each value of a range is counted in its part.  Empty parts are not
+    split, and a part is freed once it is split, values too if the caller
+    keeps no reference to it.
+
+    >>> tally(bytes((3, 0, 3, 9, 3)), 12)
+    {0: 1, 3: 3, 9: 1}
+    """
+    out = {}
+    parts = [(values, 0, radix)]
+    del values  # the stack holds the only reference the tally keeps
+    while parts:
+        part, lo, hi = parts.pop()
+        if hi - lo <= _LEAF:
+            for v in range(lo, hi):
+                if count := part.count(v):
+                    out[v] = count
+            continue
+        mid = (lo + hi) // 2
+        low = part.translate(None, _BYTES[mid:hi])
+        if len(low) < len(part):
+            parts.append((part.translate(None, _BYTES[lo:mid]) if low else part,
+                          mid, hi))
+        if low:
+            parts.append((low, lo, mid))
+    return out
 
 
 def pack(values: bytes) -> int:

@@ -7,10 +7,11 @@ from one pass over the whole class (perms.class_pattern_counts: one int per
 pattern, a byte lane per permutation, so n < 128).  A pattern of length k
 matches at most n - k + 1 windows, so its count is a digit of radix
 max(n - k + 2, 1); descents are the pattern 21.  The count ints, in order,
-are grouped into one-byte mixed-radix codes, and the group bytes are laid
-into a record of 1, 2 or 4 bytes per permutation.  Read as native unsigned
-ints, the records are tallied, and each distinct code (a few dozen) is
-decoded into its monomial key.
+are grouped into one-byte mixed-radix codes.  One group (descents plus one
+pattern, at every n <= 12) is tallied on its code bytes by byte partition
+(lanes.tally).  Two or more are laid into a record of 2 or 4 bytes per
+permutation and tallied as native unsigned ints by collections.Counter.
+Each distinct code (a few dozen) is decoded into its monomial key.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
+from . import lanes
 from .limits import ORACLE_MAX_N
 from .perms import Perm, avoider_list, check_enumeration_n, class_pattern_counts
 from .series import _SHIFT, VARS, Poly
@@ -37,9 +40,10 @@ class DistributionSlice:
     poly: Poly
 
 
-# The native unsigned record of each width.  Six lanes (y and five x
-# variables) fill at most three bytes: two radices of at most n + 1 <= 13
-# always share a byte.
+# The record widths, and the native unsigned format that Counter reads a
+# record of 2 or 4 bytes as; a record of 1 byte goes to lanes.tally.  Six
+# lanes (y and five x variables) fill at most three bytes: two radices of
+# at most n + 1 <= 13 always share a byte.
 _FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
@@ -60,6 +64,21 @@ def _byte_groups(radices) -> list[list[int]]:
     return groups
 
 
+def _group_codes(counts, radices, groups, m) -> list[bytes]:
+    """Each group's mixed-radix code of each of the m permutations, one byte
+    per permutation."""
+    codes = []
+    for group in groups:
+        # Every digit is below its radix, so every code is below 256 and no
+        # carry crosses from one permutation's byte into the next.
+        code, place = 0, 1
+        for i in group:
+            code += counts[i] * place
+            place *= radices[i]
+        codes.append(lanes.unpack(code, m))
+    return codes
+
+
 @lru_cache(maxsize=None)
 def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
                   variables: tuple[str, ...], track_des: bool) -> Poly:
@@ -70,20 +89,19 @@ def _distribution(avoided: Perm, tracked: tuple[Perm, ...], n: int,
     groups = _byte_groups(radices)
     width = next(w for w in _FORMATS if w >= len(groups))
     avoiders = avoider_list(avoided, n)
-    counts = class_pattern_counts(avoiders, patterns)
     m = len(avoiders)
-    records = bytearray(width * m)
-    for g, group in enumerate(groups):
-        # Every digit is below its radix, so every code is below 256 and no
-        # carry crosses from one permutation's byte into the next.
-        code, place = 0, 1
-        for i in group:
-            code += counts[i] * place
-            place *= radices[i]
-        byte = g if sys.byteorder == "little" else width - 1 - g
-        records[byte::width] = code.to_bytes(m, "little")
+    # The count ints are freed once they are coded: the codes take less.
+    codes = _group_codes(class_pattern_counts(avoiders, patterns), radices,
+                         groups, m)
+    if width == 1:  # popped, so that the tally frees it once it is split
+        tally = lanes.tally(codes.pop(), prod(radices))
+    else:
+        records = bytearray(width * m)
+        for g, values in enumerate(codes):
+            byte = g if sys.byteorder == "little" else width - 1 - g
+            records[byte::width] = values
+        tally = Counter(memoryview(records).cast(_FORMATS[width]))
     out = {}
-    tally = Counter(memoryview(records).cast(_FORMATS[width]))
     for record, count in tally.items():
         key = 0
         for group in groups:

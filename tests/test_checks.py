@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from patlab import checks, dyck, perms
+from patlab import checks, dyck, oracle, perms
 from patlab.limits import AVOIDERS_CACHED_MAX_N, DIST_NMAX
 from patlab.series import catalan
 
@@ -132,7 +132,9 @@ def _sequential_transport(lam, top, pattern, factors):
 def test_transport_pass_keeps_each_first_witness():
     wrong = ((2, 1), ("RD",))  # psi_des without its RRR factor
     also_wrong = ((1, 3, 2), ("DRR",))  # overcounts 132
-    stats = (((1, 3, 2), ("DRRR",)), wrong, ((2, 3, 1), ("DRRD",)), also_wrong)
+    # wrong shares its pattern with psi_des, which comes after it and passes
+    stats = (((1, 3, 2), ("DRRR",)), wrong, ((2, 3, 1), ("DRRD",)), also_wrong,
+             ((2, 1), ("RD", "RRR")))
     verdicts = checks._staircase_pass((1, 2, 3), 7, stats)
     for stat in stats:
         ok, witness, n_range = verdicts[stat]
@@ -143,6 +145,24 @@ def test_transport_pass_keeps_each_first_witness():
     assert verdicts[wrong][1] == {"n": 3, "monomial": "132",
                                   "expected": 1, "actual": 0}
     assert verdicts[stats[0]][0] and verdicts[stats[2]][0]
+    assert verdicts[stats[4]][0]
+
+
+def test_transport_pass_counts_each_pattern_once_per_n(monkeypatch):
+    calls = []
+    real = perms.class_pattern_counts
+
+    def counting(avoiders, patterns):
+        calls.append((len(avoiders), tuple(patterns)))
+        return real(avoiders, patterns)
+    monkeypatch.setattr(perms, "class_pattern_counts", counting)
+    stats = checks._class_stats()[(1, 3, 2)]
+    patterns = {gamma for gamma, _ in stats}
+    assert (len(stats), len(patterns)) == (34, 32)  # 21 and 123 twice each
+    verdicts = checks._staircase_pass((1, 3, 2), 6, stats)
+    assert all(verdicts[stat][0] for stat in stats)
+    assert sorted(calls) == sorted((catalan(n), (gamma,))
+                                   for n in range(7) for gamma in patterns)
 
 
 def test_transport_checks_match_the_suite_report():
@@ -423,6 +443,17 @@ def test_bijection_suite_maps_each_avoider_once(monkeypatch):
     assert checks.run_suite("bijections", 10)["aggregate"] == "pass"
     assert counts == {"staircase_word": 2 * 32, "staircase_preimage": 0,
                       "enumerate_paths": 0}
+
+
+def test_a_passing_verify_reads_classes_only_through_their_columns(monkeypatch):
+    # Rows are decoded (PackedClass._decode) only to name a witness, so a
+    # passing run holds no second, row-major copy of any class.
+    def no_rows(self, s):
+        raise AssertionError("a class was decoded into rows")
+    monkeypatch.setattr(perms.PackedClass, "_decode", no_rows)
+    oracle._distribution.cache_clear()
+    report = checks.run_suite("all", 10)
+    assert report["aggregate"] == "pass" and len(report["checks"]) == 251
 
 
 def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch):

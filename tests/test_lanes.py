@@ -1,9 +1,10 @@
 """patlab.lanes is the one owner of the byte-lane format: its primitives
 against their per-lane definitions, and a structural pin, in the style of
 tests/test_limits.py, that no other module builds the lane masks or the
-bit-7 delete set."""
+bit-7 delete set, or translates bytes."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -74,6 +75,23 @@ def test_drop_is_the_per_lane_filter_and_map(lanes_drawn, table):
         table[v] for f, v in lanes_drawn if not f)
 
 
+@given(st.integers(1, 256).flatmap(lambda radix: st.tuples(
+    st.just(radix), st.binary(max_size=600).map(
+        lambda b: bytes(v % radix for v in b)))))
+@example((1, b""))
+@example((256, b""))
+@example((1, bytes(40)))
+@example((132, bytes([77]) * 300))
+@example((256, bytes(range(256))))
+@example((9, bytes([8]) * 5))
+@example((132, bytes([131]) * 1000))
+@settings(max_examples=300, deadline=None)
+def test_tally_is_the_byte_counter(case):
+    radix, values = case
+    got = lanes.tally(values, radix)
+    assert got == dict(Counter(values))
+
+
 def _is_int_from_bytes(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "from_bytes"
@@ -89,6 +107,12 @@ def _is_range_from_128(node):
             and node.args[0].value == 128)
 
 
+def _is_translate(node):
+    # x.translate(...): the byte filter of lanes.drop and lanes.tally.
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "translate")
+
+
 def test_lanes_is_the_one_owner_of_the_lane_masks():
     builders = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -98,9 +122,11 @@ def test_lanes_is_the_one_owner_of_the_lane_masks():
                 builders.append(f"{path.name}:{node.lineno}")
             if path.name != "lanes.py" and _is_range_from_128(node):
                 builders.append(f"{path.name}:{node.lineno} bit-7 delete set")
+            if path.name != "lanes.py" and _is_translate(node):
+                builders.append(f"{path.name}:{node.lineno} translate")
             if path.name == "oracle.py" and _is_int_from_bytes(node):
                 builders.append(f"{path.name}:{node.lineno} int.from_bytes")
-    assert not builders, f"lane masks built outside lanes.py: {builders}"
+    assert not builders, f"lane format handled outside lanes.py: {builders}"
 
 
 def test_lanes_imports_nothing_from_patlab():
