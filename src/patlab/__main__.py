@@ -1,0 +1,6 @@
+"""`python -m patlab`: the `patlab` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

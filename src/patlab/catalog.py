@@ -21,8 +21,7 @@ solved and compared, with the verdict recorded but never asserted.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -43,10 +42,13 @@ HARD_PASS = "hard_pass"
 REPORT_ONLY = "report_only"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(namedtuple(
+        "CatalogEntry", "id trust avoided variables anchor unknowns equations"
+        " tracked derive m_min a_bounds", defaults=(None, None, None))):
     """One generating-function system, described as data.
 
+    variables are those of the primary series; anchor is the defining
+    equation(s), as text.
     equations(m, a) gives the system, one function of (vals, ctx) that
     returns a right-hand side per unknown, in the order of `unknowns`;
     derive(system, ctx), if set, adds series computed from the solved ones.
@@ -55,17 +57,7 @@ class CatalogEntry:
     m must be at least m_min (None: no m); a_bounds = (lo, hi) asks for
     lo <= a <= m + hi (None: no a).
     """
-    id: str
-    trust: str
-    avoided: tuple[int, ...]
-    variables: tuple[str, ...]     # variables of the primary series
-    anchor: str                    # the defining equation(s), as text
-    unknowns: tuple[str, ...]
-    equations: Callable
-    tracked: Callable
-    derive: Callable | None = None
-    m_min: int | None = None
-    a_bounds: tuple[int, int] | None = None
+    __slots__ = ()
 
     @property
     def needs_m(self) -> bool:
@@ -289,10 +281,9 @@ def _fam_132_m1m1(m):
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _entry(id, trust, avoided, variables, anchor, unknowns, equations, tracked,
-           derive=None, m_min=None, a_bounds=None):
-    CATALOG[id] = CatalogEntry(id, trust, avoided, variables, anchor, unknowns,
-                               equations, tracked, derive, m_min, a_bounds)
+def _entry(*fields, **defaults):
+    entry = CatalogEntry(*fields, **defaults)
+    CATALOG[entry.id] = entry
 
 
 def _fixed(*items):
@@ -475,13 +466,14 @@ def _cf_132_2m1(n, k, m):
     return Fraction(binom(n, k) * total, n)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """A closed formula for [t^n x^k] of a family entry's series."""
-    trust: str
-    family: str       # the catalog family whose coefficients it gives
-    k0_route: bool    # k = 0 is checked as C_n minus the k >= 1 values
-    coeff: Callable   # (n, k, m) -> Fraction, for m >= 2
+class ClosedForm(namedtuple("ClosedForm", "trust family k0_route coeff")):
+    """A closed formula for [t^n x^k] of a family entry's series.
+
+    family is the catalog family whose coefficients it gives; with k0_route,
+    k = 0 is checked as C_n minus the k >= 1 values; coeff(n, k, m) gives a
+    Fraction, for m >= 2.
+    """
+    __slots__ = ()
 
 
 CLOSED_FORMS = {
@@ -578,11 +570,10 @@ def _motzkin(n: int) -> int:
 # non-unit denominators like B-1).  A failing identity is a verdict, not an
 # error; several are expected to fail and are recorded as such.
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    identity_id: str
-    ok: bool
-    witness: tuple | None = None   # (n, monomial, expected, actual)
+class IdentityVerdict(namedtuple("IdentityVerdict", "identity_id ok witness",
+                                 defaults=(None,))):
+    """An identity's verdict; witness is (n, monomial, expected, actual)."""
+    __slots__ = ()
 
 
 def _thm1_quadratic(system, c, m, a):
@@ -751,8 +742,8 @@ _THM8_PRINTED = {
 }
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(namedtuple("Identity", "trust entry residual printed instances",
+                          defaults=(None, None, ((),)))):
     """A published equation or expansion, checked on a catalog entry.
 
     residual(system, ctx, m, a) gives the equation with every denominator
@@ -760,11 +751,7 @@ class Identity:
     slices as {n: [(coefficient, exponents), ...]}.  instances are the
     registered (m,) or (m, a); the entry's domain says which it takes.
     """
-    trust: str
-    entry: str
-    residual: Callable | None = None
-    printed: dict | None = None
-    instances: tuple = ((),)
+    __slots__ = ()
 
     def top(self, order: int) -> int:
         """The order a check at `order` reaches: expansions stop early."""

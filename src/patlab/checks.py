@@ -37,7 +37,7 @@ n <= min(n_max, DIST_NMAX).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -53,13 +53,11 @@ SUITES = ("symmetries", "bijections", "recursions", "closed_forms",
 LENGTH3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    params: dict
-    n_range: str
-    status: str               # pass | fail | report_only_pass | report_only_fail
-    witness: dict | None
+class CheckResult(namedtuple("CheckResult",
+                             "check_id params n_range status witness")):
+    """One check's outcome; status is pass, fail, report_only_pass or
+    report_only_fail."""
+    __slots__ = ()
 
 
 def _witness(n, monomial, expected, actual) -> dict:
@@ -427,13 +425,8 @@ def _run_identity(params, n_max):
 
 # -- the registry ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    suite: str
-    trust: str
-    params: dict
-    runner: object
+class CheckDef(namedtuple("CheckDef", "check_id suite trust params runner")):
+    __slots__ = ()
 
 
 # Instances of the registry's parameterised checks: (m,) or (m, a).

@@ -104,3 +104,8 @@ def columns(rows: bytes, n: int) -> list[int]:
 def unpack(x: int, m: int) -> bytes:
     """The values of x's m lanes, lane 0 first."""
     return x.to_bytes(m, "little")
+
+
+def window(x: int, lo: int, hi: int) -> bytes:
+    """The values of x's lanes lo..hi-1, lane lo first; no other is unpacked."""
+    return unpack((x >> 8 * lo) & ((1 << 8 * (hi - lo)) - 1), hi - lo)

@@ -17,8 +17,7 @@ Each distinct code (a few dozen) is decoded into its monomial key.
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -28,16 +27,11 @@ from .perms import Perm, avoider_list, check_enumeration_n, class_pattern_counts
 from .series import _SHIFT, VARS, Poly
 
 
-@dataclass(frozen=True)
-class DistributionSlice:
+class DistributionSlice(namedtuple("DistributionSlice",
+                                   "n avoided tracked variables poly")):
     """Joint statistic polynomial for one n: sum over the avoiders of
     y^des * prod x_i^(matches of gamma_i)."""
-
-    n: int
-    avoided: Perm
-    tracked: tuple[Perm, ...]
-    variables: tuple[str, ...]
-    poly: Poly
+    __slots__ = ()
 
 
 # The record widths, and the native unsigned format that Counter reads a

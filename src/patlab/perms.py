@@ -319,6 +319,9 @@ def class_pattern_counts(cls: PackedClass, patterns) -> list[int]:
 
 # -- avoider enumeration ------------------------------------------------------
 
+_DECODE_BLOCKS = 16  # see PackedClass._decode
+
+
 class PackedClass(Sequence):
     """Permutations of one length n < 128, stored only as n byte-lane columns.
 
@@ -330,7 +333,7 @@ class PackedClass(Sequence):
     a class from columns directly (of_columns).  Reads as the tuple of Perm
     it stores: len, indexing (negative indices included), slicing (a tuple
     of Perm), iteration, reversed() and index() decode rows from the
-    columns, each column's bytes once per call, and nothing decoded is kept.
+    columns a block of rows at a time (_decode), and nothing decoded is kept.
     """
 
     __slots__ = ("n", "_len", "_columns")
@@ -353,10 +356,19 @@ class PackedClass(Sequence):
         return self
 
     def _decode(self, s: slice):
-        """The rows range(len(self))[s], in that order, one tuple each."""
-        if not self.n:
-            return iter([()] * len(range(self._len)[s]))
-        return zip(*[lanes.unpack(c, self._len)[s] for c in self._columns])
+        """The rows range(len(self))[s], in that order, one tuple each.
+
+        They are decoded in at most _DECODE_BLOCKS blocks, one lanes.window
+        per column each, so a reader holds about 1/_DECODE_BLOCKS of the
+        class decoded (and one column while a window is cut from it); each
+        block shifts every column once, so more blocks cost more time."""
+        rows = range(self._len)[s]
+        per = max(1, -(-len(rows) // _DECODE_BLOCKS))  # rows per block
+        for k in range(0, len(rows), per):
+            block = rows[k:k + per]
+            lo, hi = sorted((block[0], block[-1]))
+            yield from zip(*[lanes.window(c, lo, hi + 1)[::rows.step]
+                             for c in self._columns]) if self.n else [()] * len(block)
 
     def __len__(self) -> int:
         return self._len

@@ -1,5 +1,11 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
+import patlab
 from patlab.cli import build_parser, main
 from patlab.limits import DIST_NMAX
 
@@ -196,3 +202,47 @@ def test_coeff_oracle_warning_respects_the_env_cap(monkeypatch, capsys):
     monkeypatch.setenv("PATLAB_NMAX_CAP", "4")
     code, out, err = run_cli(capsys, *args)
     assert code == 0 and out.strip() == "4" and "oracle value is 6" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """(argv, result) for each command of README's CLI block; result is its
+    `# ->` annotation, on its line or the next, else None."""
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        code, _, note = line.partition("#")
+        if code.strip():
+            out.append([shlex.split(code)[1:], None])
+        if note.startswith(" -> "):
+            out[-1][1] = note[4:]
+    return out
+
+
+def test_readme_commands_run_through_python_m_patlab(tmp_path):
+    # Each in a fresh interpreter, the cold path that main() in-process
+    # never takes.
+    commands = _readme_commands()
+    assert [r for _, r in commands if r] == [
+        "9 + 5*x1", "1 + t + 2*t^2 + (4+x)*t^3 + (8+6x)*t^4", "5",
+        "4, with a warning"]
+    env = {k: v for k, v in os.environ.items() if k != "PATLAB_NMAX_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(patlab.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    for argv, result in commands:
+        if argv[0] == "verify":
+            argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        proc = subprocess.run([sys.executable, "-m", "patlab", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        last = proc.stdout.splitlines()[-1]
+        if result is None:
+            continue
+        value, warned, _ = result.partition(", with a warning")
+        assert last == value or last.endswith(": " + value), (argv, last)
+        assert proc.stderr.startswith("warning:") == bool(warned), argv
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["aggregate"] == "pass" and len(report["checks"]) == 251

@@ -75,6 +75,18 @@ def test_drop_is_the_per_lane_filter_and_map(lanes_drawn, table):
         table[v] for f, v in lanes_drawn if not f)
 
 
+@given(st.binary(max_size=40).flatmap(lambda values: st.tuples(
+    st.just(values), st.integers(0, len(values)).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, len(values)))))))
+@example((b"", (0, 0)))
+@example((bytes(range(255, 215, -1)), (0, 40)))
+@example((b"\0\0\0\xff", (1, 3)))
+@settings(max_examples=200, deadline=None)
+def test_window_is_a_slice_of_the_lanes(case):
+    values, (lo, hi) = case
+    assert lanes.window(lanes.pack(values), lo, hi) == values[lo:hi]
+
+
 @given(st.integers(1, 256).flatmap(lambda radix: st.tuples(
     st.just(radix), st.binary(max_size=600).map(
         lambda b: bytes(v % radix for v in b)))))

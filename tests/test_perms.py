@@ -429,9 +429,9 @@ def test_packed_class_rejects_data_that_is_not_whole_rows():
 
 
 def test_packed_class_slices_as_its_tuple():
-    # All six classes at n <= 8.  PackedClass decodes each column once per
-    # call; the Sequence mixin's reversed() and index() would decode every
-    # column once per row.
+    # All six classes at n <= 8, up to 1,430 rows, so a call decodes several
+    # blocks.  PackedClass decodes each row once per call; the Sequence
+    # mixin's reversed() and index() would decode a block per row.
     assert perms.PackedClass.__reversed__ is not Sequence.__reversed__
     assert perms.PackedClass.index is not Sequence.index
     assert perms.avoider_list((1, 2, 3), 4)[1:3] == ((2, 1, 4, 3), (2, 4, 1, 3))
@@ -531,6 +531,26 @@ def test_a_cached_class_chain_is_stored_once_as_its_columns(lam):
         tracemalloc.stop()
     assert live <= 1.25 * CHAIN_BYTES, live / CHAIN_BYTES
     assert peak <= 2.5 * CHAIN_BYTES, peak / CHAIN_BYTES
+
+
+def test_reading_a_class_row_by_row_holds_a_bounded_block():
+    # S_12(132), 2,496,144 entry bytes: iterating it decodes a block of rows
+    # at a time, so the peak stays under a quarter of the class (unpacking
+    # every column at once held a second copy), and it gives the rows that
+    # whole unpacked columns give.
+    cls = perms.avoider_class(12, (1, 3, 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in cls:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(cls) * cls.n / 4, peak / (len(cls) * cls.n)
+    whole = list(zip(*[lanes.unpack(c, len(cls)) for c in cls.columns()]))
+    assert list(cls) == whole
+    assert cls[::-5000] == tuple(whole[::-5000]) and cls[-1] == whole[-1]
 
 
 def test_avoider_list_rejects_what_does_not_fit_a_byte_lane(monkeypatch):
