@@ -22,7 +22,6 @@ solved and compared, with the verdict recorded but never asserted.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .limits import EXPANSION_ORDER
@@ -106,17 +105,29 @@ def family_pattern(entry_id: str, m: int, a: int | None = None) -> tuple[int, ..
 # Sums over the last-segment size k telescope by grouping copies of the tail
 # ratio; equations involving the partial sums A0 + A0^2 + ... + A0^j are
 # reorganised by summing over j first, which keeps every denominator a unit.
+#
+# The equations are written for few coefficient products; the solved series
+# do not depend on it:
+#   - each shared power is built once, and a higher power from the lower
+#     one (A^3 as A^2 * A);
+#   - the t-power goes in first: t A1 is formed before it is squared, and
+#     t^k before a product whose top k slices it would drop, so the eager
+#     check never forms those slices;
+#   - a tail that multiplies a series takes it into its first, geo(f X, r)
+#     for geo(f, r) X: one recursion on a sparse ratio, no product.
 
 def _thm1(v, c):
-    (a1,) = v
-    return (c.one + c.t * c.y * a1 + c.t ** 2 * c.y * a1 ** 2
-            + c.geo(c.t ** 3 * c.x * c.y ** 2 * a1 ** 3, c.t * c.y * a1),)
+    ta1 = c.t * v[0]
+    ta1_sq = ta1 ** 2
+    return (c.one + c.y * ta1 + c.y * ta1_sq
+            + c.geo(c.x * c.y ** 2 * ta1_sq * ta1, c.y * ta1),)
 
 
 def _thm2(v, c):
-    (a1,) = v
-    return (c.one + c.t * c.y * a1 + c.t ** 2 * c.x * c.y * a1 ** 2
-            + c.geo(c.t ** 3 * c.y ** 2 * a1 ** 3, c.t * c.y * a1),)
+    ta1 = c.t * v[0]
+    ta1_sq = ta1 ** 2
+    return (c.one + c.y * ta1 + c.x * c.y * ta1_sq
+            + c.geo(c.y ** 2 * ta1_sq * ta1, c.y * ta1),)
 
 
 def _a_from_a1(a1: TruncatedSeries) -> TruncatedSeries:
@@ -125,33 +136,35 @@ def _a_from_a1(a1: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(poly, a1.order) + 1
 
 
-def _a_over_partial_sums(a0, a1, a0_sq, g, u, last, c):
+def _a_over_partial_sums(ta0, a1, d, ds, u, last, c):
     """A = 1 + t A1 + t^2 S_1 + sum_{k>=3} t^k last run^(k-3) y^(k-2) S_(k-1).
 
     thm3 and thm7 differ only in the marks: u = t run y weighs each column
-    of an interior run and last marks the last segment.  a0_sq = A0^2 and
-    g = 1/(1 - u A0) are the system's shared parts.
+    of an interior run and last marks the last segment.  ta0 = t A0,
+    d = A1 - 1 and ds = d t^2 A0^2 G, with G = 1/(1 - u A0), are the
+    system's shared parts.  p = t^2 S_1, and the terms k >= 3 sum to
+    t y last (p + ds)/(1 - u).
     """
-    tail = c.geo(c.t ** 3 * last * c.y, u)  # k >= 3 weights
-    return (c.one + c.t * a1 + c.t ** 2 * (a0 * (a1 - 1) + a1)
-            + tail * a1 + tail * (a1 - 1) * (a0 + a0_sq * g))
+    p = c.t ** 2 * a1 + d * (c.t * ta0)
+    return c.one + c.t * a1 + p + c.geo(c.t * c.y * last * (p + ds), u)
 
 
 def _thm3(v, c):
     a0, a1, _ = v
     u = c.t * c.x * c.y              # per-column weight of an interior run
-    ua0, a0_sq = u * a0, a0 ** 2
-    g = c.geo(c.one, ua0)
-    base = c.geo(c.t ** 2 * c.y, u)  # sum over segment sizes k >= 2
-    return (c.one + ua0 + c.t ** 2 * c.y * a0_sq * g,
-            c.one + c.t * c.y * a0 + base * a0 * a1
-            + base * (a1 - 1) * a0 * ua0 * g,
-            _a_over_partial_sums(a0, a1, a0_sq, g, u, c.one, c))
+    ta0 = c.t * a0
+    s = c.geo(ta0 ** 2, u * a0)      # t^2 A0^2 G
+    d = a1 - 1
+    ds = d * s
+    # segment sizes k >= 2 weigh t^2 y/(1 - u)
+    return (c.one + u * a0 + c.y * s,
+            c.one + c.y * ta0 + c.geo(c.t * c.y * (ta0 * a1 + c.x * c.y * ds), u),
+            _a_over_partial_sums(ta0, a1, d, ds, u, c.one, c))
 
 
 def _thm4(v, c):
-    q = c.y * (v[0] - 1) + 1
-    return (c.one + c.t * q + c.geo(c.t ** 2 * q ** 2, c.t * c.x * q),)
+    tq = c.t * (c.y * (v[0] - 1) + 1)
+    return (c.one + tq + c.geo(tq ** 2, c.x * tq),)
 
 
 def _thm5(v, c):
@@ -164,76 +177,84 @@ def _thm5_remark(v, c):
     # The published compression of A carries a spurious factor y on the
     # tail; expanding the last segment (weight t^k, no new descent) gives
     # A = 1/(1 - t A1).
-    a1, _ = v
-    g = c.geo(c.one, c.t * a1)
-    return (c.one + c.t * c.y * a1 + c.t ** 2 * c.x * c.y * a1 ** 2 * g, g)
+    ta1 = c.t * v[0]
+    g = c.geo(c.one, ta1)
+    return (c.one + c.y * ta1 + c.x * c.y * ta1 ** 2 * g, g)
 
 
 def _thm6(v, c):
-    (a,) = v
-    q = c.y * (a - 1) + 1
-    return (c.one + c.t * q
-            + c.geo(c.t ** 2 * q * (c.x * c.y * (a - 1) + 1), c.t * q),)
+    # With Q = d + 1 and P = x d + 1, d = y (A-1): the tail t^2 Q P/(1 - tQ)
+    # is tP/(1 - tQ) - tP, so A = 1 + t (Q - P) + tP/(1 - tQ).
+    d = c.y * (v[0] - 1)
+    return (c.one + c.t * (d - c.x * d)
+            + c.geo(c.t * (c.x * d + 1), c.t * (d + 1)),)
 
 
 def _thm7(v, c):
     a0, a1, _ = v
     u = c.t * c.x3 * c.y
-    ua0, a0_sq = u * a0, a0 ** 2
-    g = c.geo(c.one, ua0)
-    tail = c.geo(c.t ** 3 * c.x1 * c.x3 * c.y ** 2, u)  # k >= 3 weights
-    return (c.one + ua0 + c.t ** 2 * c.x1 * c.y * a0_sq
-            + c.t ** 3 * c.x2 * c.x3 * c.y ** 2 * a0_sq * a0 * g,
-            c.one + c.t * c.y * a0 + c.t ** 2 * c.x2 * c.y * a0 * a1
-            + tail * a0 * a1 + tail * (a1 - 1) * a0_sq * g,
-            _a_over_partial_sums(a0, a1, a0_sq, g, u, c.x1, c))
+    ta0 = c.t * a0
+    t2a0_sq = ta0 ** 2
+    s = c.geo(t2a0_sq, u * a0)       # t^2 A0^2 G
+    d = a1 - 1
+    ds = d * s
+    ta0a1 = ta0 * a1
+    # segment sizes k >= 3 weigh t^3 x1 x3 y^2/(1 - u)
+    return (c.one + u * a0 + c.x1 * c.y * t2a0_sq
+            + c.t * c.x2 * c.x3 * c.y ** 2 * a0 * s,
+            c.one + c.y * ta0 + c.t * c.x2 * c.y * ta0a1
+            + c.geo(c.t * c.x1 * c.x3 * c.y ** 2 * (c.t * ta0a1 + ds), u),
+            _a_over_partial_sums(ta0, a1, d, ds, u, c.x1, c))
 
 
 def _thm8(v, c):
+    # G = 1/(1 - t x1 A0) and inner = Q1 + Q0 (A1-1) G.  The k-sums are
+    # t^2 x3 y A0 Q0 G in A0, t x1 x3 y A0 w in A1 and w in A, where
+    # w = t^2 inner/(1 - t x1).
     a0, a1, _ = v
     q0 = c.x2 * (a0 - 1) + 1
     q1 = c.x2 * (a1 - 1) + 1
-    g = c.geo(c.one, c.t * c.x1 * a0)
-    inner = q1 + q0 * (a1 - 1) * g
-    return (c.one + c.t * c.x4 * c.y * a0 + c.t ** 2 * c.x3 * c.y * a0 * q0 * g,
-            c.one + c.t * c.y * a0 + c.t ** 2 * c.x3 * c.y * a0 * q1
-            + c.geo(c.t ** 3 * c.x1 * c.x3 * c.y * a0, c.t * c.x1) * inner,
-            c.one + c.t * a1 + c.geo(c.t ** 2, c.t * c.x1) * inner)
+    t2q0g = c.geo(c.t ** 2 * q0, c.t * c.x1 * a0)
+    t2q1 = c.t ** 2 * q1
+    w = c.geo(t2q1 + (a1 - 1) * t2q0g, c.t * c.x1)
+    x3ya0 = c.x3 * c.y * a0
+    return (c.one + c.t * c.x4 * c.y * a0 + x3ya0 * t2q0g,
+            c.one + c.t * c.y * a0 + x3ya0 * (t2q1 + c.t * c.x1 * w),
+            c.one + c.t * a1 + w)
 
 
-def _powers_sum(base, t_units, upto: int, c):
-    """sum_{k=0..upto-1} (t_units * base)^k as an explicit polynomial sum."""
+def _powers_sum(u, upto: int, c):
+    """(sum_{k=0..upto-1} u^k, u^upto), the sum as an explicit polynomial
+    sum; the power is the last term built."""
     total = c.const(0)
     term = c.one
     for _ in range(upto):
         total = total + term
-        term = term * t_units * base
-    return total
+        term = term * u
+    return total, term
 
 
 def _fam_123_1m2(m):
     def system(v, c):
-        (b,) = v
-        head = _powers_sum(b, c.t, m, c)               # segment sizes 0..m-1
-        return (head + c.x * c.geo((c.t * b) ** m, c.t * b),)
+        u = c.t * v[0]                # segment sizes k >= m are marked
+        return (c.geo(c.one + (c.x - 1) * u ** m, u),)
     return system
 
 
 def _fam_123_2m31(m):
     def system(v, c):
-        b1, _ = v
-        head = _powers_sum(b1, c.t, m - 1, c)          # sizes 0..m-2
-        marked = c.x * (c.t * b1) ** (m - 1)           # interior size m-1
-        g = c.geo(c.one, c.t * b1)                     # B = 1/(1 - t B1)
-        return (head + marked + (c.t * b1) ** m * g, g)
+        u = c.t * v[0]
+        g = c.geo(c.one, u)                            # B = 1/(1 - t B1)
+        return (g + (c.x - 1) * u ** (m - 1), g)       # interior size m-1
     return system
 
 
 def _fam_132_1m(m):
     def system(v, c):
-        (b,) = v
-        head = _powers_sum(b, c.t, m, c)
-        return (head + c.geo((c.t * b) ** m * c.x, c.t * c.x * b),)
+        u = c.t * v[0]
+        head, um1 = _powers_sum(u, m - 1, c)           # sizes 0..m-2
+        # sizes k >= m-1 weigh u^k x^(k-m+1)
+        return (head + c.geo(um1, c.x * u),)
     return system
 
 
@@ -256,9 +277,9 @@ def _fam_132_m1head(m):
 def _fam_132_2m1(m):
     def system(v, c):
         b1, _ = v
-        g = c.geo(c.one, c.t * b1)                     # B = 1/(1 - t B1)
-        num = c.one + (c.x - 1) * c.t ** (m - 1) * b1 ** (m - 1)
-        return (num * g, g)
+        u = c.t * b1
+        g = c.geo(c.one, u)                            # B = 1/(1 - t B1)
+        return (g + (c.x - 1) * u ** (m - 1) * g, g)
     return system
 
 
@@ -300,7 +321,7 @@ _entry("thm2", HARD_PASS, (1, 2, 3), ("t", "y", "x"),
        "A = 1 + (A1-1)/y + t^2 (1-x) A1^2",
        ("A1",), lambda m, a: _thm2, _fixed((2, 3, 1)),
        derive=lambda s, c: {
-           "A": _a_from_a1(s["A1"]) + c.t ** 2 * (1 - c.x) * s["A1"] ** 2})
+           "A": _a_from_a1(s["A1"]) + (1 - c.x) * (c.t * s["A1"]) ** 2})
 _entry("thm3", REPORT_ONLY, (1, 2, 3), ("t", "y", "x"),
        "A0 = 1 + t x y A0 + sum_{k>=2} t^k x^(k-2) y^(k-1) A0^k;  "
        "A1 = 1 + t y A0 + sum_{k>=2} t^k x^(k-2) y^(k-1) A0 S_(k-2);  "
@@ -428,7 +449,7 @@ def _cf_123_1m2(n, k, m):
         total += ((-1) ** (i - k)
                   * multinom(2 * n - m * i,
                              [n - m * i, n + 1 - i, k - 1, i - k]))
-    return Fraction(total, k)
+    return total, k
 
 
 def _cf_123_2m31(n, k, m):
@@ -440,7 +461,7 @@ def _cf_123_2m31(n, k, m):
                   * binom(n, i)
                   * gen_binom(m * n - m * i - 2 * n + i, m * n - 1)
                   * gen_binom(m * n - m * i - n + i, k))
-    return Fraction(total, n)
+    return total, n
 
 
 def _cf_132_1m(n, k, m, printed=False):
@@ -453,7 +474,7 @@ def _cf_132_1m(n, k, m, printed=False):
                       * binom(n + 1, i)
                       * binom(i + k - 1, k)
                       * binom(2 * n - m * i - m * j + j - k, n - i))
-    return Fraction(total, n + 1)
+    return total, n + 1
 
 
 def _cf_132_2m1(n, k, m):
@@ -463,15 +484,15 @@ def _cf_132_2m1(n, k, m):
     for i in range(n - k + 1):
         total += ((-1) ** (m * k + k + i + n + 1)
                   * gen_binom(m * i - i - n, n + 1 - m * k - k))
-    return Fraction(binom(n, k) * total, n)
+    return binom(n, k) * total, n
 
 
 class ClosedForm(namedtuple("ClosedForm", "trust family k0_route coeff")):
     """A closed formula for [t^n x^k] of a family entry's series.
 
     family is the catalog family whose coefficients it gives; with k0_route,
-    k = 0 is checked as C_n minus the k >= 1 values; coeff(n, k, m) gives a
-    Fraction, for m >= 2.
+    k = 0 is checked as C_n minus the k >= 1 values; coeff(n, k, m) gives
+    the value as (numerator, denominator), for m >= 2.
     """
     __slots__ = ()
 
@@ -512,11 +533,13 @@ def closed_coeff(form_id: str, n: int, k: int, m: int | None = None) -> Fraction
         raise ValueError(f"unknown closed form {form_id!r}")
     if m < 2:
         raise ValueError(f"{form_id} needs m >= 2")
-    return form.coeff(n, k, m)
+    from fractions import Fraction   # loaded on first use, not at import
+    return Fraction(*form.coeff(n, k, m))
 
 
 def closed_coeff_k0(form_id: str, n: int, m: int | None = None) -> Fraction:
     """k = 0 coefficient via the complement route: C_n minus the k >= 1 sum."""
+    from fractions import Fraction
     total = Fraction(catalan(n))
     for k in range(1, n + 1):
         total -= closed_coeff(form_id, n, k, m)
@@ -582,23 +605,27 @@ def _thm1_quadratic(system, c, m, a):
     # squares the final y, so it only holds at y = 1.
     A = system["A"]
     q = c.y * (A - 1) + 1
-    return (c.one + c.t * q ** 2 + c.t ** 2 * (1 - c.y) * q ** 2
-            + c.t ** 3 * (c.x - 1) * c.y * q ** 3 - A)
+    q_sq = q ** 2
+    return (c.one + c.t * q_sq + c.t ** 2 * (1 - c.y) * q_sq
+            + c.t ** 3 * (c.x - 1) * c.y * q_sq * q - A)
 
 
 def _thm1_quadratic_printed(system, c, m, a):
     A = system["A"]
     q = c.y * (A - 1) + 1
-    return c.one + c.t * q ** 2 + c.t ** 3 * (c.x - 1) * c.y ** 2 * q ** 3 - A
+    q_sq = q ** 2
+    return c.one + c.t * q_sq + c.t ** 3 * (c.x - 1) * c.y ** 2 * q_sq * q - A
 
 
 def _thm2_polynomial(system, c, m, a):
     A = system["A"]
     t, y, x = c.t, c.y, c.x
     w = A - 1
-    inner = (y * (w ** 2 * x ** 2 * y
-                  + x * (w ** 3 * y ** 3 + w ** 2 * y ** 2 + w * y + 2 * A - 1)
-                  - (w * y + 1) * (y * ((A - 2) * w * y + 2 * A - 3) + 3))
+    w_sq = w ** 2
+    # (A - 2) w = w^2 - w
+    inner = (y * (w_sq * x ** 2 * y
+                  + x * (w_sq * w * y ** 3 + w_sq * y ** 2 + w * y + 2 * A - 1)
+                  - (w * y + 1) * (y * ((w_sq - w) * y + 2 * A - 3) + 3))
              + 1)
     rhs = (t ** 2 * (y - 1) ** 2 * inner
            + w * y * ((y - 3) * y + 3) + 1
@@ -645,12 +672,16 @@ def _long2132(system, c, m, a):
 def _thm8_rational(system, c, m, a):
     a0, a1, A = system["A0"], system["A1"], system["A"]
     t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
-    lhs = (A - 1 - t * a1) * (t * x1 * x3 * y * a0)
-    return lhs - (a1 - 1 - t * y * a0 - t ** 2 * x3 * y * a0 * (x2 * (a1 - 1) + 1))
+    # (A - 1 - t A1) t x1 x3 y A0 = A1 - 1 - t y A0 - t^2 x3 y A0 Q1, with
+    # its two products by t x3 y A0 taken as one
+    q1 = x2 * (a1 - 1) + 1
+    return (t * x3 * y * a0 * (x1 * (A - 1 - t * a1) + t * q1)
+            - (a1 - 1 - t * y * a0))
 
 
 def _thm7_rational(system, c, m, a):
     a0, A = system["A0"], system["A"]
+    a0_sq = a0 ** 2
     t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
     g = a0 * t ** 2 * y * (x1 - x2) - 1
     denom = (x3 * (x1 - x2)
@@ -658,13 +689,13 @@ def _thm7_rational(system, c, m, a):
                 - (a0 + 1) * x3 * t * y * g
                 + a0 * x1 * t ** 2 * y - 1))
     part_x1 = x1 * (
-        x3 ** 2 * t * y * (a0 ** 2 * t ** 2 * (x2 * t ** 2 * y ** 2
-                                               + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
+        x3 ** 2 * t * y * (a0_sq * t ** 2 * (x2 * t ** 2 * y ** 2
+                                             + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
                            + a0 * ((x2 + 1) * t ** 3 * y
                                    + t ** 2 * (2 * x2 * y + y + 2) + t + 1)
                            + t + 1)
-        + x2 * t ** 2 * (a0 ** 2 * (-1) * t * y + a0 - 1)
-        + a0 ** 2 * x3 ** 4 * t ** 5 * y ** 3
+        + x2 * t ** 2 * (a0_sq * (-1) * t * y + a0 - 1)
+        + a0_sq * x3 ** 4 * t ** 5 * y ** 3
         - a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * (x2 + 1) * t ** 3 * y
                                             + t ** 2 * (a0 * (2 * x2 * y + y + 2) + 1)
                                             + t + 1)
@@ -672,16 +703,16 @@ def _thm7_rational(system, c, m, a):
                 - a0 * t ** 3 * y * (a0 * x2 + x2 + 1)
                 - a0 * t ** 2 * (x2 * y + y + 1) - t - 1))
     part_x2 = x2 * (
-        -(a0 ** 2) * x3 ** 4 * t ** 5 * y ** 3
-        - x3 ** 2 * t * y * (a0 ** 2 * (2 * t - 1) * t ** 2 * y
+        -a0_sq * x3 ** 4 * t ** 5 * y ** 3
+        - x3 ** 2 * t * y * (a0_sq * (2 * t - 1) * t ** 2 * y
                              + a0 * (t ** 3 * y + t ** 2 * (y + 2) + t + 1)
                              + t + 1)
-        + x3 * (t ** 2 * (a0 ** 2 * (-1) * y + y + 1)
+        + x3 * (t ** 2 * (a0_sq * (-1) * y + y + 1)
                 + a0 * (a0 + 1) * t ** 3 * y + t + 1)
         + a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * t ** 3 * y + (a0 + 1) * t ** 2 + t + 1)
         + (a0 - 1) * t)
     part_x3 = (x3 * t * (x3 * t * y - 1)
-               * (a0 ** 2 * x3 * t * y * (x3 * t * y - 1) + a0 - 1))
+               * (a0_sq * x3 * t * y * (x3 * t * y - 1) + a0 - 1))
     part_x1sq = (a0 * x1 ** 2 * t ** 2 * y
                  * (-(a0) * x2 * t ** 2 + a0 * x3 ** 3 * t ** 2 * y ** 2
                     - (a0 + 1) * x3 ** 2 * t * y + x3))

@@ -36,9 +36,7 @@ n <= min(n_max, DIST_NMAX).
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import catalog, dyck, lanes, oracle, perms
@@ -61,6 +59,8 @@ class CheckResult(namedtuple("CheckResult",
 
 
 def _witness(n, monomial, expected, actual) -> dict:
+    from fractions import Fraction   # loaded on first use, not at import
+
     def plain(v):
         if isinstance(v, Fraction) and v.denominator == 1:
             return int(v)
@@ -624,6 +624,8 @@ def run_suite(suite: str, n_max: int = DIST_NMAX) -> dict:
         raise ValueError("n_max must be non-negative")
     if n_max > ORACLE_MAX_N:
         raise ValueError(f"n_max must be at most {ORACLE_MAX_N}")
+    import json   # loaded on first use, not at import
+
     chosen = [c for c in REGISTRY if suite == "all" or c.suite == suite]
     results = [_execute(c, n_max) for c in chosen]
     results.sort(key=lambda r: (r.check_id,
@@ -645,4 +647,6 @@ def _result_json(r: CheckResult) -> dict:
 
 
 def report_to_json(report: dict) -> str:
+    import json
+
     return json.dumps(report, indent=2) + "\n"

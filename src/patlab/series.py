@@ -14,8 +14,11 @@ variable.
 
 A Poly keeps this packed form in one coefficient dict.  A TruncatedSeries is
 stored as its t-slices, one t-free coefficient dict per power of t, so its
-products, inverses and comparisons work slice by slice and never regroup
-the terms by t-degree.
+products, geometric tails and comparisons work slice by slice and never
+regroup the terms by t-degree.  A square sums each unordered pair of slices
+and of terms once.  A geometric tail first/(1 - ratio) is one recursion,
+slice n from first's slice n and the ratio times the tail's lower slices,
+not an inverse followed by a product.
 
 fixed_point_solve evaluates a whole system of equations once on lazy series,
 which compute every unknown's t-slices in one pass, each slice from lower
@@ -128,7 +131,10 @@ class Poly:
             return NotImplemented
         a, b = self.c, _as_poly(other).c
         out: dict[int, int] = {}
-        _mul_into(out, a, b, reduce(or_, a, 0) | reduce(or_, b, 0))
+        if a is b:
+            _square_into(out, a, reduce(or_, a, 0))
+        else:
+            _mul_into(out, a, b, reduce(or_, a, 0) | reduce(or_, b, 0))
         return Poly(out)
 
     __rmul__ = __mul__
@@ -176,26 +182,38 @@ class Poly:
             yield unpack(k), self.c[k]
 
     def substitute(self, assignments: dict[str, "Poly | int"]) -> "Poly":
-        """Substitute variables by integers or polynomials, exactly.
+        """Substitute variables by integers or polynomials, exactly and all
+        at once, so {x: y, y: x} swaps x and y.
 
-        An integer scales the coefficient; only polynomial values multiply.
+        An integer scales the coefficient and a bare variable renames: the
+        exponent moves to the new variable's field.  Only other polynomial
+        values multiply.
         """
         for v in assignments:
             if v not in _SHIFT:
                 raise ValueError(f"unknown variable {v!r}")
-        scalars = [(_SHIFT[v], p) for v, p in assignments.items()
-                   if isinstance(p, int)]
-        polys = [(_SHIFT[v], _as_poly(p)) for v, p in assignments.items()
-                 if not isinstance(p, int)]
+        scalars, renames, polys = [], [], []
+        for v, p in assignments.items():
+            if isinstance(p, int):
+                scalars.append((_SHIFT[v], p))
+            elif (to := _bare_field(p)) is not None:
+                renames.append((_SHIFT[v], to))
+            else:
+                polys.append((_SHIFT[v], _as_poly(p)))
+        cleared = sum(0xFF << _SHIFT[v] for v in assignments)
         powers: dict[tuple[int, int], Poly] = {}
         out: dict[int, int] = {}
         for k, coeff in self.c.items():
-            rest = k
+            rest = k & ~cleared
             for sh, val in scalars:
-                e = (k >> sh) & 0xFF
-                if e:
-                    rest -= e << sh
-                    coeff *= val ** e
+                coeff *= val ** ((k >> sh) & 0xFF)
+            for sh, to in renames:
+                moved = ((k >> sh) & 0xFF) << to
+                if (rest ^ moved ^ (rest + moved)) & _CARRY:
+                    raise ValueError(
+                        f"exponent overflow: substituting into "
+                        f"{monomial_str(unpack(k))} gives an exponent above 255")
+                rest += moved
             if not polys:
                 out[rest] = out.get(rest, 0) + coeff
                 continue
@@ -203,7 +221,6 @@ class Poly:
             for sh, p in polys:
                 e = (k >> sh) & 0xFF
                 if e:
-                    rest -= e << sh
                     if (sh, e) not in powers:
                         powers[sh, e] = p ** e
                     factor = factor * powers[sh, e]
@@ -235,17 +252,19 @@ class Poly:
 
 
 def _power(base, n: int, one):
-    """base ** n by square-and-multiply, from the ring's one."""
+    """base ** n by square-and-multiply; the ring's one for n = 0.  Each
+    squaring is a product of base with itself, which the rings compute from
+    half the pairs."""
     if n < 0:
         raise ValueError(f"negative power {n}")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         if n > 1:
             base = base * base
         n >>= 1
-    return result
+    return one if result is None else result
 
 
 def _as_poly(value) -> Poly:
@@ -254,6 +273,19 @@ def _as_poly(value) -> Poly:
     if isinstance(value, int):
         return Poly.const(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
+
+
+_BARE = {1 << sh: sh for sh in _SHIFT.values()}
+
+
+def _bare_field(value) -> int | None:
+    """The field shift of a bare variable (one term, exponent 1, coefficient
+    1), or None for any other value."""
+    if isinstance(value, Poly) and len(value.c) == 1:
+        ((key, coeff),) = value.c.items()
+        if coeff == 1:
+            return _BARE.get(key)
+    return None
 
 
 def _add_into(out: dict[int, int], terms) -> None:
@@ -286,6 +318,51 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int],
                 del out[k]
 
 
+def _square_into(out: dict[int, int], a: dict[int, int], bits: int) -> None:
+    """Add the square of a coefficient dict into out in place, from each
+    unordered pair of terms once.
+
+    bits is the OR of a's keys; see _check_products.
+    """
+    if bits & _HIGH:
+        _check_products(a, a)
+    items = list(a.items())
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
+        s = out.get(k, 0) + ca * ca
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+        ca += ca
+        for kb, cb in items[i + 1:]:
+            k = ka + kb
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+
+
+def _square_slice(at, low: int, n: int) -> dict[int, int]:
+    """Slice n of a series' square, from each unordered pair of slices once:
+    twice the pairs i < n - i, plus the square of slice n/2.  at(i) gives
+    slice i with the OR of its keys; slices below low are empty."""
+    out: dict[int, int] = {}
+    for i in range(low, (n + 1) // 2):
+        da, abits = at(i)
+        db, bbits = at(n - i)
+        if da and db:
+            _mul_into(out, da, db, abits | bbits)
+    if out:
+        out = {k: v + v for k, v in out.items()}
+    if not n & 1 and n >= 2 * low:
+        d, bits = at(n // 2)
+        if d:
+            _square_into(out, d, bits)
+    return out
+
+
 # Multiplying monomials adds their keys, so an exponent sum above 255 would
 # carry into the next variable.  When the OR of all keys of both factors has
 # no field's top bit set, every exponent is below 128 and no sum can carry;
@@ -316,6 +393,21 @@ def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     _add_into(out, b.items())
     return out
+
+
+def _unit(c0: dict[int, int]) -> int:
+    """A denominator's constant term c0 as +1 or -1; NonInvertibleError for
+    any other."""
+    if c0 != {0: 1} and c0 != {0: -1}:
+        raise NonInvertibleError(
+            "series is not invertible: constant term must be +1 or -1, "
+            f"got {poly_str(Poly(c0))}")
+    return c0[0]
+
+
+def _one_minus(d: dict[int, int]) -> dict[int, int]:
+    """1 - d for a t-free coefficient dict d."""
+    return _sum({0: 1}, {k: -v for k, v in d.items()})
 
 
 class TruncatedSeries:
@@ -398,7 +490,12 @@ class TruncatedSeries:
         other = self._coerce(other)
         order = min(self.order, other.order)
         a, b = self.slices, other.slices
-        abits, bbits = _bits(a), _bits(b)
+        abits = _bits(a)
+        if a is b:
+            at = list(zip(a, abits)).__getitem__
+            return TruncatedSeries._of_slices(
+                [_square_slice(at, 0, n) for n in range(order + 1)], order)
+        bbits = _bits(b)
         out: list[dict[int, int]] = [{} for _ in range(order + 1)]
         for i in range(order + 1):
             da = a[i]
@@ -415,28 +512,9 @@ class TruncatedSeries:
         return _power(self, n, TruncatedSeries.const(1, self.order))
 
     def inverse_unit(self) -> "TruncatedSeries":
-        """Multiplicative inverse when the t^0 slice is +1 or -1."""
-        c0 = self.slices[0]
-        if c0 != {0: 1} and c0 != {0: -1}:
-            raise NonInvertibleError(
-                "series is not invertible: constant term must be +1 or -1, "
-                f"got {poly_str(Poly(c0))}")
-        unit = c0[0]
-        # inv[n] = -unit * sum_j d[j] inv[n-j], so each slice d[j] of the
-        # series is scaled by -unit once, each with the OR of its keys
-        den = [(j, {k: -unit * v for k, v in dj.items()}, reduce(or_, dj, 0))
-               for j, dj in enumerate(self.slices) if j and dj]
-        inv = [{0: unit}]
-        inv_bits = [0]
-        for n in range(1, self.order + 1):
-            acc: dict[int, int] = {}
-            for j, dj, bits in den:
-                if j > n:
-                    break
-                _mul_into(acc, dj, inv[n - j], bits | inv_bits[n - j])
-            inv.append(acc)
-            inv_bits.append(reduce(or_, acc, 0))
-        return TruncatedSeries._of_slices(inv, self.order)
+        """Multiplicative inverse when the t^0 slice is +1 or -1: the
+        geometric tail 1/(1 - (1 - self))."""
+        return geometric(TruncatedSeries.const(1, self.order), 1 - self)
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
         den = self._coerce(den)
@@ -459,10 +537,29 @@ class TruncatedSeries:
 def geometric(first: TruncatedSeries, ratio: TruncatedSeries) -> TruncatedSeries:
     """first + first*ratio + first*ratio^2 + ... = first / (1 - ratio).
 
-    The ratio must vanish at t = 0 so the denominator is a unit.
+    The denominator's constant term 1 - ratio[0] must be +1 or -1, so the
+    ratio's t^0 slice is 0 or 2; any other raises NonInvertibleError.  With
+    unit = 1/(1 - ratio[0]), slice n of the tail G is
+    unit * (first[n] + sum_{j>=1} ratio[j] * G[n-j]): one convolution, where
+    an inverse followed by a product takes two.
     """
-    one = TruncatedSeries.const(1, min(first.order, ratio.order))
-    return first.div_unit(one - ratio)
+    order = min(first.order, ratio.order)
+    unit = _unit(_one_minus(ratio.slices[0]))
+    terms = [(j, d, reduce(or_, d, 0))
+             for j, d in enumerate(ratio.slices[1:order + 1], 1) if d]
+    out: list[dict[int, int]] = []
+    out_bits: list[int] = []
+    for n in range(order + 1):
+        acc = dict(first.slices[n])
+        for j, rj, bits in terms:
+            if j > n:
+                break
+            _mul_into(acc, rj, out[n - j], bits | out_bits[n - j])
+        if unit == -1:
+            acc = {k: -v for k, v in acc.items()}
+        out.append(acc)
+        out_bits.append(reduce(or_, acc, 0))
+    return TruncatedSeries._of_slices(out, order)
 
 
 def fixed_point_solve(equations, order: int, seeds=None) -> list[TruncatedSeries]:
@@ -545,10 +642,10 @@ class EqContext:
 # product reads only the slice pairs (i, n-i) within its operands' bounds,
 # so t*X never asks X for slice n.  Sub-expressions without an unknown are
 # folded into TruncatedSeries constants as the system is built, with the
-# eager arithmetic.  Slices are memoised only on nodes that a product or an
-# inverse reads; `cache` is None on the others, and they compute a slice
-# whenever asked.  A memoised slice is stored with the OR of its keys, for
-# the exponent-overflow guard in _mul_into.
+# eager arithmetic.  Slices are memoised only on nodes that a product or a
+# geometric tail reads; `cache` is None on the others, and they compute a
+# slice whenever asked.  A memoised slice is stored with the OR of its keys,
+# for the exponent-overflow guard in _mul_into.
 
 class _Lazy:
     __slots__ = ("order", "val", "cache")
@@ -636,7 +733,8 @@ class _Lin(_Lazy):
 
 
 class _Mul(_Lazy):
-    """A product of two nodes, at least one of them with an unknown in it."""
+    """A product of two nodes, at least one of them with an unknown in it;
+    a square when both are the same node."""
 
     __slots__ = ("a", "b")
 
@@ -648,6 +746,8 @@ class _Mul(_Lazy):
 
     def compute(self, n):
         a, b = self.a, self.b
+        if a is b:
+            return _square_slice(a.at, a.val, n)
         out: dict[int, int] = {}
         for i in range(a.val, n - b.val + 1):
             da, abits = a.at(i)
@@ -657,37 +757,30 @@ class _Mul(_Lazy):
         return out
 
 
-class _Inverse(_Lazy):
-    """1/d for a node d whose t^0 slice is +1 or -1 (the inverse_unit
-    recursion)."""
+class _Geo(_Lazy):
+    """first / (1 - ratio), by geometric's recursion run relaxed: slice n
+    reads first's slice n, the ratio's slices 1..n and its own lower
+    slices."""
 
-    __slots__ = ("d", "unit")
+    __slots__ = ("first", "ratio", "unit")
 
-    def __init__(self, d: _Lazy):
-        super().__init__(d.order, 0)
-        self.d = d
+    def __init__(self, first: _Lazy, ratio: _Lazy):
+        super().__init__(first.order, first.val)
+        self.first, self.ratio = first, ratio
         self.cache = []
-        d.memoise()
+        ratio.memoise()
 
     def compute(self, n):
-        d = self.d
+        first, ratio = self.first, self.ratio
         if n == 0:
-            c0 = d.slice(0)
-            if c0 != {0: 1} and c0 != {0: -1}:
-                raise NonInvertibleError(
-                    "series is not invertible: constant term must be +1 or -1, "
-                    f"got {poly_str(Poly(dict(c0)))}")
-            self.unit = c0[0]
-            return {0: self.unit}
-        acc: dict[int, int] = {}
-        for j in range(max(d.val, 1), n + 1):
-            dj, dbits = d.at(j)
-            ij, ibits = self.at(n - j)
-            if dj and ij:
-                _mul_into(acc, dj, ij, dbits | ibits)
-        if self.unit == 1:
-            return {k: -v for k, v in acc.items()}
-        return acc
+            self.unit = _unit(_one_minus(ratio.at(0)[0]))
+        acc = dict(first.slice(n)) if first.val <= n else {}
+        for j in range(max(ratio.val, 1), n - self.val + 1):
+            rj, rbits = ratio.at(j)
+            gj, gbits = self.at(n - j)
+            if rj and gj:
+                _mul_into(acc, rj, gj, rbits | gbits)
+        return acc if self.unit == 1 else {k: -v for k, v in acc.items()}
 
 
 class _Unknown(_Lazy):
@@ -779,10 +872,9 @@ class _LazyContext:
 
     def geo(self, first, ratio) -> _Lazy:
         first, ratio = _lift(first, self.order), _lift(ratio, self.order)
-        den = 1 - ratio
-        if isinstance(den, _Const):
-            return first * _Const(den.series.inverse_unit())
-        return first * _Inverse(den)
+        if isinstance(first, _Const) and isinstance(ratio, _Const):
+            return _Const(geometric(first.series, ratio.series))
+        return _Geo(first, ratio)
 
 
 # -- slices ---------------------------------------------------------------------

@@ -127,3 +127,21 @@ def test_importing_patlab_loads_no_dataclasses_or_inspect():
     assert "patlab.catalog" in package and "patlab.cli" in cli
     for added in (package, cli):
         assert not {"dataclasses", "inspect"} & set(added), added
+
+
+def test_importing_patlab_loads_no_fractions_decimal_or_json():
+    # Each is imported where it is first used: Fraction by the closed forms
+    # and witnesses, json by report sorting and output.  Only what the
+    # imports add is counted, as above.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import patlab, patlab.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"patlab.catalog", "patlab.checks", "patlab.cli"} <= added
+    assert not {"fractions", "decimal", "_decimal", "json"} & added, added

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -339,6 +341,36 @@ def test_substitute_matches_term_by_term_sums(p, value, scalar, var):
         assert p.substitute(assignments) == _substitute_by_sums(p, assignments)
 
 
+_renamed_to = st.sampled_from(("t", "y", "x", "x1", "x2")).map(Poly.variable)
+
+
+@given(mixed_polys,
+       st.dictionaries(st.sampled_from(("y", "x", "x1")),
+                       st.one_of(_renamed_to, _renamed_to, st.integers(-2, 2),
+                                 mixed_polys)))
+@settings(max_examples=120, deadline=None)
+def test_renames_match_term_by_term_sums(p, assignments):
+    # A bare-variable value moves the exponent; mixed with scalars, other
+    # polynomials and swaps, all values still substitute at once.
+    assert p.substitute(assignments) == _substitute_by_sums(p, assignments)
+
+
+def test_renames_swap_and_keep_the_exponent_guard():
+    var = Poly.variable
+    assert (X * Y ** 2).substitute({"x": Y, "y": X}) == Y * X ** 2
+    assert (X ** 200 * Y ** 100).substitute({"x": Y, "y": X}) == \
+        Y ** 200 * X ** 100
+    assert (X ** 200 * Y ** 55).substitute({"x": Y}) == var("y", 255)
+    # y is replaced as well, so its own exponent does not add to x's
+    assert (X ** 200 * Y ** 100).substitute({"x": Y, "y": 2}) == \
+        2 ** 100 * Y ** 200
+    for p, assignments in ((X ** 200 * Y ** 100, {"x": Y}),
+                           (X ** 200 * var("x1", 100), {"x": Y, "x1": Y}),
+                           (X ** 200 * Y ** 100, {"x": Y, "y": X * Y})):
+        with pytest.raises(ValueError, match="exponent"):
+            p.substitute(assignments)
+
+
 @given(mixed_polys, st.sampled_from((1, -1)), st.integers(0, 8))
 @settings(max_examples=80, deadline=None)
 def test_inverse_unit_matches_term_by_term_sums(p, unit, order):
@@ -557,3 +589,158 @@ def _repeated(base, n, one):
     for _ in range(n):
         out = out * base
     return out
+
+
+# -- geometric tails and squares ---------------------------------------------
+
+@given(mixed_polys, mixed_polys, st.sampled_from((0, 2)), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_geometric_matches_division_by_one_minus_the_ratio(p, q, head, order):
+    # the ratio's t^0 slice is the constant head
+    first = TruncatedSeries(p, order)
+    ratio = TruncatedSeries(q - q.t_slice(0) + head, order)
+    tail = geometric(first, ratio)
+    assert tail == first.div_unit(1 - ratio)
+    assert tail.poly == (first.poly * _inverse_by_sums(1 - ratio)).truncate_t(order)
+    assert tail.order == order
+
+
+@pytest.mark.parametrize("head", (0, 2))
+@pytest.mark.parametrize("order", (0, 1, 5, 9))
+def test_lazy_geometric_matches_division_by_one_minus_the_ratio(head, order):
+    # The lazy tail, with a lazy or constant first and ratio, against
+    # div_unit on the solved series.
+    def parts(v, c):
+        return ((c.y * v[0] + c.x, c.t * c.x * v[0] + head),
+                (c.t * v[0] ** 2, c.t * c.y + head),
+                (c.x + c.t * c.y, c.t * v[0] - c.t * c.x + head),
+                (c.x + c.t, c.t * c.y + head))
+
+    def system(v, c):
+        return (c.one + c.t * sum((c.geo(f, r) for f, r in parts(v, c)),
+                                  c.const(0)),)
+
+    (sol,) = fixed_point_solve(system, order)
+    c = EqContext(order)
+    want = c.one + c.t * sum((f.div_unit(1 - r) for f, r in parts([sol], c)),
+                             c.const(0))
+    assert sol == want
+
+
+def _not_invertible(shown):
+    return "^" + re.escape("series is not invertible: constant term must be "
+                           f"+1 or -1, got {shown}") + "$"
+
+
+def test_a_non_unit_denominator_keeps_its_message():
+    one = TruncatedSeries.const(1, 3)
+    for head, shown in ((X, "1 - x"), (Poly.const(1), "0"),
+                        (Poly.const(3), "-2")):
+        ratio = TruncatedSeries(head + T, 3)
+        with pytest.raises(NonInvertibleError, match=_not_invertible(shown)):
+            geometric(one, ratio)
+        with pytest.raises(NonInvertibleError, match=_not_invertible(shown)):
+            fixed_point_solve(
+                lambda v, c: (c.one + c.t * c.geo(c.one, head + c.t * v[0]),), 3)
+        with pytest.raises(NonInvertibleError, match=_not_invertible(shown)):
+            fixed_point_solve(
+                lambda v, c: (c.one + c.t * c.geo(v[0], ratio),), 3)
+    with pytest.raises(NonInvertibleError, match=_not_invertible("1 + x")):
+        TruncatedSeries(1 + X + T, 3).inverse_unit()
+
+
+@given(mixed_polys, st.integers(0, 8), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_squares_equal_the_product_with_an_equal_copy(p, order, k):
+    copy = Poly(dict(p.c))
+    assert p * p == p * copy
+    s = TruncatedSeries(p, order)
+    twin = TruncatedSeries(p, order)
+    assert s * s == s * twin
+    assert s ** k == _repeated(s, k, TruncatedSeries.const(1, order)) == \
+        TruncatedSeries(p ** k, order)
+
+
+def test_lazy_squares_equal_the_product_with_an_equal_copy():
+    # q * q is a square; two calls of part build two equal nodes, whose
+    # product takes the general path.
+    def part(v, c):
+        return c.y * v[0] + c.t * c.x
+
+    def squares(v, c):
+        q = part(v, c)
+        return (c.one + c.t * (q * q) + c.t ** 2 * (c.x * v[0]) ** 3,)
+
+    def copies(v, c):
+        xv = [c.x * v[0] for _ in range(3)]
+        return (c.one + c.t * (part(v, c) * part(v, c))
+                + c.t ** 2 * xv[0] * xv[1] * xv[2],)
+
+    for order in (0, 1, 2, 7, 12):
+        assert fixed_point_solve(squares, order) == \
+            fixed_point_solve(copies, order)
+
+
+def test_squares_and_tails_keep_the_exponent_overflow_guard():
+    var = Poly.variable
+    with pytest.raises(ValueError):
+        (1 + var("y", 128)) ** 2
+    assert var("y", 127) ** 2 == var("y", 254)
+    s = TruncatedSeries.of(1 + T * var("y", 200), 2)
+    with pytest.raises(ValueError):
+        s * s
+    assert TruncatedSeries.of(1 + T * var("y", 200), 1) ** 2 == \
+        TruncatedSeries.of(1 + 2 * T * var("y", 200), 1)
+    with pytest.raises(ValueError):
+        geometric(TruncatedSeries.const(1, 2),
+                  TruncatedSeries.of(T * var("y", 200), 2))
+    assert geometric(TruncatedSeries.const(1, 1),
+                     TruncatedSeries.of(T * var("y", 200), 1)) == \
+        TruncatedSeries.of(1 + T * var("y", 200), 1)
+    # In a solve: a square of a series whose slice 1 holds y^200, and tails
+    # whose slice 2 or 3 multiplies y^200 by y^200.
+    for system, deepest in (
+            (lambda v, c: (c.one + c.t * c.y ** 200 + c.t * v[0] ** 2,), 1),
+            (lambda v, c: (c.one + c.t * c.geo(c.one, c.t * c.y ** 200 * v[0]),), 1),
+            (lambda v, c: (c.one + c.geo(c.t * v[0], c.t * c.y ** 200),), 2)):
+        fixed_point_solve(system, deepest)
+        with pytest.raises(ValueError, match="exponent overflow"):
+            fixed_point_solve(system, deepest + 1)
+
+
+# -- work pins -----------------------------------------------------------------
+
+def _pairs_of(solve, monkeypatch):
+    """The coefficient pairs the product kernels visit during solve(): a
+    product of dicts of sizes a and b visits a*b pairs, a square of size a
+    a*(a+1)/2."""
+    from patlab import series
+
+    count = [0]
+    mul, square = series._mul_into, series._square_into
+
+    def counted_mul(out, a, b, bits):
+        count[0] += len(a) * len(b)
+        mul(out, a, b, bits)
+
+    def counted_square(out, a, bits):
+        count[0] += len(a) * (len(a) + 1) // 2
+        square(out, a, bits)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_mul_into", counted_mul)
+        mp.setattr(series, "_square_into", counted_square)
+        solve()
+    return count[0]
+
+
+@pytest.mark.parametrize("args, recorded", [
+    (("thm8", 16, None, None), 338_439),
+    (("fam_132_1m", 16, 3, None), 5_656),
+])
+def test_a_solve_does_no_more_coefficient_products_than_recorded(
+        args, recorded, monkeypatch):
+    # Exact arithmetic makes the count deterministic; a regression in the
+    # number of products shows here without timing noise.
+    solve = catalog.solve_system.__wrapped__   # bypass the lru_cache
+    assert _pairs_of(lambda: solve(*args), monkeypatch) <= recorded
