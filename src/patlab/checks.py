@@ -30,8 +30,12 @@ the columns back (one-to-one), the descent masks agree, no image has
 q_j < q_i < (largest entry after j) for i < j (avoids 213), and the 213
 class is as large as the 312 class (onto).  Only an n whose bijection
 pass fails is searched element by element, with every round-trip and
-class test, for its first witness.  Every bijection check covers
-n <= min(n_max, DIST_NMAX).
+class test, for its first witness.
+
+Every check covers n (or the order) <= n_max, or the fixed range its
+registry entry gives; the symmetries alone stop at SYMMETRY_NMAX
+(patlab.limits).  run_check and run_suite hold n_max to the enumeration
+cap before any check runs, so PATLAB_NMAX_CAP binds every check.
 """
 
 from __future__ import annotations
@@ -90,17 +94,15 @@ def _first_disagreement(points, n_range):
 
 def _run_seq_catalan(params, n_max):
     lam = perms.parse_perm(params["avoid"])
-    top = min(n_max, ORACLE_MAX_N)
     return _first_disagreement(
         ((n, "1", catalan(n), len(cls))
-         for n, cls in enumerate(perms.avoider_levels(top, lam))), f"n<={top}")
+         for n, cls in enumerate(perms.avoider_levels(n_max, lam))), f"n<={n_max}")
 
 
 def _run_seq_series(params, n_max):
-    order = min(n_max, DIST_NMAX)
-    s = catalog.solve_catalog(params["series"], order).substitute({"y": 1, "x": 0})
+    s = catalog.solve_catalog(params["series"], n_max).substitute({"y": 1, "x": 0})
     wants = []
-    for n in range(order + 1):
+    for n in range(n_max + 1):
         try:
             wants.append(catalog.reference_sequence(params["sequence"], n))
         except ValueError:
@@ -233,7 +235,7 @@ def _phin_witness(n):
 
 
 def _run_bij_phin(params, n_max):
-    return _whole_class_passes(min(n_max, DIST_NMAX), _phin_pass, _phin_witness)
+    return _whole_class_passes(n_max, _phin_pass, _phin_witness)
 
 
 # statistic -> (avoided class, consecutive pattern, Dyck-path factors whose
@@ -290,8 +292,8 @@ def _staircase_pass(lam, top, stats):
             left, = perms.class_pattern_counts(avoiders, [gamma])
             for stat in group:
                 # No lane carries into the next: a factor count is at most
-                # 2n <= 24 for n <= ORACLE_MAX_N, and a transport adds at
-                # most two factors.
+                # 2n <= 28 within the enumeration cap, and a transport adds
+                # at most two factors.
                 right = sum(counted[f] for f in stat[1])
                 if witnesses[stat] is None and left != right:
                     ls, rs = lanes.unpack(left, m), lanes.unpack(right, m)
@@ -331,8 +333,7 @@ def _class_stats():
 
 def _run_staircase(params, n_max):
     lam, stat = _staircase_stat(params)
-    ok, witness, n_range = _staircase_pass(
-        lam, min(n_max, DIST_NMAX), _class_stats()[lam])[stat]
+    ok, witness, n_range = _staircase_pass(lam, n_max, _class_stats()[lam])[stat]
     return ok, dict(witness) if witness else None, n_range
 
 
@@ -349,13 +350,12 @@ def _run_recursion(params, n_max):
     pattern with the same distribution."""
     entry = catalog.CATALOG[params["series"]]
     m, a = params.get("m"), params.get("a")
-    top = min(n_max, DIST_NMAX)
-    solved = catalog.solve_catalog(entry.id, top, m=m, a=a)
+    solved = catalog.solve_catalog(entry.id, n_max, m=m, a=a)
     tracked = ((perms.parse_perm(params["gamma"]),) if "gamma" in params
                else entry.tracked(m, a))
     return _first_disagreement(slice_differences(
-        range(top + 1), lambda n: _oracle_slice(entry, tracked, n),
-        solved.t_slice), f"n<={top}")
+        range(n_max + 1), lambda n: _oracle_slice(entry, tracked, n),
+        solved.t_slice), f"n<={n_max}")
 
 
 def _subs(spec: dict) -> dict:
@@ -366,8 +366,8 @@ def _subs(spec: dict) -> dict:
 
 def _run_series_equal(params, n_max):
     """Two solved series that must agree after substitutions; without an
-    order in params the order is min(n_max, DIST_NMAX)."""
-    order = params.get("order", min(n_max, DIST_NMAX))
+    order in params the order is n_max."""
+    order = params.get("order", n_max)
 
     def solved(side):
         s = catalog.solve_catalog(params[side], order, m=params.get(f"{side}_m"),
@@ -398,11 +398,10 @@ def _closed_points(form_id, m, ns, want):
 def _run_closed_form(params, n_max):
     form_id, m = params["form"], params["m"]
     family = catalog.CATALOG[catalog.CLOSED_FORMS[form_id].family]
-    top = min(n_max, DIST_NMAX)
     return _first_disagreement(_closed_points(
-        form_id, m, range(1, top + 1),
+        form_id, m, range(1, n_max + 1),
         lambda n: _oracle_slice(family, family.tracked(m, None), n)),
-        f"n<={top}")
+        f"n<={n_max}")
 
 
 def _run_closed_vs_series(params, n_max):
@@ -416,7 +415,7 @@ def _run_closed_vs_series(params, n_max):
 
 def _run_identity(params, n_max):
     ident = params["identity"]
-    order = catalog.IDENTITIES[ident].top(min(n_max, DIST_NMAX))
+    order = catalog.IDENTITIES[ident].top(n_max)
     verdict = catalog.printed_identity_check(ident, order, m=params.get("m"),
                                              a=params.get("a"))
     return _first_disagreement([] if verdict.ok else [verdict.witness],
@@ -598,6 +597,7 @@ def run_check(check_id: str, params: dict | None = None,
     """Run one registered check, selecting by id and (optionally) params."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    perms.check_enumeration_n(n_max)
     matches = [c for c in REGISTRY if c.check_id == check_id]
     if not matches:
         raise ValueError(f"unknown check id {check_id!r}")
@@ -624,6 +624,7 @@ def run_suite(suite: str, n_max: int = DIST_NMAX) -> dict:
         raise ValueError("n_max must be non-negative")
     if n_max > ORACLE_MAX_N:
         raise ValueError(f"n_max must be at most {ORACLE_MAX_N}")
+    perms.check_enumeration_n(n_max)
     import json   # loaded on first use, not at import
 
     chosen = [c for c in REGISTRY if suite == "all" or c.suite == suite]

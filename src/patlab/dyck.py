@@ -68,21 +68,19 @@ def parse_path(text: str) -> DyckWord:
     return text
 
 
-def path_pattern_count(word: DyckWord, pattern: str, extended: bool = False) -> int:
+def path_pattern_count(word: DyckWord, pattern: str) -> int:
     """Contiguous-factor occurrences of pattern, overlaps included.
 
-    With extended=True a single D is appended before counting, which treats
-    the final horizontal segment as if it were interior.  Each occurrence is
-    found with str.find, restarting one step past the previous start.
+    Each occurrence is found with str.find, restarting one step past the
+    previous start.
     """
     if not pattern:
         raise ValueError("path patterns must be nonempty")
-    w = word + "D" if extended else word
     count = 0
-    i = w.find(pattern)
+    i = word.find(pattern)
     while i >= 0:
         count += 1
-        i = w.find(pattern, i + 1)
+        i = word.find(pattern, i + 1)
     return count
 
 
@@ -363,9 +361,9 @@ def admissible_variant(gamma: Perm) -> str | None:
 
 # -- enumeration ---------------------------------------------------------------
 
-def enumerate_paths(n: int, max_n: int | None = None):
+def enumerate_paths(n: int):
     """All Dyck paths of size n, lexicographic with D < R."""
-    check_enumeration_n(n, max_n)
+    check_enumeration_n(n)
 
     # Depth-first with an explicit stack; pushing R before D pops D first,
     # which gives lex order.  Once all n D's are placed only R's remain.

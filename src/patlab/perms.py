@@ -72,9 +72,9 @@ def max_enumeration_n() -> int:
     return cap
 
 
-def check_enumeration_n(n: int, max_n: int | None = None) -> None:
-    """Reject n < 0 and n above the enumeration cap, lowered by max_n if given."""
-    cap = max_enumeration_n() if max_n is None else min(max_n, max_enumeration_n())
+def check_enumeration_n(n: int) -> None:
+    """Reject n < 0 and n above the enumeration cap."""
+    cap = max_enumeration_n()
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > cap:
@@ -489,11 +489,11 @@ def avoider_list(pattern: Perm, n: int) -> PackedClass:
     return _grow(avoider_list(pattern, n - 1), pattern) if n else PackedClass(0, [b""])
 
 
-def avoider_class(n: int, pattern: Perm, max_n: int | None = None) -> PackedClass:
+def avoider_class(n: int, pattern: Perm) -> PackedClass:
     """S_n(pattern) in lex order, within the enumeration cap: avoider_list's
     cached class up to AVOIDERS_CACHED_MAX_N; above it, the class at the
     cap grown step by step (_grow), nothing above the cap cached."""
-    check_enumeration_n(n, max_n)
+    check_enumeration_n(n)
     pattern = check_permutation(pattern)
     cls = avoider_list(pattern, min(n, AVOIDERS_CACHED_MAX_N))
     for _ in range(AVOIDERS_CACHED_MAX_N, n):
@@ -501,22 +501,22 @@ def avoider_class(n: int, pattern: Perm, max_n: int | None = None) -> PackedClas
     return cls
 
 
-def avoider_levels(top: int, pattern: Perm, max_n: int | None = None):
-    """Yield avoider_class(n, pattern, max_n) for n = 0..top in turn; each
-    level above AVOIDERS_CACHED_MAX_N is grown once, from the one before."""
+def avoider_levels(top: int, pattern: Perm):
+    """Yield avoider_class(n, pattern) for n = 0..top in turn; each level
+    above AVOIDERS_CACHED_MAX_N is grown once, from the one before."""
     pattern = check_permutation(pattern)
     for n in range(top + 1):
         if n <= AVOIDERS_CACHED_MAX_N:
-            cls = avoider_class(n, pattern, max_n)
+            cls = avoider_class(n, pattern)
         else:
-            check_enumeration_n(n, max_n)
+            check_enumeration_n(n)
             cls = _grow(cls, pattern)
         yield cls
 
 
-def enumerate_avoiders(n: int, pattern: Perm, max_n: int | None = None):
+def enumerate_avoiders(n: int, pattern: Perm):
     """Yield S_n(pattern) in lexicographic order of one-line notation."""
-    yield from avoider_class(n, pattern, max_n)
+    yield from avoider_class(n, pattern)
 
 
 # -- the descent-preserving bijection between 312- and 213-avoiders ----------

@@ -166,8 +166,9 @@ def test_criterion_12_printed_identities():
     _report(12, "cleared identities vanish; the misprinted expansion is flagged", ok)
 
 
-# sha256 of `patlab verify --suite all --nmax 10`'s report
+# sha256 of `patlab verify --suite all --nmax 10`'s report, and of --nmax 12's
 REPORT_N10_SHA256 = "c195ebf9fadd04ae4ae6acbd3f9214c8ef441f0c0e97dcd8da7b5ab6539c840f"
+REPORT_N12_SHA256 = "74e1cfec42f72883c242e5642c1f31c9a17b00efb978d086f6e5f4675f8aeb3f"
 
 
 def test_full_suite_aggregate():
@@ -184,3 +185,17 @@ def test_full_suite_aggregate():
                       "report_only_fail": 13}
     text = checks.report_to_json(report)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_N10_SHA256
+
+
+def test_full_suite_report_at_the_oracle_cap():
+    # Every check but the symmetries covers n <= 12 here, and the report is
+    # still fixed: the same checks, statuses and witnesses as at n_max = 10.
+    report = checks.run_suite("all", 12)
+    counts = {}
+    for entry in report["checks"]:
+        counts[entry["status"]] = counts.get(entry["status"], 0) + 1
+    assert len(report["checks"]) == 251
+    assert counts == {"pass": 226, "report_only_pass": 12,
+                      "report_only_fail": 13}
+    text = checks.report_to_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_N12_SHA256

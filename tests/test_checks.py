@@ -4,7 +4,7 @@ import json
 import pytest
 
 from patlab import checks, dyck, oracle, perms
-from patlab.limits import AVOIDERS_CACHED_MAX_N, DIST_NMAX
+from patlab.limits import AVOIDERS_CACHED_MAX_N
 from patlab.series import catalan
 
 
@@ -218,7 +218,7 @@ def _bij_staircase_reference(params, n_max):
     # avoider's round trip, then every path's preimage tested for the class
     # and mapped back.
     lam = (1, 3, 2) if params["map"] == "phi" else (1, 2, 3)
-    top = min(n_max, DIST_NMAX)
+    top = n_max
     fwd, pre = dyck.staircase_word, dyck.staircase_preimage
     for n in range(top + 1):
         for p in perms.avoider_list(lam, n):
@@ -241,7 +241,7 @@ def _bij_staircase_reference(params, n_max):
 def _bij_phin_reference(params, n_max):
     # bij_phin as it was before the packed pass: each image tested for 213,
     # for its descent set and for its round trip, then the images counted.
-    top = min(n_max, DIST_NMAX)
+    top = n_max
     for n in range(top + 1):
         seen = set()
         for p in perms.avoider_list((3, 1, 2), n):
@@ -485,21 +485,88 @@ def test_catalan_counts_grow_each_level_above_the_cache_cap_once(monkeypatch):
 
 
 def test_every_bijection_check_covers_one_range():
-    # One brute range for the bijection suite: min(n_max, DIST_NMAX).
+    # One brute range for the bijection suite: n <= n_max.
     for n_max in range(13):
         for c in checks.REGISTRY:
             if c.suite == "bijections":
                 res = checks.run_check(c.check_id, c.params, n_max=n_max)
-                assert res.n_range == f"n<={min(n_max, DIST_NMAX)}", (n_max, c)
+                assert res.n_range == f"n<={n_max}", (n_max, c)
+
+
+def _coverage_table(n_max):
+    # [check id, params, n_range] of every registered check at n_max.
+    return [[c.check_id, c.params, checks.run_check(c.check_id, c.params,
+                                                    n_max=n_max).n_range]
+            for c in checks.REGISTRY]
 
 
 def test_coverage_table_is_pinned():
     # What every check covers at n_max = 10: a change of any check's range
     # must show up here as a deliberate edit.
-    table = [[c.check_id, c.params, checks.run_check(c.check_id, c.params,
-                                                     n_max=10).n_range]
-             for c in checks.REGISTRY]
+    table = _coverage_table(10)
     assert len(table) == 251
     digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "5cc653dc388ce566f265f5de8566c9bb93780b543d675f785a7d82058d25804a")
+
+
+def test_coverage_table_is_pinned_at_the_oracle_cap():
+    # The same at n_max = 12, the largest verify --nmax.
+    table = _coverage_table(12)
+    assert len(table) == 251
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "9ee81975c17468aeb21cd6d0a21e23114df904cd669fb4ac9cdaa2da690244d4")
+
+
+# The ranges that do not follow n_max: a fixed order or size per check id
+# prefix, and the last n of each stored reference prefix.
+_FIXED_RANGES = {"spec_thm8_": "order<=10", "famcons_": "order<=10",
+                 "cross_": "order<=9", "cf_series_": "n<=14"}
+_STORED_PREFIX_TOPS = {"seq_123_231_x0": 8, "seq_132_213_x0": 9}
+
+
+def _one_range_rule(c, n_max):
+    """The n_range the one-range rule gives check c at n_max."""
+    for prefix, fixed in _FIXED_RANGES.items():
+        if c.check_id.startswith(prefix):
+            return fixed
+    if c.suite == "symmetries":                 # brute force on both sides
+        return f"n<={min(n_max, 9)}"
+    if "sequence" in c.params:
+        top = _STORED_PREFIX_TOPS.get(c.params["sequence"], n_max)
+        return f"n<={min(n_max, top)}"
+    if c.check_id in ("ident_thm7_expansion", "ident_thm8_expansion"):
+        return f"order<={min(n_max, 5)}"        # the printed expansions
+    if c.suite == "identities" or c.check_id == "rec_thm5_remark":
+        return f"order<={n_max}"
+    return f"n<={n_max}"
+
+
+@pytest.mark.parametrize("n_max", [0, 7, 11, 12])
+def test_every_check_covers_n_max_but_the_symmetries(n_max):
+    # Brute force, recursions, closed forms and cleared identities all
+    # cover n_max; no cap but SYMMETRY_NMAX clamps a range below it.
+    table = _coverage_table(n_max)
+    assert len(table) == 251
+    for c, (check_id, params, n_range) in zip(checks.REGISTRY, table):
+        assert n_range == _one_range_rule(c, n_max), (check_id, params)
+
+
+def test_env_cap_binds_every_check(monkeypatch):
+    # n_max is held to the enumeration cap before any check runs, the
+    # bijection passes (which read avoider_list, uncapped) included.
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "8")
+    picked = [("bij_phi", None), ("bij_psi", None), ("bij_phin", None),
+              ("transport_phi_des", None),
+              ("transport_general", {"gamma": "2341"})]
+    for check_id, params in picked:
+        with pytest.raises(perms.EnumerationLimitError):
+            checks.run_check(check_id, params, n_max=10)
+        with pytest.raises(ValueError, match="non-negative"):
+            checks.run_check(check_id, params, n_max=-1)
+        assert checks.run_check(check_id, params, n_max=8).n_range == "n<=8"
+    with pytest.raises(perms.EnumerationLimitError):
+        checks.run_suite("bijections", 10)
+    with pytest.raises(ValueError, match="n_max must be at most 12"):
+        checks.run_suite("bijections", 13)

@@ -24,7 +24,6 @@ def test_parse_path():
 def test_path_pattern_count():
     assert dyck.path_pattern_count(PAPER_PATH, "DRRR") == 1
     assert dyck.path_pattern_count(PAPER_PATH, "DRRD") == 1
-    assert dyck.path_pattern_count("DDRR", "DRRD", extended=True) == 1
     assert dyck.path_pattern_count("DDRR", "DRRD") == 0
     assert dyck.path_pattern_count("RRRR", "RRR") == 2  # overlaps count
     with pytest.raises(ValueError):
@@ -128,26 +127,24 @@ def _recursive_paths(n):
     yield from rec(0, 0)
 
 
-def test_enumerate_paths_matches_recursive_definition():
+def test_enumerate_paths_matches_recursive_definition(monkeypatch):
     for n in range(11):
         assert list(dyck.enumerate_paths(n)) == list(_recursive_paths(n)), n
     for n in (11, 12):
         assert sum(1 for _ in dyck.enumerate_paths(n)) == catalan(n)
     with pytest.raises(ValueError):
         next(dyck.enumerate_paths(-1))
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "4")
     with pytest.raises(perms.EnumerationLimitError):
-        next(dyck.enumerate_paths(5, max_n=4))
+        next(dyck.enumerate_paths(5))
 
 
-@given(st.text("DR", max_size=16), st.text("DR", min_size=1, max_size=5),
-       st.booleans())
+@given(st.text("DR", max_size=16), st.text("DR", min_size=1, max_size=5))
 @settings(max_examples=300, deadline=None)
-def test_path_pattern_count_matches_startswith_definition(word, pattern,
-                                                          extended):
-    w = word + "D" if extended else word
-    want = sum(1 for i in range(len(w) - len(pattern) + 1)
-               if w.startswith(pattern, i))
-    assert dyck.path_pattern_count(word, pattern, extended) == want
+def test_path_pattern_count_matches_startswith_definition(word, pattern):
+    want = sum(1 for i in range(len(word) - len(pattern) + 1)
+               if word.startswith(pattern, i))
+    assert dyck.path_pattern_count(word, pattern) == want
 
 
 def test_statistic_transport_examples():

@@ -13,7 +13,7 @@ from patlab.series import TruncatedSeries
 # (owner, name, parameters in order, lru_cache'd)
 TRACED = [
     (perms, "avoider_list", ("pattern", "n"), True),
-    (perms, "enumerate_avoiders", ("n", "pattern", "max_n"), False),
+    (perms, "enumerate_avoiders", ("n", "pattern"), False),
     (perms, "consecutive_match_positions", ("p", "pat"), False),
     (oracle, "brute_distribution",
      ("avoided", "tracked", "n", "variables", "track_des"), False),
@@ -29,8 +29,8 @@ TRACED = [
     (dyck, "psi_map", ("p",), False),
     (dyck, "phi_inverse", ("word",), False),
     (dyck, "psi_inverse", ("word",), False),
-    (dyck, "path_pattern_count", ("word", "pattern", "extended"), False),
-    (dyck, "enumerate_paths", ("n", "max_n"), False),
+    (dyck, "path_pattern_count", ("word", "pattern"), False),
+    (dyck, "enumerate_paths", ("n",), False),
 ]
 
 
