@@ -11,7 +11,8 @@ Failures always carry a witness: the first disagreeing coefficient in
 canonical monomial order.
 
 The checks over the staircase classes 132 and 123 (bij_phi, bij_psi and
-the transports) share one cached pass per class, lane arithmetic
+the transports) share one pass per class and n, cached so that each level
+is certified once per process whatever n_max asks for it: lane arithmetic
 (patlab.lanes) on the packed class's columns that keeps only the verdicts.
 For each n the class's staircase words are the columns of their staircase
 counts (dyck.staircase_counts; row by row they are dyck.staircase_word),
@@ -34,8 +35,10 @@ class test, for its first witness.
 
 Every check covers n (or the order) <= n_max, or the fixed range its
 registry entry gives; the symmetries alone stop at SYMMETRY_NMAX
-(patlab.limits).  run_check and run_suite hold n_max to the enumeration
-cap before any check runs, so PATLAB_NMAX_CAP binds every check.
+(patlab.limits), and cf_series_fam_123_1m2 runs at the series cap
+T_CAP_HARD.  run_check and run_suite hold n_max to the enumeration cap
+(perms.check_enumeration_n), the one bound on brute force, before any
+check runs, so PATLAB_NMAX_CAP binds every check.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from . import catalog, dyck, lanes, oracle, perms
-from .limits import CLOSED_VS_SERIES_ORDER, DIST_NMAX, ORACLE_MAX_N, SYMMETRY_NMAX
-from .series import Poly, catalan, slice_differences, y_reverse
+from .limits import DIST_NMAX, SYMMETRY_NMAX
+from .series import T_CAP_HARD, Poly, catalan, slice_differences, y_reverse
 
 HARD = catalog.HARD_PASS
 
@@ -178,19 +181,19 @@ def _staircase_witness(lam, n):
     return None
 
 
-def _whole_class_passes(top, passes, witness):
-    """(ok, witness, n_range) of a bijection check over n = 0..top.
+def _first_witness(top, witness_at):
+    """(ok, witness, n_range) of a check over n = 0..top.
 
-    passes(n) is one whole-class pass; only an n whose pass fails is
-    searched element by element by witness(n), and an n that search clears
-    is certified all the same.  Every lower n passed a stronger test than
-    the search, so the witness is the first in (n, lex) order.
+    witness_at(n) is the witness of level n, or None; the first level that
+    has one gives it.  A bijection's level runs one whole-class pass, and
+    only an n whose pass fails is searched element by element, the search's
+    None certifying n all the same.  Every lower n passed a stronger test
+    than the search, so the witness is the first in (n, lex) order.
     """
     for n in range(top + 1):
-        if not passes(n):
-            found = witness(n)
-            if found:
-                return False, found, f"n<={top}"
+        found = witness_at(n)
+        if found:
+            return False, dict(found), f"n<={top}"
     return True, None, f"n<={top}"
 
 
@@ -235,7 +238,8 @@ def _phin_witness(n):
 
 
 def _run_bij_phin(params, n_max):
-    return _whole_class_passes(n_max, _phin_pass, _phin_witness)
+    return _first_witness(
+        n_max, lambda n: None if _phin_pass(n) else _phin_witness(n))
 
 
 # statistic -> (avoided class, consecutive pattern, Dyck-path factors whose
@@ -251,11 +255,12 @@ _TRANSPORTS = {
 
 
 @lru_cache(maxsize=None)
-def _staircase_pass(lam, top, stats):
-    """Every verdict of the checks over one staircase class, lam 132 or 123.
+def _staircase_pass(lam, n, stats):
+    """Every verdict at n of the checks over one staircase class, lam 132
+    or 123, so that each level is certified once per process.
 
     stats is a tuple of transports (consecutive pattern, Dyck factors),
-    certified with the bijection for n <= top.  The words are the class's
+    certified with the bijection.  The words are the class's
     staircase-count columns (dyck.staircase_counts on the packed class's
     columns; avoider_list gives only members of the class), and no word
     string is made.  The bijection holds at n if the words are the Dyck
@@ -263,48 +268,42 @@ def _staircase_pass(lam, top, stats):
     gives the class's columns back.  A statistic's pattern counts are
     compared with the sum of its factors' counts over the words' step
     columns, one int each, and the lanes are decoded only on a mismatch.
-    Each pattern is counted once per n, and every statistic of that
-    pattern is compared before the next pattern is counted.
-    Returns {stat: (ok, witness, n_range)}, the bijection's under None; a
-    witness is the first disagreement in (n, lex) order, and a failing
-    check does not stop the others.
+    Each pattern is counted once, and every statistic of that pattern is
+    compared before the next pattern is counted.
+    Returns {stat: witness or None}, the bijection's under None; a witness
+    is the first disagreement in lex order.
     """
-    certified = []
-    witnesses = dict.fromkeys(stats)
+    avoiders = perms.avoider_list(lam, n)
+    m, cols = len(avoiders), avoiders.columns()
+    counts = dyck.staircase_counts(cols, m)
+    # staircase_word keeps lex order on both classes: two members first
+    # differ at a new left-to-right minimum, since every other column's
+    # value is fixed by the prefix, and the smaller entry there gives
+    # more D's.  So the i-th avoider must map to the i-th path, and
+    # the i-th path back to it.
+    certified = (dyck.is_lex_path_class(counts, m) and
+                 dyck.staircase_preimage_lanes(counts, m, lam) == cols)
+    witnesses = {None: None if certified else _staircase_witness(lam, n)}
     factors = list(dict.fromkeys(f for _, fs in stats for f in fs))
+    counted = dict(zip(factors, dyck.class_factor_counts(
+        dyck.path_step_columns(counts, m), m, factors)))
     by_pattern = {}
     for stat in stats:
         by_pattern.setdefault(stat[0], []).append(stat)
-    for n in range(top + 1):
-        avoiders = perms.avoider_list(lam, n)
-        m, cols = len(avoiders), avoiders.columns()
-        counts = dyck.staircase_counts(cols, m)
-        # staircase_word keeps lex order on both classes: two members first
-        # differ at a new left-to-right minimum, since every other column's
-        # value is fixed by the prefix, and the smaller entry there gives
-        # more D's.  So the i-th avoider must map to the i-th path, and
-        # the i-th path back to it.
-        certified.append(dyck.is_lex_path_class(counts, m) and
-                         dyck.staircase_preimage_lanes(counts, m, lam) == cols)
-        counted = dict(zip(factors, dyck.class_factor_counts(
-            dyck.path_step_columns(counts, m), m, factors)))
-        for gamma, group in by_pattern.items():
-            left, = perms.class_pattern_counts(avoiders, [gamma])
-            for stat in group:
-                # No lane carries into the next: a factor count is at most
-                # 2n <= 28 within the enumeration cap, and a transport adds
-                # at most two factors.
-                right = sum(counted[f] for f in stat[1])
-                if witnesses[stat] is None and left != right:
-                    ls, rs = lanes.unpack(left, m), lanes.unpack(right, m)
-                    i = next(i for i in range(m) if ls[i] != rs[i])
-                    witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),
-                                               ls[i], rs[i])
-    verdicts = {stat: (w is None, w, f"n<={top}")
-                for stat, w in witnesses.items()}
-    verdicts[None] = _whole_class_passes(top, certified.__getitem__,
-                                         partial(_staircase_witness, lam))
-    return verdicts
+    for gamma, group in by_pattern.items():
+        left, = perms.class_pattern_counts(avoiders, [gamma])
+        for stat in group:
+            # No lane carries into the next: a factor count is at most
+            # 2n <= 28 within the enumeration cap, and a transport adds
+            # at most two factors.
+            right = sum(counted[f] for f in stat[1])
+            witnesses[stat] = None
+            if left != right:
+                ls, rs = lanes.unpack(left, m), lanes.unpack(right, m)
+                i = next(i for i in range(m) if ls[i] != rs[i])
+                witnesses[stat] = _witness(n, perms.perm_str(avoiders[i]),
+                                           ls[i], rs[i])
+    return witnesses
 
 
 def _staircase_stat(params):
@@ -333,8 +332,8 @@ def _class_stats():
 
 def _run_staircase(params, n_max):
     lam, stat = _staircase_stat(params)
-    ok, witness, n_range = _staircase_pass(lam, n_max, _class_stats()[lam])[stat]
-    return ok, dict(witness) if witness else None, n_range
+    stats = _class_stats()[lam]
+    return _first_witness(n_max, lambda n: _staircase_pass(lam, n, stats)[stat])
 
 
 def _oracle_slice(entry, tracked, n) -> Poly:
@@ -406,11 +405,10 @@ def _run_closed_form(params, n_max):
 
 def _run_closed_vs_series(params, n_max):
     m = params["m"]
-    order = CLOSED_VS_SERIES_ORDER  # fixed range; the series side is cheap in (t, x)
-    s = catalog.solve_catalog("fam_123_1m2", order, m=m)
+    s = catalog.solve_catalog("fam_123_1m2", T_CAP_HARD, m=m)
     return _first_disagreement(
-        _closed_points("cf_123_1m2", m, range(1, order + 1), s.t_slice),
-        f"n<={order}")
+        _closed_points("cf_123_1m2", m, range(1, T_CAP_HARD + 1), s.t_slice),
+        f"n<={T_CAP_HARD}")
 
 
 def _run_identity(params, n_max):
@@ -595,8 +593,6 @@ def _execute(check: CheckDef, n_max: int) -> CheckResult:
 def run_check(check_id: str, params: dict | None = None,
               n_max: int = DIST_NMAX) -> CheckResult:
     """Run one registered check, selecting by id and (optionally) params."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
     perms.check_enumeration_n(n_max)
     matches = [c for c in REGISTRY if c.check_id == check_id]
     if not matches:
@@ -620,10 +616,6 @@ def run_suite(suite: str, n_max: int = DIST_NMAX) -> dict:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{('all',) + SUITES}")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if n_max > ORACLE_MAX_N:
-        raise ValueError(f"n_max must be at most {ORACLE_MAX_N}")
     perms.check_enumeration_n(n_max)
     import json   # loaded on first use, not at import
 

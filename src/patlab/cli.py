@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import catalog, checks, dyck, oracle, perms
-from .limits import DIST_NMAX, ORACLE_MAX_N
+from .limits import DIST_NMAX
 from .series import T_DEFAULT_ORDER, monomial_str, poly_str, series_str
 
 
@@ -36,10 +36,6 @@ def _parse_sets(values) -> dict[str, int]:
     return out
 
 
-def _enumeration_cap() -> int:
-    return min(ORACLE_MAX_N, perms.max_enumeration_n())
-
-
 def _csv_rows(slices) -> str:
     lines = ["n,monomial,coefficient"]
     for n, poly in slices:
@@ -57,8 +53,9 @@ def cmd_dist(args) -> int:
         raise UsageError("tracked patterns must have length >= 2")
     if args.n < 0:
         raise UsageError("--n must be non-negative")
-    if args.n > _enumeration_cap():
-        raise UsageError(f"--n must be at most {_enumeration_cap()}")
+    cap = perms.max_enumeration_n()
+    if args.n > cap:
+        raise UsageError(f"--n must be at most {cap}")
     variables = tuple(f"x{i + 1}" for i in range(len(tracked)))
     assignments = _parse_sets(args.set)
     slices = []
@@ -121,9 +118,10 @@ def cmd_coeff(args) -> int:
 
 def _oracle_coeff(form, m, args):
     """The oracle's [t^n x^k] for a closed form, or None above the
-    enumeration cap; read before any output, so a bad PATLAB_NMAX_CAP
-    fails the command before it prints."""
-    if args.n > _enumeration_cap():
+    enumeration cap (perms.max_enumeration_n, the oracle's only bound);
+    read before any output, so a bad PATLAB_NMAX_CAP fails the command
+    before it prints."""
+    if args.n > perms.max_enumeration_n():
         return None
     gamma = catalog.family_pattern(form.family, m)
     return oracle.brute_distribution(catalog.CATALOG[form.family].avoided,
@@ -157,7 +155,7 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = _enumeration_cap()
+    cap = perms.max_enumeration_n()
     if args.nmax < 0:
         raise UsageError("--nmax must be non-negative")
     if args.nmax > cap:

@@ -8,9 +8,10 @@ pattern, a byte lane per permutation, so n < 128).  A pattern of length k
 matches at most n - k + 1 windows, so its count is a digit of radix
 max(n - k + 2, 1); descents are the pattern 21.  The count ints, in order,
 are grouped into one-byte mixed-radix codes.  One group (descents plus one
-pattern, at every n <= 12) is tallied on its code bytes by byte partition
-(lanes.tally).  Two or more are laid into a record of 2 or 4 bytes per
-permutation and tallied as native unsigned ints by collections.Counter.
+pattern, at every n <= 14, the enumeration cap) is tallied on its code
+bytes by byte partition (lanes.tally).  Two or more are laid into a record
+of 2 or 4 bytes per permutation and tallied as native unsigned ints by
+collections.Counter.
 Each distinct code (a few dozen) is decoded into its monomial key.
 """
 
@@ -22,7 +23,6 @@ from functools import lru_cache
 from math import prod
 
 from . import lanes
-from .limits import ORACLE_MAX_N
 from .perms import Perm, avoider_list, check_enumeration_n, class_pattern_counts
 from .series import _SHIFT, VARS, Poly
 
@@ -37,7 +37,7 @@ class DistributionSlice(namedtuple("DistributionSlice",
 # The record widths, and the native unsigned format that Counter reads a
 # record of 2 or 4 bytes as; a record of 1 byte goes to lanes.tally.  Six
 # lanes (y and five x variables) fill at most three bytes: two radices of
-# at most n + 1 <= 13 always share a byte.
+# at most n + 1 <= 15 always share a byte (15 * 15 <= 256).
 _FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
@@ -116,9 +116,7 @@ def brute_distribution(avoided: Perm, tracked, n: int,
     "x1".. otherwise), each a distinct one of x, x1..x4.  Descents are
     tracked in y unless disabled.
     """
-    if n < 0 or n > ORACLE_MAX_N:
-        raise ValueError(f"oracle n = {n} outside [0, {ORACLE_MAX_N}]")
-    check_enumeration_n(n)  # PATLAB_NMAX_CAP binds the oracle too
+    check_enumeration_n(n)  # the enumeration cap, which PATLAB_NMAX_CAP may lower
     tracked = tuple(tuple(g) for g in tracked)
     if variables is None:
         variables = ("x",) if len(tracked) == 1 else tuple(

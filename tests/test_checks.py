@@ -10,7 +10,7 @@ from patlab.series import catalan
 
 @pytest.fixture(autouse=True)
 def _fresh_staircase_passes():
-    # The staircase passes are cached by (class, top, statistics); a test
+    # The staircase passes are cached by (class, n, statistics); a test
     # that swaps a staircase map must neither read nor leave a verdict.
     checks._staircase_pass.cache_clear()
     yield
@@ -86,8 +86,8 @@ def test_suite_ordering_is_sorted():
 def test_unknown_suite_and_nmax_guard():
     with pytest.raises(ValueError):
         checks.run_suite("everything", 6)
-    with pytest.raises(ValueError):
-        checks.run_suite("sequences", 13)
+    with pytest.raises(perms.EnumerationLimitError):
+        checks.run_suite("sequences", 15)
 
 
 def test_negative_nmax_is_rejected_not_a_vacuous_pass():
@@ -135,7 +135,9 @@ def test_transport_pass_keeps_each_first_witness():
     # wrong shares its pattern with psi_des, which comes after it and passes
     stats = (((1, 3, 2), ("DRRR",)), wrong, ((2, 3, 1), ("DRRD",)), also_wrong,
              ((2, 1), ("RD", "RRR")))
-    verdicts = checks._staircase_pass((1, 2, 3), 7, stats)
+    levels = [checks._staircase_pass((1, 2, 3), n, stats) for n in range(8)]
+    verdicts = {stat: checks._first_witness(7, lambda n: levels[n][stat])
+                for stat in stats}
     for stat in stats:
         ok, witness, n_range = verdicts[stat]
         want = _sequential_transport((1, 2, 3), 7, *stat)
@@ -159,8 +161,9 @@ def test_transport_pass_counts_each_pattern_once_per_n(monkeypatch):
     stats = checks._class_stats()[(1, 3, 2)]
     patterns = {gamma for gamma, _ in stats}
     assert (len(stats), len(patterns)) == (34, 32)  # 21 and 123 twice each
-    verdicts = checks._staircase_pass((1, 3, 2), 6, stats)
-    assert all(verdicts[stat][0] for stat in stats)
+    for n in range(7):
+        verdicts = checks._staircase_pass((1, 3, 2), n, stats)
+        assert all(verdicts[stat] is None for stat in stats)
     assert sorted(calls) == sorted((catalan(n), (gamma,))
                                    for n in range(7) for gamma in patterns)
 
@@ -493,6 +496,23 @@ def test_every_bijection_check_covers_one_range():
                 assert res.n_range == f"n<={n_max}", (n_max, c)
 
 
+def test_staircase_levels_are_certified_once():
+    # Each (class, n) is one cached pass, whatever n_max asks for it.
+    checks.run_check("bij_phi", n_max=5)
+    checks.run_check("transport_phi_des", n_max=6)
+    checks.run_check("bij_psi", n_max=4)
+    info = checks._staircase_pass.cache_info()
+    # 132: n <= 5, then only n = 6 is new; 123: n <= 4
+    assert (info.misses, info.hits) == (6 + 1 + 5, 6)
+
+
+def test_a_recursion_reaches_n_13_by_brute_force():
+    # The oracle's one bound is the enumeration cap, so n_max = 13 compares
+    # the solve with brute force at n = 13 too.
+    res = checks.run_check("rec_thm8", n_max=13)
+    assert (res.status, res.n_range, res.witness) == ("pass", "n<=13", None)
+
+
 def _coverage_table(n_max):
     # [check id, params, n_range] of every registered check at n_max.
     return [[c.check_id, c.params, checks.run_check(c.check_id, c.params,
@@ -507,22 +527,22 @@ def test_coverage_table_is_pinned():
     assert len(table) == 251
     digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "5cc653dc388ce566f265f5de8566c9bb93780b543d675f785a7d82058d25804a")
+        "31c31a0699443515e8d357021e42584f5f65d3dc9aed46581cace1b56ca096e6")
 
 
 def test_coverage_table_is_pinned_at_the_oracle_cap():
-    # The same at n_max = 12, the largest verify --nmax.
+    # The same at n_max = 12, where the verify report is pinned too.
     table = _coverage_table(12)
     assert len(table) == 251
     digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "9ee81975c17468aeb21cd6d0a21e23114df904cd669fb4ac9cdaa2da690244d4")
+        "b0170c204a5c07a748043ddf102bf1f60b7f19908a9aa24d58c8339503a8eccb")
 
 
 # The ranges that do not follow n_max: a fixed order or size per check id
 # prefix, and the last n of each stored reference prefix.
 _FIXED_RANGES = {"spec_thm8_": "order<=10", "famcons_": "order<=10",
-                 "cross_": "order<=9", "cf_series_": "n<=14"}
+                 "cross_": "order<=9", "cf_series_": "n<=16"}
 _STORED_PREFIX_TOPS = {"seq_123_231_x0": 8, "seq_132_213_x0": 9}
 
 
@@ -568,5 +588,5 @@ def test_env_cap_binds_every_check(monkeypatch):
         assert checks.run_check(check_id, params, n_max=8).n_range == "n<=8"
     with pytest.raises(perms.EnumerationLimitError):
         checks.run_suite("bijections", 10)
-    with pytest.raises(ValueError, match="n_max must be at most 12"):
-        checks.run_suite("bijections", 13)
+    with pytest.raises(perms.EnumerationLimitError, match="cap 8"):
+        checks.run_suite("bijections", 15)

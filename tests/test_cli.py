@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import patlab
+from patlab import catalog
 from patlab.cli import build_parser, main
 from patlab.limits import DIST_NMAX
+from patlab.series import Poly, poly_str
 
 
 def run_cli(capsys, *argv):
@@ -49,7 +51,7 @@ def test_dist_usage_errors(capsys):
                            "--track", "132", "--n", "3")
     assert code == 2 and "length-3" in err
     code, _, err = run_cli(capsys, "dist", "--avoid", "123",
-                           "--track", "132", "--n", "13")
+                           "--track", "132", "--n", "15")
     assert code == 2
     code, _, err = run_cli(capsys, "dist", "--avoid", "132",
                            "--track", "12,21,123,321,213", "--n", "3")
@@ -150,7 +152,7 @@ def test_verify_stdout_and_exit_codes(capsys):
     assert code == 0
     json.loads(out)
     code, _, err = run_cli(capsys, "verify", "--suite", "sequences",
-                           "--nmax", "13")
+                           "--nmax", "15")
     assert code == 2
 
 
@@ -202,6 +204,32 @@ def test_coeff_oracle_warning_respects_the_env_cap(monkeypatch, capsys):
     monkeypatch.setenv("PATLAB_NMAX_CAP", "4")
     code, out, err = run_cli(capsys, *args)
     assert code == 0 and out.strip() == "4" and "oracle value is 6" in err
+
+
+def test_dist_reaches_n_13_by_brute_force(capsys):
+    # Brute force's one bound is the enumeration cap: n = 13 runs, and its
+    # slice equals the solved thm5 (231 over 132, with descents).
+    code, out, _ = run_cli(capsys, "dist", "--avoid", "132", "--track", "231",
+                           "--n", "13")
+    assert code == 0
+    solved = catalog.solve_catalog("thm5", 13).t_slice(13)
+    want = poly_str(solved.substitute({"x": Poly.variable("x1")}))
+    assert out.splitlines()[-1] == f"n=13: {want}"
+
+
+def test_coeff_warns_from_the_oracle_up_to_n_14(capsys):
+    # thm5eq is report-only: at n = 13 its value is checked against the
+    # oracle, which agrees with the hard fam_132_2m1 solve; above the cap
+    # no oracle value is read.
+    truth = catalog.solve_catalog("fam_132_2m1", 13, m=3).t_slice(13)
+    code, out, err = run_cli(capsys, "coeff", "--id", "thm5eq", "--n", "13",
+                             "--k", "1")
+    assert code == 0 and truth.coefficient({"x": 1}) == 67584
+    assert err == (f"warning: thm5eq is a report-only formula; "
+                   f"the oracle value is 67584\n")
+    code, out, err = run_cli(capsys, "coeff", "--id", "thm5eq", "--n", "15",
+                             "--k", "1")
+    assert code == 0 and out.strip() and err == ""
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -18,5 +18,5 @@ def test_every_limit_is_imported_by_another_module():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "limits":
                 imported.update(alias.name for alias in node.names)
-    assert "ORACLE_MAX_N" in defined
+    assert "DEFAULT_MAX_N" in defined
     assert not defined - imported, f"caps no module imports: {sorted(defined - imported)}"

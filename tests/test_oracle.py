@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from patlab import checks, perms
-from patlab.limits import ORACLE_MAX_N
+from patlab.limits import DEFAULT_MAX_N
 from patlab.oracle import (_FORMATS, _byte_groups, _distribution,
                            brute_distribution)
 from patlab.series import VARS, Poly, catalan, pack, poly_str
@@ -68,8 +68,11 @@ def test_window_totals_cover_all_length3_patterns():
 
 
 def test_limit():
-    with pytest.raises(ValueError):
-        brute_distribution((1, 2, 3), [(1, 3, 2)], ORACLE_MAX_N + 1)
+    # The enumeration cap is the oracle's one bound.
+    with pytest.raises(perms.EnumerationLimitError):
+        brute_distribution((1, 2, 3), [(1, 3, 2)], DEFAULT_MAX_N + 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        brute_distribution((1, 2, 3), [(1, 3, 2)], -1)
 
 
 def test_variable_count_must_match():
@@ -189,7 +192,7 @@ def _width(radices):
 
 
 def test_descents_and_one_pattern_take_one_byte():
-    for n in range(ORACLE_MAX_N + 1):
+    for n in range(DEFAULT_MAX_N + 1):
         for k in range(1, n + 2):
             assert _width([_radix(n, 2), _radix(n, k)]) == 1
             assert _width([_radix(n, k)]) == 1
