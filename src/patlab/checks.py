@@ -29,9 +29,9 @@ bij_phin certifies phi_n, the min-tree relabelling from 312- to
 (perms.phi_n_lanes; row by row it is perms._phi_n): the lane inverse gives
 the columns back (one-to-one), the descent masks agree, no image has
 q_j < q_i < (largest entry after j) for i < j (avoids 213), and the 213
-class is as large as the 312 class (onto).  Only an n whose bijection
-pass fails is searched element by element, with every round-trip and
-class test, for its first witness.
+class is as large as the 312 class (onto); this pass too is cached per n.
+Only an n whose bijection pass fails is searched element by element, with
+every round-trip and class test, for its first witness.
 
 Every check covers n (or the order) <= n_max, or the fixed range its
 registry entry gives; the symmetries alone stop at SYMMETRY_NMAX
@@ -197,8 +197,9 @@ def _first_witness(top, witness_at):
     return True, None, f"n<={top}"
 
 
+@lru_cache(maxsize=None)
 def _phin_pass(n):
-    # The four lane tests of the module docstring.
+    # The four lane tests of the module docstring, once per n per process.
     cls = perms.avoider_list((3, 1, 2), n)
     m, cols = len(cls), cls.columns()
     images = perms.phi_n_lanes(cols, m)
@@ -386,12 +387,13 @@ def _closed_points(form_id, m, ns, want):
     form = catalog.CLOSED_FORMS[form_id]
     for n in ns:
         sl = want(n)
+        rest = catalan(n)   # closed_coeff_k0, from the values just yielded
         for k in range(1, n + 1):
-            yield (n, f"x^{k}", sl.coefficient({"x": k}),
-                   catalog.closed_coeff(form_id, n, k, m))
+            value = catalog.closed_coeff(form_id, n, k, m)
+            rest -= value
+            yield n, f"x^{k}", sl.coefficient({"x": k}), value
         if form.k0_route:
-            yield (n, "x^0 (complement route)", sl.coefficient({}),
-                   catalog.closed_coeff_k0(form_id, n, m))
+            yield n, "x^0 (complement route)", sl.coefficient({}), rest
 
 
 def _run_closed_form(params, n_max):

@@ -15,8 +15,11 @@ variable.
 A Poly keeps this packed form in one coefficient dict.  A TruncatedSeries is
 stored as its t-slices, one t-free coefficient dict per power of t, so its
 products, geometric tails and comparisons work slice by slice and never
-regroup the terms by t-degree.  A square sums each unordered pair of slices
-and of terms once.  A geometric tail first/(1 - ratio) is one recursion,
+regroup the terms by t-degree.  A product by a series of one term
+c*t^j*K re-keys the other operand: slice n of the product is slice n - j
+of the other with every key moved by K and every coefficient times c, as
+no two of its terms meet.  A square sums each unordered pair of slices and
+of terms once.  A geometric tail first/(1 - ratio) is one recursion,
 slice n from first's slice n and the ratio times the tail's lower slices,
 not an inverse followed by a product.
 
@@ -379,6 +382,30 @@ def _check_products(a, b) -> None:
                     f"{monomial_str(unpack(kb))} has an exponent above 255")
 
 
+def _one_term(slices) -> tuple[int, int, int] | None:
+    """(j, key, coeff) when a series' only term is coeff * t^j * key, else
+    None."""
+    term = None
+    for j, d in enumerate(slices):
+        if d:
+            if term is not None or len(d) > 1:
+                return None
+            ((key, coeff),) = d.items()
+            term = j, key, coeff
+    return term
+
+
+def _shifted(d: dict[int, int], key: int, coeff: int) -> dict[int, int]:
+    """coeff * key times a t-free coefficient dict: each term re-keyed, as
+    no two terms of the product meet (the guard as in _mul_into).  d itself
+    comes back when the factor is 1."""
+    if reduce(or_, d, key) & _HIGH:
+        _check_products(d, (key,))
+    if coeff == 1:
+        return {k + key: v for k, v in d.items()} if key else d
+    return {k + key: coeff * v for k, v in d.items()}
+
+
 def _bits(slices) -> list[int]:
     """The OR of the keys of each slice, for the overflow guard."""
     return [reduce(or_, d, 0) for d in slices]
@@ -490,6 +517,13 @@ class TruncatedSeries:
         other = self._coerce(other)
         order = min(self.order, other.order)
         a, b = self.slices, other.slices
+        for term, rest in ((_one_term(b), a), (_one_term(a), b)):
+            if term is not None:
+                j, key, coeff = term
+                return TruncatedSeries._of_slices(
+                    [{} for _ in range(min(j, order + 1))]
+                    + [_shifted(d, key, coeff)
+                       for d in rest[:max(order + 1 - j, 0)]], order)
         abits = _bits(a)
         if a is b:
             at = list(zip(a, abits)).__getitem__
@@ -642,10 +676,12 @@ class EqContext:
 # product reads only the slice pairs (i, n-i) within its operands' bounds,
 # so t*X never asks X for slice n.  Sub-expressions without an unknown are
 # folded into TruncatedSeries constants as the system is built, with the
-# eager arithmetic.  Slices are memoised only on nodes that a product or a
-# geometric tail reads; `cache` is None on the others, and they compute a
-# slice whenever asked.  A memoised slice is stored with the OR of its keys,
-# for the exponent-overflow guard in _mul_into.
+# eager arithmetic; a product by a one-term constant is a _Shift.  Slices
+# are memoised only on nodes that a product or a geometric tail reads; a
+# _Shift reads one slice of its node per slice and leaves the node as it is.
+# `cache` is None on the others, and they compute a slice whenever asked.
+# A memoised slice is stored with the OR of its keys, for the
+# exponent-overflow guard in _mul_into.
 
 class _Lazy:
     __slots__ = ("order", "val", "cache")
@@ -757,6 +793,22 @@ class _Mul(_Lazy):
         return out
 
 
+class _Shift(_Lazy):
+    """A node times a one-term constant coeff * t^j * key: slice n is the
+    node's slice n - j, re-keyed."""
+
+    __slots__ = ("node", "j", "key", "coeff")
+
+    def __init__(self, node: _Lazy, j: int, key: int, coeff: int):
+        super().__init__(node.order, node.val + j)
+        self.node, self.j, self.key, self.coeff = node, j, key, coeff
+
+    def compute(self, n):
+        if n < self.val:
+            return {}
+        return _shifted(self.node.slice(n - self.j), self.key, self.coeff)
+
+
 class _Geo(_Lazy):
     """first / (1 - ratio), by geometric's recursion run relaxed: slice n
     reads first's slice n, the ratio's slices 1..n and its own lower
@@ -849,12 +901,13 @@ def _mul(a: _Lazy, b: _Lazy) -> _Lazy:
     if isinstance(a, _Const):
         if isinstance(b, _Const):
             return _Const(a.series * b.series)
-        first, *rest = a.series.slices
-        if not any(rest):
-            if first == {0: 1}:
-                return b
-            if not first:
-                return a
+        term = _one_term(a.series.slices)
+        if term == (0, 0, 1):
+            return b
+        if term is not None:
+            return _Shift(b, *term)
+        if not any(a.series.slices):
+            return a
     return _Mul(a, b)
 
 

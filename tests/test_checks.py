@@ -9,12 +9,15 @@ from patlab.series import catalan
 
 
 @pytest.fixture(autouse=True)
-def _fresh_staircase_passes():
-    # The staircase passes are cached by (class, n, statistics); a test
-    # that swaps a staircase map must neither read nor leave a verdict.
+def _fresh_bijection_passes():
+    # The staircase passes are cached by (class, n, statistics) and the
+    # phi_n pass by n; a test that swaps a map must neither read nor leave
+    # a verdict.
     checks._staircase_pass.cache_clear()
+    checks._phin_pass.cache_clear()
     yield
     checks._staircase_pass.cache_clear()
+    checks._phin_pass.cache_clear()
 
 
 def test_run_check_single():
@@ -504,6 +507,23 @@ def test_staircase_levels_are_certified_once():
     info = checks._staircase_pass.cache_info()
     # 132: n <= 5, then only n = 6 is new; 123: n <= 4
     assert (info.misses, info.hits) == (6 + 1 + 5, 6)
+
+
+def test_phin_levels_are_certified_once():
+    # n_max = 0..12 asks for 91 levels, of which 13 are distinct.
+    for n_max in range(13):
+        assert checks.run_check("bij_phin", {}, n_max).status == "pass"
+    info = checks._phin_pass.cache_info()
+    assert (info.misses, info.hits) == (13, 91 - 13)
+
+
+def test_a_complement_route_computes_each_coefficient_once(monkeypatch):
+    # n = 1..10 has 55 points with k >= 1; the x^0 points reuse them.
+    from patlab import catalog
+    counts = {}
+    _counting(monkeypatch, catalog, "closed_coeff", counts)
+    res = checks.run_check("cf_132_1m", {"form": "cf_132_1m", "m": 2}, 10)
+    assert res.status == "pass" and counts == {"closed_coeff": 55}
 
 
 def test_a_recursion_reaches_n_13_by_brute_force():

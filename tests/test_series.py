@@ -708,39 +708,114 @@ def test_squares_and_tails_keep_the_exponent_overflow_guard():
             fixed_point_solve(system, deepest + 1)
 
 
+# -- products by one term ------------------------------------------------------
+
+_one_terms = st.tuples(st.sampled_from((1, -1, 2, -2, 5, -5)),
+                       st.integers(0, 10), st.integers(0, 3), st.integers(0, 3))
+
+
+@given(_one_terms, mixed_polys, st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_a_product_by_one_term_matches_the_general_kernel(term, p, order):
+    # coeff * t^j * y^a * x^b with j from 0 to past the order; the term's
+    # own series reaches t^j, so the product's order is the other's.
+    coeff, j, a, b = term
+    m = Poly.monomial({"t": j, "y": a, "x": b}, coeff)
+    one, other = TruncatedSeries(m, max(j, order)), TruncatedSeries(p, order)
+    want = TruncatedSeries(p * m, order)    # Poly products use the kernel
+    assert one * other == want and other * one == want
+    assert (one * other).order == order
+    assert all(0 not in d.values() for d in (one * other).slices)
+    assert one * one == TruncatedSeries(m * m, max(j, order))
+    assert other * coeff == TruncatedSeries(p * coeff, order)
+
+
+@given(st.lists(st.tuples(_one_terms, st.booleans(), st.integers(0, 2)),
+                min_size=1, max_size=4), st.integers(0, 7))
+@settings(max_examples=80, deadline=None)
+def test_lazy_products_by_one_term_match_the_eager_evaluation(terms, order):
+    # Each term multiplies an unknown, a square, a tail or another shifted
+    # node by a monomial, on the left or the right.
+    def system(v, c):
+        out = c.const(0)
+        for (coeff, j, a, b), left, kind in terms:
+            mono = coeff * c.t ** j * c.y ** a * c.x ** b
+            node = (v[0], v[0] * v[0], c.geo(v[0], c.t * v[0]))[kind]
+            out = out + (mono * node if left else node * mono)
+            out = out + mono * (c.x * node)
+        return (c.one + c.t * out,)
+    assert fixed_point_solve(system, order) == _solve_cap_by_cap(system, order)
+
+
+def test_products_by_one_term_keep_the_exponent_overflow_guard():
+    var = Poly.variable
+    for order in (0, 2):
+        big = TruncatedSeries.of(var("y", 200), order)
+        with pytest.raises(ValueError, match="exponent overflow"):
+            big * TruncatedSeries.of(var("y", 60), order)
+        with pytest.raises(ValueError, match="exponent overflow"):
+            TruncatedSeries.of(var("y", 60), order) * (big + T)
+    assert TruncatedSeries.of(var("y", 200), 2) * \
+        TruncatedSeries.of(var("y", 55), 2) == TruncatedSeries.of(var("y", 255), 2)
+    # The same products in the lazy pass: the big exponent in the factor,
+    # in a shifted node's factor, or in the unknown's own slice.
+    calls = []
+    for system in (lambda v, c: (c.one + c.t * c.y ** 60 * (c.y ** 200 * v[0]),),
+                   lambda v, c: (c.one + c.t * (v[0] * c.y ** 200) * c.y ** 60,),
+                   lambda v, c: (c.one + c.t * c.y ** 200 + c.t * c.y ** 60 * v[0],)):
+        def counted(v, c, system=system):
+            calls.append(c)
+            return system(v, c)
+        calls.clear()
+        with pytest.raises(ValueError, match="exponent overflow"):
+            fixed_point_solve(counted, 2)
+        assert len(calls) == 1   # raised by the lazy pass, not the check
+
+
+def test_a_scaled_unknown_is_not_contractive():
+    for rhs in (lambda v, c: 2 * v[0], lambda v, c: v[0] * 2,
+                lambda v, c: c.x * v[0], lambda v, c: -v[0] * c.y):
+        with pytest.raises(NonContractiveError, match="depends on itself"):
+            fixed_point_solve(lambda v, c: (rhs(v, c),), 3)
+
+
 # -- work pins -----------------------------------------------------------------
 
 def _pairs_of(solve, monkeypatch):
-    """The coefficient pairs the product kernels visit during solve(): a
-    product of dicts of sizes a and b visits a*b pairs, a square of size a
-    a*(a+1)/2."""
+    """The coefficient pairs the product kernels visit during solve(), and
+    the kernel calls: a product of dicts of sizes a and b visits a*b pairs,
+    a square of size a a*(a+1)/2.  A product by one term re-keys and calls
+    no kernel."""
     from patlab import series
 
-    count = [0]
+    count = [0, 0]
     mul, square = series._mul_into, series._square_into
 
     def counted_mul(out, a, b, bits):
         count[0] += len(a) * len(b)
+        count[1] += 1
         mul(out, a, b, bits)
 
     def counted_square(out, a, bits):
         count[0] += len(a) * (len(a) + 1) // 2
+        count[1] += 1
         square(out, a, bits)
 
     with monkeypatch.context() as mp:
         mp.setattr(series, "_mul_into", counted_mul)
         mp.setattr(series, "_square_into", counted_square)
         solve()
-    return count[0]
+    return tuple(count)
 
 
-@pytest.mark.parametrize("args, recorded", [
-    (("thm8", 16, None, None), 338_439),
-    (("fam_132_1m", 16, 3, None), 5_656),
+@pytest.mark.parametrize("args, pairs, calls", [
+    pytest.param(("thm8", 16, None, None), 313_594, 961, id="thm8"),
+    pytest.param(("fam_132_1m", 16, 3, None), 5_148, 425, id="fam_132_1m"),
 ])
 def test_a_solve_does_no_more_coefficient_products_than_recorded(
-        args, recorded, monkeypatch):
-    # Exact arithmetic makes the count deterministic; a regression in the
+        args, pairs, calls, monkeypatch):
+    # Exact arithmetic makes the counts deterministic; a regression in the
     # number of products shows here without timing noise.
     solve = catalog.solve_system.__wrapped__   # bypass the lru_cache
-    assert _pairs_of(lambda: solve(*args), monkeypatch) <= recorded
+    got = _pairs_of(lambda: solve(*args), monkeypatch)
+    assert got[0] <= pairs and got[1] <= calls
