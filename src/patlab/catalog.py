@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .limits import EXPANSION_ORDER
 from .series import (
     EqContext,
     Poly,
@@ -785,8 +784,9 @@ class Identity(namedtuple("Identity", "trust entry residual printed instances",
     __slots__ = ()
 
     def top(self, order: int) -> int:
-        """The order a check at `order` reaches: expansions stop early."""
-        return order if self.printed is None else min(order, EXPANSION_ORDER)
+        """The order a check at `order` reaches: an expansion stops at its
+        last printed slice."""
+        return order if self.printed is None else min(order, max(self.printed))
 
 
 IDENTITIES = {

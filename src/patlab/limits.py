@@ -14,5 +14,4 @@ one cap too, series.T_CAP_HARD.
 DEFAULT_MAX_N = 14            # enumeration, brute force and every n_max
 DIST_NMAX = 10                # the default n_max; no check is clamped by it
 SYMMETRY_NMAX = 9             # the one brute clamp, kept for cost (see above)
-EXPANSION_ORDER = 5           # the printed expansions stop at t^5
-AVOIDERS_CACHED_MAX_N = 10    # avoider_class caches up to here, grows uncached above
+AVOIDERS_CACHED_MAX_N = 10    # avoider_levels: cached up to here, grown uncached above

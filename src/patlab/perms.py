@@ -15,20 +15,20 @@ columns in every lane, and each pattern's counts come back as one int, a
 byte lane per permutation, so the length must be below 128.
 
 avoider_list is the one cache of class lists, for the six length-3
-patterns only.  Each class is stored once, as one PackedClass: its n
+patterns only.  A class is its columns: one PackedClass holds S_n's n
 byte-lane columns, with one lane per permutation, in lex order.  A Perm
-tuple exists only as a decoded view, when the class is indexed or
-iterated; class_pattern_counts reads the columns as they are.  One step
-grows every class by its first entry (_grow, West's generating trees):
-S_m is the union over v = 1..m of v followed by the rows of S_{m-1} that
-take v (_RULES), lifted; v ascends and S_{m-1} is in lex order, so S_m
-comes out in lex order with no sort.  The step reads S_{m-1}'s columns
-and writes S_m's, column by column, with no row form in between.  An
-avoider_list miss at n >= 1 grows S_{n-1} read from the cache;
-avoider_class and enumerate_avoiders read the cache only up to
-AVOIDERS_CACHED_MAX_N and grow the class at the cap, uncached, above it.
-avoider_levels gives S_0, S_1, ... in turn and grows each level above the
-cap once.
+tuple exists only as a decoded row, when the class is indexed or
+iterated; class_pattern_counts and the other lane passes read the columns
+as they are.  One step grows every class by its first entry (_grow,
+West's generating trees): S_m is the union over v = 1..m of v followed by
+the rows of S_{m-1} that take v (_RULES), lifted; v ascends and S_{m-1}
+is in lex order, so S_m comes out in lex order with no sort.  The step
+reads S_{m-1}'s columns and writes S_m's, column by column, with no row
+form in between.  An avoider_list miss at n >= 1 grows S_{n-1} read from
+the cache.  avoider_levels is the one walk past the cache: it gives S_0,
+S_1, ... in turn, read from the cache up to AVOIDERS_CACHED_MAX_N and
+each level above it grown once, uncached; enumerate_avoiders yields the
+rows of its last level.
 
 phi_n (312- to 213-avoiders, descents kept) relabels a permutation's
 min-tree, its Cartesian tree by minimum: a 312-avoider is its tree
@@ -45,7 +45,6 @@ entries for longer permutations.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
 from functools import lru_cache, partial
 
 from . import lanes
@@ -168,19 +167,6 @@ def _contains_123(p: Perm) -> bool:
     return False
 
 
-def _contains_321(p: Perm) -> bool:
-    high = 0
-    mid = 0
-    for v in p:
-        if v < mid:
-            return True
-        if v < high:
-            mid = v if v > mid else mid
-        elif v > high:
-            high = v
-    return False
-
-
 def _contains_132(p: Perm) -> bool:
     # Stack scan from the right: find i < j < k with p[i] < p[k] < p[j].
     stack: list[int] = []
@@ -228,11 +214,11 @@ def contains_classical(p: Perm, pat: Perm) -> bool:
     if len(pat) == 0:
         raise ValueError("patterns must be nonempty")
     if len(pat) == 3:
-        # O(n) scans for the three base patterns; the rest via symmetries.
+        # O(n) scans for the two base patterns; the rest via symmetries.
         if pat == (1, 2, 3):
             return _contains_123(p)
         if pat == (3, 2, 1):
-            return _contains_321(p)
+            return _contains_123(complement(p))
         if pat == (1, 3, 2):
             return _contains_132(p)
         if pat == (2, 3, 1):
@@ -297,7 +283,7 @@ def class_pattern_counts(cls: PackedClass, patterns) -> list[int]:
     byte lane j is the number of windows of cls[j] matching it.  The class
     is read through its byte-lane columns.
 
-    >>> cls = PackedClass(4, [bytes((1, 3, 2, 4)), bytes((2, 1, 4, 3))])
+    >>> cls = PackedClass(lanes.columns(bytes((1, 3, 2, 4, 2, 1, 4, 3)), 4), 2)
     >>> [hex(c) for c in class_pattern_counts(cls, [(2, 1), (1, 3, 2)])]
     ['0x201', '0x101']
     """
@@ -322,75 +308,44 @@ def class_pattern_counts(cls: PackedClass, patterns) -> list[int]:
 _DECODE_BLOCKS = 16  # see PackedClass._decode
 
 
-class PackedClass(Sequence):
+class PackedClass:
     """Permutations of one length n < 128, stored only as n byte-lane columns.
 
-    Column j is one int whose lane i is entry j of row i (patlab.lanes);
-    columns() gives them to class_pattern_counts and the other lane passes.
-    Built from byte strings, one row each or blocks of many, in the order
-    they are to be read; data that does not join into whole rows of n bytes
-    is a ValueError.  For n = 0 each string is one (empty) row.  _grow builds
-    a class from columns directly (of_columns).  Reads as the tuple of Perm
-    it stores: len, indexing (negative indices included), slicing (a tuple
-    of Perm), iteration, reversed() and index() decode rows from the
-    columns a block of rows at a time (_decode), and nothing decoded is kept.
+    Column j is one int whose lane i is entry j of row i (patlab.lanes),
+    and m is the number of rows; columns() gives the columns to
+    class_pattern_counts and the other lane passes.  len, iteration and
+    indexing (negative indices included) decode rows from the columns a
+    block of rows at a time (_decode), and nothing decoded is kept.
     """
 
     __slots__ = ("n", "_len", "_columns")
 
-    def __init__(self, n: int, blocks: list[bytes]):
-        _check_byte_lane(n)
-        rows = b"".join(blocks)
-        if len(rows) % n if n else rows:
-            raise ValueError(f"{len(rows)} bytes are not whole rows of {n}")
-        self.n = n
-        self._len = len(rows) // n if n else len(blocks)
-        self._columns = lanes.columns(rows, n)
-
-    @classmethod
-    def of_columns(cls, columns: list[int], m: int) -> PackedClass:
-        """The class of m rows whose byte-lane columns are columns."""
+    def __init__(self, columns: list[int], m: int):
         _check_byte_lane(len(columns))
-        self = cls.__new__(cls)
         self.n, self._len, self._columns = len(columns), m, columns
-        return self
 
-    def _decode(self, s: slice):
-        """The rows range(len(self))[s], in that order, one tuple each.
+    def _decode(self, lo: int, hi: int):
+        """The rows lo..hi-1, in order, one tuple each.
 
         They are decoded in at most _DECODE_BLOCKS blocks, one lanes.window
         per column each, so a reader holds about 1/_DECODE_BLOCKS of the
         class decoded (and one column while a window is cut from it); each
         block shifts every column once, so more blocks cost more time."""
-        rows = range(self._len)[s]
-        per = max(1, -(-len(rows) // _DECODE_BLOCKS))  # rows per block
-        for k in range(0, len(rows), per):
-            block = rows[k:k + per]
-            lo, hi = sorted((block[0], block[-1]))
-            yield from zip(*[lanes.window(c, lo, hi + 1)[::rows.step]
-                             for c in self._columns]) if self.n else [()] * len(block)
+        per = max(1, -(-(hi - lo) // _DECODE_BLOCKS))  # rows per block
+        for a in range(lo, hi, per):
+            b = min(a + per, hi)
+            yield from zip(*[lanes.window(c, a, b)
+                             for c in self._columns]) if self.n else [()] * (b - a)
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._decode(i))
+    def __getitem__(self, i: int) -> Perm:
         i = range(self._len)[i]
-        return next(self._decode(slice(i, i + 1)))
+        return next(self._decode(i, i + 1))
 
     def __iter__(self):
-        return self._decode(slice(None))
-
-    def __reversed__(self):
-        return self._decode(slice(None, None, -1))
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        s = slice(start, stop)
-        for i, row in zip(range(self._len)[s], self._decode(s)):
-            if row == value:
-                return i
-        raise ValueError(f"{value!r} is not in the class")
+        return self._decode(0, self._len)
 
     def columns(self) -> list[int]:
         """Column j: entry j of every row, one little-endian byte lane each."""
@@ -469,16 +424,16 @@ def _grow(prev: PackedClass, pattern: Perm) -> PackedClass:
     for c in prev.columns():
         cols.append(lanes.pack(b"".join([lanes.drop(c, d, count, lift)
                                          for d, lift in zip(drops, lifts)])))
-    return PackedClass.of_columns(cols, len(head))
+    return PackedClass(cols, len(head))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def avoider_list(pattern: Perm, n: int) -> PackedClass:
     """All of S_n avoiding the length-3 pattern, sorted lexicographically.
 
-    Cached, as its byte-lane columns; it reads as a tuple of Perm.  For
-    n >= 1 the class is grown by one step (_grow) from S_{n-1}, read from
-    this cache.  Use avoider_class or enumerate_avoiders for large n.
+    Cached, as its byte-lane columns.  For n >= 1 the class is grown by one
+    step (_grow) from S_{n-1}, read from this cache.  Use avoider_levels or
+    enumerate_avoiders for large n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -486,37 +441,28 @@ def avoider_list(pattern: Perm, n: int) -> PackedClass:
     if pattern not in _RULES:
         raise ValueError(f"avoider lists cover only the length-3 patterns, "
                          f"not {perm_str(pattern)}")
-    return _grow(avoider_list(pattern, n - 1), pattern) if n else PackedClass(0, [b""])
-
-
-def avoider_class(n: int, pattern: Perm) -> PackedClass:
-    """S_n(pattern) in lex order, within the enumeration cap: avoider_list's
-    cached class up to AVOIDERS_CACHED_MAX_N; above it, the class at the
-    cap grown step by step (_grow), nothing above the cap cached."""
-    check_enumeration_n(n)
-    pattern = check_permutation(pattern)
-    cls = avoider_list(pattern, min(n, AVOIDERS_CACHED_MAX_N))
-    for _ in range(AVOIDERS_CACHED_MAX_N, n):
-        cls = _grow(cls, pattern)
-    return cls
+    return _grow(avoider_list(pattern, n - 1), pattern) if n else PackedClass([], 1)
 
 
 def avoider_levels(top: int, pattern: Perm):
-    """Yield avoider_class(n, pattern) for n = 0..top in turn; each level
-    above AVOIDERS_CACHED_MAX_N is grown once, from the one before."""
+    """Yield S_n(pattern) in lex order for n = 0..top in turn.  top is
+    checked against the enumeration cap before anything is yielded or
+    grown.  Levels up to AVOIDERS_CACHED_MAX_N are avoider_list's cached
+    classes; each level above it is grown once from the one before, and
+    none of them is cached."""
+    check_enumeration_n(top)
     pattern = check_permutation(pattern)
     for n in range(top + 1):
-        if n <= AVOIDERS_CACHED_MAX_N:
-            cls = avoider_class(n, pattern)
-        else:
-            check_enumeration_n(n)
-            cls = _grow(cls, pattern)
+        cls = (avoider_list(pattern, n) if n <= AVOIDERS_CACHED_MAX_N
+               else _grow(cls, pattern))
         yield cls
 
 
 def enumerate_avoiders(n: int, pattern: Perm):
     """Yield S_n(pattern) in lexicographic order of one-line notation."""
-    yield from avoider_class(n, pattern)
+    for cls in avoider_levels(n, pattern):
+        pass
+    yield from cls
 
 
 # -- the descent-preserving bijection between 312- and 213-avoiders ----------

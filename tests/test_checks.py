@@ -7,6 +7,8 @@ from patlab import checks, dyck, oracle, perms
 from patlab.limits import AVOIDERS_CACHED_MAX_N
 from patlab.series import catalan
 
+from classes import packed_class
+
 
 @pytest.fixture(autouse=True)
 def _fresh_bijection_passes():
@@ -197,7 +199,7 @@ def test_bij_psi_records_a_preimage_outside_the_class(monkeypatch):
     # A broken inverse whose preimage contains 123 must give a failing
     # witness, not an exception from the guarded map.
     monkeypatch.setattr(perms, "avoider_list",
-                        lambda lam, n: perms.PackedClass(n, []))
+                        lambda lam, n: packed_class(n, []))
     monkeypatch.setattr(dyck, "staircase_preimage",
                         _broken_preimage(dyck.staircase_preimage))
     res = checks.run_check("bij_psi", n_max=4)
@@ -208,7 +210,7 @@ def test_bij_psi_records_a_preimage_outside_the_class(monkeypatch):
 
 def test_bij_phi_records_a_preimage_outside_the_class(monkeypatch):
     monkeypatch.setattr(perms, "avoider_list",
-                        lambda lam, n: perms.PackedClass(n, []))
+                        lambda lam, n: packed_class(n, []))
     monkeypatch.setattr(dyck, "staircase_preimage",
                         _broken_preimage(dyck.staircase_preimage))
     res = checks.run_check("bij_phi", n_max=4)
@@ -293,7 +295,7 @@ def _rowwise_staircase(monkeypatch):
     # reaches the pass: decode the rows from the columns, map each one and
     # encode the results as columns again.
     def columns(n, rows):
-        return perms.PackedClass(n, [bytes(r) for r in rows]).columns()
+        return packed_class(n, rows).columns()
 
     def counts(cols, m):
         words = map(dyck.staircase_word, _rows(cols, m))
@@ -345,8 +347,8 @@ def _rowwise_lanes(phi):
     # phi_n_lanes through a per-row map: decode the rows from the columns,
     # map each one and encode the images as columns again.
     def lanes(cols, m, inverse=False):
-        return perms.PackedClass(len(cols), [bytes(phi(p, inverse))
-                                             for p in _rows(cols, m)]).columns()
+        return packed_class(len(cols), [phi(p, inverse)
+                                        for p in _rows(cols, m)]).columns()
     return lanes
 
 
@@ -454,7 +456,7 @@ def test_bijection_suite_maps_each_avoider_once(monkeypatch):
 def test_a_passing_verify_reads_classes_only_through_their_columns(monkeypatch):
     # Rows are decoded (PackedClass._decode) only to name a witness, so a
     # passing run holds no second, row-major copy of any class.
-    def no_rows(self, s):
+    def no_rows(self, lo, hi):
         raise AssertionError("a class was decoded into rows")
     monkeypatch.setattr(perms.PackedClass, "_decode", no_rows)
     oracle._distribution.cache_clear()
@@ -476,7 +478,7 @@ def test_catalan_counts_obey_the_env_cap_and_cache_nothing_above_it(monkeypatch)
 
 def test_catalan_counts_grow_each_level_above_the_cache_cap_once(monkeypatch):
     # With S_0..S_10 cached, n_max = 12 grows S_11 and S_12 once each per
-    # class; asking avoider_class for 11 and then 12 grew S_11 twice.
+    # class: avoider_levels grows each level from the one before.
     registered = [c for c in checks.REGISTRY
                   if c.check_id == "seq_catalan_avoiders"]
     assert len(registered) == 6

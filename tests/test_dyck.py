@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from patlab import dyck, lanes, perms
 from patlab.series import catalan
 
+from classes import packed_class
+
 PAPER_PATH = "DDRDDRRRDDRDRDRRDR"
 
 
@@ -228,7 +230,7 @@ def test_is_lex_path_class_rejects_broken_classes():
     assert rows[-2:] == [(1, 1, 1, 2, 0), (1, 1, 1, 1, 1)]
 
     def certified(rows):
-        cols = perms.PackedClass(n, [bytes(r) for r in rows]).columns()
+        cols = packed_class(n, rows).columns()
         return dyck.is_lex_path_class(cols, len(rows))
     assert certified(rows)
     swapped = list(rows)

@@ -2,28 +2,25 @@ import gc
 import hashlib
 import itertools
 import tracemalloc
-from collections.abc import Sequence
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patlab import lanes, perms
-from patlab.limits import AVOIDERS_CACHED_MAX_N
+from patlab.limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
 from patlab.series import catalan
+
+from classes import packed_class
 
 perm_strategy = st.integers(0, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
 
 
-def _packed(n, perm_list):
-    return perms.PackedClass(n, [bytes(p) for p in perm_list])
-
-
 def _counts_of_one(p, pats):
     # The whole-class counter applied to a class of one permutation: one
     # int per pattern, one byte lane.
-    return tuple(perms.class_pattern_counts(_packed(len(p), [p]), pats))
+    return tuple(perms.class_pattern_counts(packed_class(len(p), [p]), pats))
 
 
 def test_reduce_word():
@@ -181,19 +178,41 @@ def test_enumerate_avoiders_generic_pattern():
 
 
 def test_classes_above_the_cache_cap_are_never_cached():
-    # enumerate_avoiders and avoider_class grow a class above the cap from
-    # the cached class at the cap: every length up to the cap is cached
-    # (one miss each, the second read of the cap a hit), none above it.
+    # enumerate_avoiders walks avoider_levels, which reads every length up
+    # to the cap from the cache and grows the level above it, uncached.
+    # The first walk misses each length once (a miss at n >= 1 reads
+    # n - 1: a hit); the second walk hits every length.
     cap = AVOIDERS_CACHED_MAX_N
     perms.avoider_list.cache_clear()
     for lam in itertools.permutations((1, 2, 3)):
         got = list(perms.enumerate_avoiders(cap + 1, lam))
-        assert len(got) == len(perms.avoider_class(cap + 1, lam)) == catalan(cap + 1)
+        *_, top = perms.avoider_levels(cap + 1, lam)
+        assert len(got) == len(top) == catalan(cap + 1)
         assert all(p < q for p, q in zip(got, got[1:]))
     info = perms.avoider_list.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (6, 6 * (cap + 1), 6 * (cap + 1))
+    assert (info.hits, info.misses, info.currsize) == (
+        6 * (2 * cap + 1), 6 * (cap + 1), 6 * (cap + 1))
     perms.avoider_list((1, 2, 3), cap + 1)  # a miss, reading the cap: a hit
-    assert perms.avoider_list.cache_info()[:2] == (7, 6 * (cap + 1) + 1)
+    assert perms.avoider_list.cache_info()[:2] == (6 * (2 * cap + 1) + 1,
+                                                   6 * (cap + 1) + 1)
+
+
+def test_a_walk_past_the_enumeration_cap_raises_before_any_growth(monkeypatch):
+    # avoider_levels checks top before it yields or grows anything, so
+    # neither walk yields the levels below the cap first.
+    def never(*args):
+        raise AssertionError("grew a class")
+    perms.avoider_list.cache_clear()
+    monkeypatch.setattr(perms, "_grow", never)
+    for lam in CLASSES:
+        with pytest.raises(perms.EnumerationLimitError):
+            next(perms.enumerate_avoiders(DEFAULT_MAX_N + 1, lam))
+        with pytest.raises(perms.EnumerationLimitError):
+            next(perms.avoider_levels(DEFAULT_MAX_N + 1, lam))
+    monkeypatch.setenv("PATLAB_NMAX_CAP", "8")
+    with pytest.raises(perms.EnumerationLimitError):
+        next(perms.avoider_levels(9, (1, 3, 2)))
+    assert perms.avoider_list.cache_info().currsize == 0
 
 
 def test_an_avoider_list_miss_reads_the_length_below_from_the_cache():
@@ -289,7 +308,7 @@ def test_phi_n_lanes_equal_the_per_permutation_map():
             cls = perms.avoider_list(lam, n)
             images = perms.phi_n_lanes(cls.columns(), len(cls), inverse)
             want = [perms._phi_n(p, inverse) for p in cls]
-            assert images == _packed(n, want).columns(), (n, inverse)
+            assert images == packed_class(n, want).columns(), (n, inverse)
             back = perms.phi_n_lanes(images, len(cls), not inverse)
             assert back == cls.columns(), (n, inverse)
 
@@ -335,7 +354,7 @@ def test_compiled_matcher_agrees_with_reduce_word(p):
 @settings(max_examples=150, deadline=None)
 def test_class_counts_equal_per_permutation_positions(case):
     n, perm_list, pats = case
-    counts = perms.class_pattern_counts(_packed(n, perm_list), pats)
+    counts = perms.class_pattern_counts(packed_class(n, perm_list), pats)
     assert len(counts) == len(pats)
     for pat, column in zip(pats, counts):
         assert list(lanes.unpack(column, len(perm_list))) == [
@@ -344,8 +363,8 @@ def test_class_counts_equal_per_permutation_positions(case):
 
 def test_class_counts_reject_what_does_not_fit_a_byte_lane():
     with pytest.raises(ValueError, match="n < 128"):
-        perms.class_pattern_counts(_packed(128, [range(1, 129)]), [(1, 2)])
-    counts = perms.class_pattern_counts(_packed(127, [range(127, 0, -1)]),
+        perms.class_pattern_counts(packed_class(128, [range(1, 129)]), [(1, 2)])
+    counts = perms.class_pattern_counts(packed_class(127, [range(127, 0, -1)]),
                                         [(2, 1)])
     assert counts == [126]
 
@@ -368,7 +387,7 @@ def test_pattern_counter_mixed_lengths_and_repeats():
     pats = [(1, 3, 2), (2, 1), (2, 1, 3, 4), (1, 3, 2), (3, 2, 1), (1,)]
     want = tuple(len(_positions_by_definition(p, pat)) for pat in pats)
     assert _counts_of_one(p, pats) == want
-    assert perms.class_pattern_counts(_packed(len(p), [p]), []) == []
+    assert perms.class_pattern_counts(packed_class(len(p), [p]), []) == []
 
 
 CLASSES = list(itertools.permutations((1, 2, 3)))
@@ -386,10 +405,10 @@ def test_generating_trees_match_filtered_permutations(lam):
     below = _filtered(lam, 0)
     for n in range(1, 9):
         want = _filtered(lam, n)
-        grown = perms._grow(_packed(n - 1, below), lam)
+        grown = perms._grow(packed_class(n - 1, below), lam)
         assert b"".join(map(bytes, grown)) == b"".join(map(bytes, want))
         below = want
-    cls = _packed(8, below)
+    cls = packed_class(8, below)
     for n in range(9, 13):
         cls = perms._grow(cls, lam)
         assert len(cls) == catalan(n)
@@ -408,49 +427,6 @@ def test_packed_class_reads_as_the_filtered_permutations():
                 got[len(want)]
             with pytest.raises(IndexError):
                 got[-len(want) - 1]
-
-
-def test_packed_class_round_trips_its_row_blocks():
-    for n in (0, 2):
-        for m in (0, 1, 1023, 1024, 1025, 2049):
-            rows = [bytes((i % 127 + 1, i // 127 + 1))[:n] for i in range(m)]
-            cls = perms.PackedClass(n, rows)
-            assert len(cls) == m
-            assert list(cls) == [tuple(r) for r in rows]
-
-
-def test_packed_class_rejects_data_that_is_not_whole_rows():
-    for n, blocks in ((2, [b"\1\2\2"]), (2, [b"\1\2", b"\1"]), (3, [b"\1\2"]),
-                      (0, [b"\1"])):
-        with pytest.raises(ValueError, match="not whole rows"):
-            perms.PackedClass(n, blocks)
-    assert len(perms.PackedClass(2, [b"\1\2", b"\2\1\1\2"])) == 3
-    assert list(perms.PackedClass(0, [b""])) == [()]
-
-
-def test_packed_class_slices_as_its_tuple():
-    # All six classes at n <= 8, up to 1,430 rows, so a call decodes several
-    # blocks.  PackedClass decodes each row once per call; the Sequence
-    # mixin's reversed() and index() would decode a block per row.
-    assert perms.PackedClass.__reversed__ is not Sequence.__reversed__
-    assert perms.PackedClass.index is not Sequence.index
-    assert perms.avoider_list((1, 2, 3), 4)[1:3] == ((2, 1, 4, 3), (2, 4, 1, 3))
-    for lam in CLASSES:
-        for n in range(9):
-            cls = perms.avoider_list(lam, n)
-            whole = tuple(cls)
-            assert tuple(reversed(cls)) == whole[::-1]
-            for s in (slice(None), slice(1, 3), slice(-4, None), slice(None, -2),
-                      slice(None, None, 2), slice(1, None, 3),
-                      slice(None, None, -1), slice(-2, 1, -3), slice(5, 2, -1),
-                      slice(99, None, -5), slice(3, 3), slice(9, 99)):
-                assert cls[s] == whole[s]
-                assert type(cls[s]) is tuple
-            for i in {0, len(whole) // 2, len(whole) - 1}:
-                assert cls.index(whole[i]) == i
-                assert cls.index(whole[i], -len(whole) - 3) == i
-            with pytest.raises(ValueError):
-                cls.index(whole[-1], 0, -1)
 
 
 @given(st.sampled_from(CLASSES), st.integers(0, 9),
@@ -509,9 +485,9 @@ def test_avoider_lists_at_n11_and_n12_are_pinned(lam, n, want):
     # recorded from constructions independent of _grow: 123 and 321 from
     # West's generating trees with a final sort, the other four by joining
     # shorter avoiders at the maximum or minimum and sorting.
-    cls = perms.avoider_class(n, lam)
-    assert len(cls) == catalan(n)
-    assert hashlib.sha256(b"".join(map(bytes, cls))).hexdigest() == want
+    rows = list(perms.enumerate_avoiders(n, lam))
+    assert len(rows) == catalan(n)
+    assert hashlib.sha256(b"".join(map(bytes, rows))).hexdigest() == want
 
 
 CHAIN_BYTES = sum(n * catalan(n) for n in range(12))  # 873,885: S_0..S_11, a byte an entry
@@ -538,7 +514,8 @@ def test_reading_a_class_row_by_row_holds_a_bounded_block():
     # at a time, so the peak stays under a quarter of the class (unpacking
     # every column at once held a second copy), and it gives the rows that
     # whole unpacked columns give.
-    cls = perms.avoider_class(12, (1, 3, 2))
+    for cls in perms.avoider_levels(12, (1, 3, 2)):
+        pass
     gc.collect()
     tracemalloc.start()
     try:
@@ -550,7 +527,7 @@ def test_reading_a_class_row_by_row_holds_a_bounded_block():
     assert peak <= len(cls) * cls.n / 4, peak / (len(cls) * cls.n)
     whole = list(zip(*[lanes.unpack(c, len(cls)) for c in cls.columns()]))
     assert list(cls) == whole
-    assert cls[::-5000] == tuple(whole[::-5000]) and cls[-1] == whole[-1]
+    assert cls[-1] == whole[-1]
 
 
 def test_avoider_list_rejects_what_does_not_fit_a_byte_lane(monkeypatch):

@@ -21,7 +21,6 @@ import pytest
 
 import patlab
 from patlab import catalog, checks, oracle
-from patlab.limits import EXPANSION_ORDER
 from patlab.series import Poly
 
 PACKAGE = Path(patlab.__file__).parent
@@ -90,7 +89,7 @@ def test_the_registered_records_keep_their_methods_and_defaults():
     assert (thm8.derive, thm8.m_min, thm8.a_bounds) == (None, None, None)
     ident = catalog.IDENTITIES["thm8_expansion"]
     assert ident.residual is None and ident.instances == ((),)
-    assert ident.top(16) == min(16, EXPANSION_ORDER)
+    assert ident.top(16) == max(ident.printed) == 5 and ident.top(3) == 3
     assert catalog.IDENTITIES["thm8_rational"].top(16) == 16
     verdict = catalog.printed_identity_check("thm1_quadratic", 6)
     assert verdict == catalog.IdentityVerdict("thm1_quadratic", True)
