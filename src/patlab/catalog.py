@@ -399,20 +399,44 @@ _entry("fam_132_m1m1", REPORT_ONLY, (1, 3, 2), ("t", "x"),
        m_min=4)
 
 
+# The highest-order verified unknowns of each system solved so far, by
+# (entry_id, m, a): the seeds of its next solve at any order.  It holds
+# only solves that passed their eager check, so a seeded solve gives what a
+# cold one would; they are series that solve_system's cache holds too, so
+# it adds no slice.
+_SOLVED: dict[tuple, list[TruncatedSeries]] = {}
+
+
 @lru_cache(maxsize=None)
 def solve_system(entry_id: str, order: int, m: int | None = None,
                  a: int | None = None) -> dict[str, TruncatedSeries]:
     """Solve a catalog system; returns every series of the system by name.
 
     The primary series is under "A" (or "B" for the families); auxiliary
-    ones appear as "A0"/"A1"/"B1" where the system has them.
+    ones appear as "A0"/"A1"/"B1" where the system has them.  Each system
+    is one solve chain: a solve is seeded with the system's highest-order
+    solve so far, so a lower order is a truncation and a higher one
+    computes only its new slices, and each runs its own eager check (see
+    fixed_point_solve).
     """
+    key = entry_id, m, a
+    best = _SOLVED.get(key)
+    system = _solve(entry_id, order, m, a, best)
+    if best is None or order > best[0].order:
+        _SOLVED[key] = [system[name] for name in CATALOG[entry_id].unknowns]
+    return system
+
+
+def _solve(entry_id, order, m=None, a=None, seeds=None):
+    """solve_system past both its caches: solved cold, or from seeds, a
+    verified solve of the same system at any order (one series per
+    unknown)."""
     entry = CATALOG.get(entry_id)
     if entry is None:
         raise ValueError(f"unknown catalog id {entry_id!r}")
     entry.check_params(m, a)
     system = dict(zip(entry.unknowns, fixed_point_solve(
-        entry.equations(m, a), order, [1] * len(entry.unknowns))))
+        entry.equations(m, a), order, seeds or [1] * len(entry.unknowns))))
     if entry.derive is not None:
         system.update(entry.derive(system, EqContext(order)))
     return system
@@ -679,48 +703,55 @@ def _thm8_rational(system, c, m, a):
 
 
 def _thm7_rational(system, c, m, a):
+    # The printed A = numer/denom, cleared: A denom - numer.  Both sides are
+    # quadratics in A0, so the residual is sum_k (A d_k - n_k) A0^k, taken
+    # by Horner in A0.  Its coefficients are polynomials in t, y, x1..x3.
     a0, A = system["A0"], system["A"]
-    a0_sq = a0 ** 2
     t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
-    g = a0 * t ** 2 * y * (x1 - x2) - 1
-    denom = (x3 * (x1 - x2)
-             * (a0 * x3 ** 2 * t ** 2 * y ** 2 * g
-                - (a0 + 1) * x3 * t * y * g
-                + a0 * x1 * t ** 2 * y - 1))
-    part_x1 = x1 * (
-        x3 ** 2 * t * y * (a0_sq * t ** 2 * (x2 * t ** 2 * y ** 2
-                                             + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
-                           + a0 * ((x2 + 1) * t ** 3 * y
-                                   + t ** 2 * (2 * x2 * y + y + 2) + t + 1)
-                           + t + 1)
-        + x2 * t ** 2 * (a0_sq * (-1) * t * y + a0 - 1)
-        + a0_sq * x3 ** 4 * t ** 5 * y ** 3
-        - a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * (x2 + 1) * t ** 3 * y
-                                            + t ** 2 * (a0 * (2 * x2 * y + y + 2) + 1)
-                                            + t + 1)
-        + x3 * (a0 * x2 * t ** 4 * y * (a0 - y)
-                - a0 * t ** 3 * y * (a0 * x2 + x2 + 1)
-                - a0 * t ** 2 * (x2 * y + y + 1) - t - 1))
-    part_x2 = x2 * (
-        -a0_sq * x3 ** 4 * t ** 5 * y ** 3
-        - x3 ** 2 * t * y * (a0_sq * (2 * t - 1) * t ** 2 * y
-                             + a0 * (t ** 3 * y + t ** 2 * (y + 2) + t + 1)
-                             + t + 1)
-        + x3 * (t ** 2 * (a0_sq * (-1) * y + y + 1)
-                + a0 * (a0 + 1) * t ** 3 * y + t + 1)
-        + a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * t ** 3 * y + (a0 + 1) * t ** 2 + t + 1)
-        + (a0 - 1) * t)
-    part_x3 = (x3 * t * (x3 * t * y - 1)
-               * (a0_sq * x3 * t * y * (x3 * t * y - 1) + a0 - 1))
-    part_x1sq = (a0 * x1 ** 2 * t ** 2 * y
-                 * (-(a0) * x2 * t ** 2 + a0 * x3 ** 3 * t ** 2 * y ** 2
-                    - (a0 + 1) * x3 ** 2 * t * y + x3))
-    part_x2sq = (a0 * x2 ** 2 * x3 * t ** 3 * y
-                 * (a0 * x3 ** 2 * t * (t + 1) * y ** 2
-                    - x3 * y * (a0 * t ** 2 * y + 2 * a0 * t + a0 + t + 1)
-                    + (a0 + 1) * t * y + 1))
-    numer = part_x1 + part_x2 + part_x3 + part_x1sq + part_x2sq
-    return A * denom - numer
+    u = t * x3 * y
+    w = u - 1
+    # denom = x3 (x1 - x2) (A0 x3^2 t^2 y^2 g - (A0 + 1) x3 t y g
+    #                       + A0 x1 t^2 y - 1), with g = A0 e - 1
+    e = t ** 2 * y * (x1 - x2)
+    d = (w, u * (1 - u - e) + x1 * t ** 2 * y, e * u * w)
+    # numer as printed is the sum of five parts: the terms with a factor x1,
+    # with x2, with x3 alone, with x1^2 and with x2^2.  Each is given here
+    # as its coefficients of A0^0, A0^1 and A0^2.
+    t2y = t ** 2 * y
+    parts = (
+        # x1 (...)
+        (x1 * ((t + 1) * x3 * w - x2 * t ** 2),
+         x1 * (x3 ** 2 * t * y * ((x2 + 1) * t ** 3 * y
+                                  + t ** 2 * (2 * x2 * y + y + 2) + t + 1)
+               + x2 * t ** 2 - x3 ** 3 * t2y * y * (t ** 2 + t + 1)
+               - x3 * t ** 2 * (x2 * t ** 2 * y ** 2 + (x2 + 1) * t * y
+                                + x2 * y + y + 1)),
+         x1 * t2y * (x3 ** 2 * t * (x2 * t ** 2 * y ** 2
+                                    + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
+                     - x2 * t + x3 ** 4 * t ** 3 * y ** 2
+                     - x3 ** 3 * t ** 2 * y * ((x2 + 1) * t * y
+                                               + 2 * x2 * y + y + 2)
+                     + x2 * x3 * t * (t - 1))),
+        # x2 (...)
+        (x2 * (x3 * (t ** 2 * (y + 1) + t + 1) - x3 ** 2 * t * y * (t + 1) - t),
+         x2 * (t + x3 * t2y * t + x3 ** 3 * t2y * y * (t ** 2 + t + 1)
+               - x3 ** 2 * t * y * (t ** 3 * y + t ** 2 * (y + 2) + t + 1)),
+         x2 * t2y * x3 * ((t - 1) + x3 ** 2 * t ** 2 * y * (t * y + 1)
+                          - (2 * t - 1) * x3 * t * y - x3 ** 3 * t ** 3 * y ** 2)),
+        # x3 t (x3 t y - 1) (A0^2 x3 t y (x3 t y - 1) + A0 - 1)
+        (-x3 * t * w, x3 * t * w, x3 * t * u * w ** 2),
+        # A0 x1^2 t^2 y (...)
+        (c.const(0), x1 ** 2 * t2y * x3 * -w,
+         x1 ** 2 * t2y * (x3 ** 3 * t2y * y - x3 ** 2 * t * y - x2 * t ** 2)),
+        # A0 x2^2 x3 t^3 y (...)
+        (c.const(0), x2 ** 2 * x3 * t2y * t * (1 + t * y - x3 * y * (t + 1)),
+         x2 ** 2 * x3 * t2y * t * y * (x3 ** 2 * t * (t + 1) * y
+                                       - x3 * (t ** 2 * y + 2 * t + 1) + t)),
+    )
+    ad = A * (x3 * (x1 - x2))
+    r0, r1, r2 = (ad * dk - sum(nk, c.const(0))
+                  for dk, nk in zip(d, zip(*parts)))
+    return (r2 * a0 + r1) * a0 + r0
 
 
 _THM7_PRINTED = {

@@ -347,6 +347,10 @@ class PackedClass:
     def __iter__(self):
         return self._decode(0, self._len)
 
+    # reversed() would fall back to __len__ and __getitem__ and decode one
+    # row per call; None makes it a TypeError.
+    __reversed__ = None
+
     def columns(self) -> list[int]:
         """Column j: entry j of every row, one little-endian byte lane each."""
         return self._columns

@@ -2,15 +2,19 @@ import hashlib
 import inspect
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patlab import catalog, checks
 from patlab.oracle import brute_distribution
 from patlab.series import (
     EqContext,
     Poly,
+    T_CAP_HARD,
+    TruncatedSeries,
     catalan,
     fixed_point_solve,
     poly_str,
@@ -380,6 +384,61 @@ def test_identity_verdicts():
         catalog.printed_identity_check("nonesuch", 8)
 
 
+def _printed_thm7_residual(system, c):
+    # The thm7 residual A denom - numer with the printed numerator and
+    # denominator as printed, before they were grouped by powers of A0.
+    a0, A = system["A0"], system["A"]
+    a0_sq = a0 ** 2
+    t, y, x1, x2, x3 = c.t, c.y, c.x1, c.x2, c.x3
+    g = a0 * t ** 2 * y * (x1 - x2) - 1
+    denom = (x3 * (x1 - x2)
+             * (a0 * x3 ** 2 * t ** 2 * y ** 2 * g
+                - (a0 + 1) * x3 * t * y * g
+                + a0 * x1 * t ** 2 * y - 1))
+    part_x1 = x1 * (
+        x3 ** 2 * t * y * (a0_sq * t ** 2 * (x2 * t ** 2 * y ** 2
+                                             + y * (3 * x2 * t + 2 * x2 + t + 1) + 1)
+                           + a0 * ((x2 + 1) * t ** 3 * y
+                                   + t ** 2 * (2 * x2 * y + y + 2) + t + 1)
+                           + t + 1)
+        + x2 * t ** 2 * (a0_sq * (-1) * t * y + a0 - 1)
+        + a0_sq * x3 ** 4 * t ** 5 * y ** 3
+        - a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * (x2 + 1) * t ** 3 * y
+                                            + t ** 2 * (a0 * (2 * x2 * y + y + 2) + 1)
+                                            + t + 1)
+        + x3 * (a0 * x2 * t ** 4 * y * (a0 - y)
+                - a0 * t ** 3 * y * (a0 * x2 + x2 + 1)
+                - a0 * t ** 2 * (x2 * y + y + 1) - t - 1))
+    part_x2 = x2 * (
+        -a0_sq * x3 ** 4 * t ** 5 * y ** 3
+        - x3 ** 2 * t * y * (a0_sq * (2 * t - 1) * t ** 2 * y
+                             + a0 * (t ** 3 * y + t ** 2 * (y + 2) + t + 1)
+                             + t + 1)
+        + x3 * (t ** 2 * (a0_sq * (-1) * y + y + 1)
+                + a0 * (a0 + 1) * t ** 3 * y + t + 1)
+        + a0 * x3 ** 3 * t ** 2 * y ** 2 * (a0 * t ** 3 * y + (a0 + 1) * t ** 2 + t + 1)
+        + (a0 - 1) * t)
+    part_x3 = (x3 * t * (x3 * t * y - 1)
+               * (a0_sq * x3 * t * y * (x3 * t * y - 1) + a0 - 1))
+    part_x1sq = (a0 * x1 ** 2 * t ** 2 * y
+                 * (-(a0) * x2 * t ** 2 + a0 * x3 ** 3 * t ** 2 * y ** 2
+                    - (a0 + 1) * x3 ** 2 * t * y + x3))
+    part_x2sq = (a0 * x2 ** 2 * x3 * t ** 3 * y
+                 * (a0 * x3 ** 2 * t * (t + 1) * y ** 2
+                    - x3 * y * (a0 * t ** 2 * y + 2 * a0 * t + a0 + t + 1)
+                    + (a0 + 1) * t * y + 1))
+    numer = part_x1 + part_x2 + part_x3 + part_x1sq + part_x2sq
+    return A * denom - numer
+
+
+@pytest.mark.parametrize("order", (0, 4, T_CAP_HARD))
+def test_thm7_residual_in_powers_of_a0_is_the_printed_one(order):
+    system = catalog.solve_system("thm7", order)
+    c = EqContext(order)
+    assert catalog._thm7_rational(system, c, None, None) == \
+        _printed_thm7_residual(system, c)
+
+
 def _identity_params(identity_id):
     """The parameters an identity takes: those of its catalog entry."""
     entry = catalog.CATALOG[catalog.IDENTITIES[identity_id].entry]
@@ -426,19 +485,21 @@ def test_identity_table_agrees_with_the_catalog():
 
 def test_every_identity_verdict_is_pinned():
     # The verdict and witness of every registered identity instance at
-    # orders 0..8, in registry order; orders 0..16 give
-    # 94d1349252c8080916072d8d2291788f2941da281654607b395c720f2b0572a3.
+    # orders 0..8, then 0..16, in registry order.
     digest = hashlib.sha256()
     registered = [c for c in checks.REGISTRY if c.suite == "identities"]
-    for order in range(9):
+    for order in range(T_CAP_HARD + 1):
         for c in registered:
             p = c.params
             v = catalog.printed_identity_check(p["identity"], order,
                                                m=p.get("m"), a=p.get("a"))
             digest.update(repr((c.check_id, sorted(c.params.items()), order,
                                 v.identity_id, v.ok, v.witness)).encode())
+        if order == 8:
+            assert digest.hexdigest() == (
+                "5e3d59f4a438c43632139678aa8c779f78ac2215aa3ab0ab8ab448c76a8fc713")
     assert digest.hexdigest() == (
-        "5e3d59f4a438c43632139678aa8c779f78ac2215aa3ab0ab8ab448c76a8fc713")
+        "94d1349252c8080916072d8d2291788f2941da281654607b395c720f2b0572a3")
 
 
 def _registered_solves():
@@ -481,6 +542,66 @@ def test_every_catalog_solve_is_pinned():
 def test_every_catalog_solve_is_pinned_at(order, want):
     # Recorded before the solver took whole systems in one pass.
     assert _solves_digest((order,)) == want
+
+
+# -- one solve chain per system -------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _cold(eid, order, m, a):
+    return catalog._solve(eid, order, m, a)
+
+
+def _check_chain(eid, m, a, orders):
+    # solve_system past its lru_cache, from an empty chain, at orders in
+    # turn: each system equals the cold solve, each order asked runs one
+    # eager evaluation of the system, and every solve after the first is
+    # seeded with a verified one.  Then an order outside [0, T_CAP_HARD]
+    # raises the cold solve's ValueError and leaves the chain as it was.
+    want = [_cold(eid, order, m, a) for order in orders]
+    eager, seeded = [], []
+
+    def solve(equations, order, seeds):
+        def counted(v, c):
+            if isinstance(c, EqContext):
+                eager.append(order)
+            return equations(v, c)
+        seeded.append(all(isinstance(s, TruncatedSeries) for s in seeds))
+        return fixed_point_solve(counted, order, seeds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "_SOLVED", {})
+        mp.setattr(catalog, "fixed_point_solve", solve)
+        got = [catalog.solve_system.__wrapped__(eid, order, m, a)
+               for order in orders]
+        assert got == want, (eid, m, a, orders)
+        assert eager == list(orders)
+        assert seeded == [False] + [True] * (len(orders) - 1)
+        best = catalog._SOLVED[eid, m, a]
+        assert best[0].order == max(orders)
+        for order in (-1, T_CAP_HARD + 1):
+            with pytest.raises(ValueError) as chained:
+                catalog.solve_system.__wrapped__(eid, order, m, a)
+            with pytest.raises(ValueError) as cold:
+                catalog._solve(eid, order, m, a)
+            assert str(chained.value) == str(cold.value)
+        assert catalog._SOLVED == {(eid, m, a): best}
+        assert eager == list(orders)
+
+
+@pytest.mark.parametrize("orders", [
+    pytest.param(range(T_CAP_HARD + 1), id="ascending"),
+    pytest.param(range(T_CAP_HARD, -1, -1), id="descending"),
+])
+def test_chained_solves_equal_cold_ones(orders):
+    for eid, m, a in _registered_solves():
+        _check_chain(eid, m, a, orders)
+
+
+@given(st.sampled_from(_registered_solves()),
+       st.lists(st.integers(0, T_CAP_HARD), min_size=1, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_solves_chained_in_any_order_equal_cold_ones(system, orders):
+    _check_chain(*system, orders)
 
 
 def test_solved_series_sum_to_catalan():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -70,6 +71,13 @@ def test_series_command(capsys):
                            "--order", "5", "--set", "y=1,x=0")
     assert code == 0
     assert out.strip() == "1 + t + 2*t^2 + 4*t^3 + 9*t^4 + 21*t^5"
+
+
+def test_series_at_the_hard_cap_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "series", "--id", "thm8", "--order", "16")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "21d7b94bffa0debb04084d29ab21426fc8a0ebb59e44ca61279c9d3af4e70705")
 
 
 def test_series_domain_error(capsys):

@@ -429,6 +429,14 @@ def test_packed_class_reads_as_the_filtered_permutations():
                 got[-len(want) - 1]
 
 
+def test_a_packed_class_cannot_be_reversed():
+    # Without __reversed__, reversed() would read the class one decoded row
+    # per index; a class is read only forward, by index or by its columns.
+    cls = perms.avoider_list((1, 3, 2), 4)
+    with pytest.raises(TypeError):
+        reversed(cls)
+
+
 @given(st.sampled_from(CLASSES), st.integers(0, 9),
        st.lists(st.integers(2, 5).flatmap(
            lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),

@@ -446,7 +446,7 @@ def _catalog_solves():
 
 @pytest.mark.parametrize("order", range(9))
 def test_catalog_solves_match_the_cap_by_cap_iteration(order, monkeypatch):
-    solve = catalog.solve_system.__wrapped__   # bypass the lru_cache
+    solve = catalog._solve   # cold: past the lru_cache and the solve chain
     for eid, m, a in _catalog_solves():
         got = solve(eid, order, m, a)
         with monkeypatch.context() as mp:
@@ -816,6 +816,18 @@ def test_a_solve_does_no_more_coefficient_products_than_recorded(
         args, pairs, calls, monkeypatch):
     # Exact arithmetic makes the counts deterministic; a regression in the
     # number of products shows here without timing noise.
-    solve = catalog.solve_system.__wrapped__   # bypass the lru_cache
+    solve = catalog._solve   # cold: past the lru_cache and the solve chain
     got = _pairs_of(lambda: solve(*args), monkeypatch)
     assert got[0] <= pairs and got[1] <= calls
+
+
+def test_a_solve_chain_does_no_more_coefficient_products_than_recorded(
+        monkeypatch):
+    # thm8 at orders 10, 12, 14 and 16 in turn from an empty chain, as the
+    # series-o16 workload asks them: each solve is seeded with the one
+    # before.  The four cold solves take 491,372 pairs in 2,580 calls.
+    monkeypatch.setattr(catalog, "_SOLVED", {})
+    solve = catalog.solve_system.__wrapped__   # past the lru_cache
+    got = _pairs_of(lambda: [solve("thm8", order) for order in (10, 12, 14, 16)],
+                    monkeypatch)
+    assert got[0] <= 443_605 and got[1] <= 2_176
