@@ -427,6 +427,15 @@ def solve_system(entry_id: str, order: int, m: int | None = None,
     return system
 
 
+def _cache_clear(clear=solve_system.cache_clear):
+    # solve_system.cache_clear empties the chain too, so the next solve is cold.
+    _SOLVED.clear()
+    clear()
+
+
+solve_system.cache_clear = _cache_clear
+
+
 def _solve(entry_id, order, m=None, a=None, seeds=None):
     """solve_system past both its caches: solved cold, or from seeds, a
     verified solve of the same system at any order (one series per

@@ -33,6 +33,10 @@ class is as large as the 312 class (onto); this pass too is cached per n.
 Only an n whose bijection pass fails is searched element by element, with
 every round-trip and class test, for its first witness.
 
+Each symmetry row carries its pairs ((class, pattern), (class', pattern')),
+built once from perms.SYMMETRIES or from k, and whether the first side is
+y-reversed, as params the report does not show; one runner compares them.
+
 Every check covers n (or the order) <= n_max, or the fixed range its
 registry entry gives; the symmetries alone stop at SYMMETRY_NMAX
 (patlab.limits), and cf_series_fam_123_1m2 runs at the series cap
@@ -115,11 +119,13 @@ def _run_seq_series(params, n_max):
          for n, want in enumerate(wants)), f"n<={len(wants) - 1}")
 
 
-def _symmetric_slices(n_max, pairs, reverse, label):
-    """Each pair ((class, pattern), (class', pattern')): the slices of the
-    first, y-reversed if reverse, equal those of the second for every n;
-    with label, a witness names pattern'."""
+def _symmetric_slices(params, n_max):
+    """A symmetry row's hidden params: for each of its pairs ((class,
+    pattern), (class', pattern')), the slices of the first, y-reversed if
+    "reverse", equal those of the second for every n; with more than one
+    pair, a witness names pattern'."""
     top = min(n_max, SYMMETRY_NMAX)
+    pairs, reverse = params["pairs"], params["reverse"]
 
     def dist(lam, gamma, n, rev=False):
         base = oracle.brute_distribution(lam, [gamma], n, variables=("x",)).poly
@@ -128,38 +134,7 @@ def _symmetric_slices(n_max, pairs, reverse, label):
         (point for (lam, gam), (lam2, gam2) in pairs for point in slice_differences(
             range(top + 1), lambda n: dist(lam, gam, n, reverse),
             lambda n: dist(lam2, gam2, n),
-            f"{perms.perm_str(gam2)}: " if label else "")), f"n<={top}")
-
-
-def _run_sym_pair(params, n_max):
-    kind = params["action"]
-    lam = perms.parse_perm(params["lambda"])
-    gam = perms.parse_perm(params["gamma"])
-    image = (perms.symmetry_transform(lam, kind),
-             perms.symmetry_transform(gam, kind))
-    return _symmetric_slices(n_max, [((lam, gam), image)],
-                             kind != "reverse_complement", False)
-
-
-def _run_sym_phi(params, n_max):
-    k = params["k"]
-    desc = tuple(range(k, 0, -1))                      # k..21
-    hook = (1,) + tuple(range(k, 1, -1))               # 1k..32
-    return _symmetric_slices(
-        n_max, [(((3, 1, 2), gamma), ((2, 1, 3), gamma)) for gamma in (desc, hook)],
-        False, True)
-
-
-def _run_sym_1321(params, n_max):
-    k = params["k"]
-    pairs = [
-        (tuple(range(1, k + 1)), tuple(range(k, 0, -1))),          # 12..k | k..21
-        ((k,) + tuple(range(1, k)),                                # k12..(k-1)
-         tuple(range(k - 1, 0, -1)) + (k,)),                       # (k-1)..21k
-    ]
-    return _symmetric_slices(
-        n_max, [(((1, 3, 2), right), ((1, 3, 2), left)) for left, right in pairs],
-        True, True)
+            f"{perms.perm_str(gam2)}: " if len(pairs) > 1 else "")), f"n<={top}")
 
 
 def _staircase_witness(lam, n):
@@ -483,22 +458,33 @@ def _build_registry() -> list[CheckDef]:
         add(check_id, "sequences", catalog.CATALOG[series].trust,
             _run_seq_series, series=series, sequence=sequence)
 
-    # symmetries
-    for action in ("reverse_complement", "reverse", "complement"):
-        short = {"reverse_complement": "sym_rc", "reverse": "sym_r",
-                 "complement": "sym_c"}[action]
+    # symmetries: each row's pairs, and whether the first side is y-reversed
+    def sym(check_id, pairs, reverse, **shown):
+        add(check_id, "symmetries", HARD,
+            _with(_symmetric_slices, pairs=pairs, reverse=reverse), **shown)
+
+    for action, check_id in (("reverse_complement", "sym_rc"),
+                             ("reverse", "sym_r"), ("complement", "sym_c")):
+        act, flips = perms.SYMMETRIES[action]
+        to = {lam: act(lam) for lam in LENGTH3}
         for lam in LENGTH3:
             for gam in LENGTH3:
-                add(short, "symmetries", HARD, _run_sym_pair, action=action,
-                    **{"lambda": perms.perm_str(lam)},
-                    gamma=perms.perm_str(gam))
+                pair = (lam, gam), (to[lam], to[gam])
+                sym(check_id, (pair,), flips, action=action,
+                    **{"lambda": perms.perm_str(lam)}, gamma=perms.perm_str(gam))
+    act, flips = perms.SYMMETRIES["reverse_complement"]
     for gam in ((1, 3, 2), (2, 3, 1), (3, 2, 1)):  # rc fixes the class 123
-        add("sym_123_rc", "symmetries", HARD,
-            _with(_run_sym_pair, action="reverse_complement",
-                  **{"lambda": "123"}), gamma=perms.perm_str(gam))
+        pair = ((1, 2, 3), gam), (act((1, 2, 3)), act(gam))
+        sym("sym_123_rc", (pair,), flips, gamma=perms.perm_str(gam))
     for k in (2, 3, 4):
-        add("sym_phi", "symmetries", HARD, _run_sym_phi, k=k)
-        add("sym_1321", "symmetries", HARD, _run_sym_1321, k=k)
+        up, down = tuple(range(1, k + 1)), tuple(range(k, 0, -1))  # 12..k, k..21
+        # sym_phi: k..21 and 1k..32 over 312 against 213; sym_1321, over 132:
+        # k..21 against 12..k and (k-1)..21k against k12..(k-1)
+        sym("sym_phi", tuple((((3, 1, 2), g), ((2, 1, 3), g))
+                             for g in (down, (1,) + down[:-1])), False, k=k)
+        sym("sym_1321", tuple((((1, 3, 2), g), ((1, 3, 2), h)) for g, h in
+                              ((down, up), (down[1:] + (k,), (k,) + up[:-1]))),
+            True, k=k)
 
     # bijections and transports
     add("bij_phi", "bijections", HARD, _run_staircase, map="phi")

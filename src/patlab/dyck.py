@@ -32,9 +32,9 @@ from __future__ import annotations
 from . import lanes
 from .perms import (
     Perm,
-    avoids_classical,
     check_enumeration_n,
     check_permutation,
+    contains_classical,
     perm_str,
 )
 from .series import catalan
@@ -143,7 +143,7 @@ def staircase_word(p: Perm) -> DyckWord:
 def phi_map(p: Perm) -> DyckWord:
     """Dyck path of a 132-avoiding permutation (left-to-right minima staircase)."""
     check_permutation(p)
-    if not avoids_classical(p, (1, 3, 2)):
+    if contains_classical(p, (1, 3, 2)):
         raise ValueError(f"{perm_str(p)} contains 132")
     return staircase_word(p)
 
@@ -151,9 +151,20 @@ def phi_map(p: Perm) -> DyckWord:
 def psi_map(p: Perm) -> DyckWord:
     """Dyck path of a 123-avoiding permutation (same staircase construction)."""
     check_permutation(p)
-    if not avoids_classical(p, (1, 2, 3)):
+    if contains_classical(p, (1, 2, 3)):
         raise ValueError(f"{perm_str(p)} contains 123")
     return staircase_word(p)
+
+
+# The two staircase classes: does a gap column of the preimage take the
+# least free value (132) or the greatest (123)?
+_GAP_TAKES_LEAST = {(1, 3, 2): True, (1, 2, 3): False}
+
+
+def _gap_takes_least(lam: Perm) -> bool:
+    if lam not in _GAP_TAKES_LEAST:
+        raise ValueError(f"no staircase preimage for the class {perm_str(lam)}")
+    return _GAP_TAKES_LEAST[lam]
 
 
 def staircase_preimage(word: DyckWord, lam: Perm) -> Perm:
@@ -166,12 +177,7 @@ def staircase_preimage(word: DyckWord, lam: Perm) -> Perm:
     uncovered values are kept in decreasing order: for 132 a gap takes the
     least (the list is a stack), for 123 the greatest (a queue).
     """
-    if lam == (1, 3, 2):
-        least = True
-    elif lam == (1, 2, 3):
-        least = False
-    else:
-        raise ValueError(f"no staircase preimage for the class {perm_str(lam)}")
+    least = _gap_takes_least(lam)
     low = len(word) // 2 + 1    # the running minimum
     free: list[int] = []
     front = 0                   # 123: free[:front] are used
@@ -276,12 +282,7 @@ def staircase_preimage_lanes(counts: list[int], m: int, lam: Perm) -> list[int]:
     costs O(n) lane operations.
     """
     n = len(counts)
-    if lam == (1, 3, 2):
-        order = range(1, n + 1)
-    elif lam == (1, 2, 3):
-        order = range(n, 0, -1)
-    else:
-        raise ValueError(f"no staircase preimage for the class {perm_str(lam)}")
+    order = range(1, n + 1) if _gap_takes_least(lam) else range(n, 0, -1)
     ones, high = lanes.units(m)
     low = (n + 1) * ones
     free = [0] * (n + 1)
@@ -336,7 +337,7 @@ def pattern_path(gamma: Perm, variant: str) -> str:
     m = len(gamma)
     if m == 0:
         raise ValueError("patterns must be nonempty")
-    if not avoids_classical(gamma, (1, 3, 2)):
+    if contains_classical(gamma, (1, 3, 2)):
         raise ValueError(f"{perm_str(gamma)} contains 132")
     if variant == "phi_prime":
         return staircase_word(gamma)[m + 1 - gamma[0]:]

@@ -3,7 +3,10 @@
 A permutation is a tuple of the integers 1..n; the empty tuple is the empty
 permutation.  Classical patterns match arbitrary subsequences, consecutive
 patterns match contiguous windows.  Everything here is a pure function of
-its inputs.
+its inputs.  SYMMETRIES is the one table of reverse, complement and
+reverse-complement, each with whether it flips descents; the other four
+length-3 classes are images of 123 and 132 under them, so
+contains_classical tests a length-3 pattern with the 123 or the 132 scan.
 
 There is one consecutive matcher: compile_pattern turns a pattern into its
 inverse, so a window matches when its entries at those offsets increase
@@ -51,8 +54,6 @@ from . import lanes
 from .limits import AVOIDERS_CACHED_MAX_N, DEFAULT_MAX_N
 
 Perm = tuple[int, ...]
-
-SYMMETRY_KINDS = ("reverse", "complement", "reverse_complement")
 
 
 class EnumerationLimitError(ValueError):
@@ -140,14 +141,19 @@ def reverse_complement(p: Perm) -> Perm:
     return complement(reverse(p))
 
 
+# name -> (action, flips_descents).  Each action is an involution; reverse
+# and complement send des to n - 1 - des, reverse-complement keeps it.
+SYMMETRIES = {
+    "reverse": (reverse, True),
+    "complement": (complement, True),
+    "reverse_complement": (reverse_complement, False),
+}
+
+
 def symmetry_transform(p: Perm, kind: str) -> Perm:
-    if kind == "reverse":
-        return reverse(p)
-    if kind == "complement":
-        return complement(p)
-    if kind == "reverse_complement":
-        return reverse_complement(p)
-    raise ValueError(f"unknown symmetry {kind!r}")
+    if kind not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {kind!r}")
+    return SYMMETRIES[kind][0](p)
 
 
 # -- classical containment ----------------------------------------------------
@@ -209,29 +215,25 @@ def _contains_subsequence(p: Perm, pat: Perm) -> bool:
     return extend([], 0)
 
 
+# Each length-3 pattern -> (act, scan): act, the identity (tuple) or a
+# SYMMETRIES action, takes it to the base pattern of one O(n) scan, and p
+# contains act(base) iff act(p) contains base.  The identity comes last, so
+# a base pattern keeps its own scan.
+_LENGTH3_SCANS = {act(base): (act, scan)
+                  for base, scan in (((1, 2, 3), _contains_123),
+                                     ((1, 3, 2), _contains_132))
+                  for act in (*(a for a, _ in SYMMETRIES.values()), tuple)}
+
+
 def contains_classical(p: Perm, pat: Perm) -> bool:
     """Does pat occur in p as a (not necessarily contiguous) subsequence?"""
     if len(pat) == 0:
         raise ValueError("patterns must be nonempty")
-    if len(pat) == 3:
-        # O(n) scans for the two base patterns; the rest via symmetries.
-        if pat == (1, 2, 3):
-            return _contains_123(p)
-        if pat == (3, 2, 1):
-            return _contains_123(complement(p))
-        if pat == (1, 3, 2):
-            return _contains_132(p)
-        if pat == (2, 3, 1):
-            return _contains_132(reverse(p))
-        if pat == (3, 1, 2):
-            return _contains_132(complement(p))
-        if pat == (2, 1, 3):
-            return _contains_132(reverse_complement(p))
-    return _contains_subsequence(p, pat)
-
-
-def avoids_classical(p: Perm, pat: Perm) -> bool:
-    return not contains_classical(p, pat)
+    hit = _LENGTH3_SCANS.get(tuple(pat))
+    if hit is None:
+        return _contains_subsequence(p, pat)
+    act, scan = hit
+    return scan(act(p))
 
 
 # -- consecutive matches ------------------------------------------------------

@@ -604,6 +604,23 @@ def test_solves_chained_in_any_order_equal_cold_ones(system, orders):
     _check_chain(*system, orders)
 
 
+def test_clearing_the_solve_cache_makes_the_next_solve_cold(monkeypatch):
+    # cache_clear empties the chain as well as the lru_cache, so the next
+    # solve, at a lower order too, is seeded with ints only.
+    catalog.solve_system("thm8", 12)
+    catalog.solve_system.cache_clear()
+    assert catalog._SOLVED == {}
+    assert catalog.solve_system.cache_info().currsize == 0
+    seeds = []
+
+    def solve(equations, order, s):
+        seeds.extend(s)
+        return fixed_point_solve(equations, order, s)
+    monkeypatch.setattr(catalog, "fixed_point_solve", solve)
+    assert catalog.solve_system("thm8", 10) == _cold("thm8", 10, None, None)
+    assert seeds and all(type(s) is int for s in seeds)
+
+
 def test_solved_series_sum_to_catalan():
     for entry_id in ("thm1", "thm5", "thm8"):
         s = catalog.solve_catalog(entry_id, 8)

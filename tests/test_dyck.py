@@ -272,3 +272,12 @@ def test_class_factor_counts_examples_and_guards():
         dyck.class_factor_counts([1, 2], 1, ["DR"])
     with pytest.raises(ValueError):
         dyck.class_factor_counts([1, 0], 1, [""])
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)])
+def test_only_132_and_123_have_a_staircase_preimage(lam):
+    message = f"no staircase preimage for the class {perms.perm_str(lam)}"
+    with pytest.raises(ValueError, match=message):
+        dyck.staircase_preimage("DR", lam)
+    with pytest.raises(ValueError, match=message):
+        dyck.staircase_preimage_lanes([1], 1, lam)
