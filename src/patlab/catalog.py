@@ -27,6 +27,7 @@ from functools import lru_cache, partial
 from .series import (
     EqContext,
     Poly,
+    T_CAP_HARD,
     TruncatedSeries,
     binom,
     catalan,
@@ -399,12 +400,11 @@ _entry("fam_132_m1m1", REPORT_ONLY, (1, 3, 2), ("t", "x"),
        m_min=4)
 
 
-# The highest-order verified unknowns of each system solved so far, by
-# (entry_id, m, a): the seeds of its next solve at any order.  It holds
-# only solves that passed their eager check, so a seeded solve gives what a
-# cold one would; they are series that solve_system's cache holds too, so
-# it adds no slice.
-_SOLVED: dict[tuple, list[TruncatedSeries]] = {}
+# Each system solved so far, by (entry_id, m, a), as (order, system): solved
+# at the first order asked, then at T_CAP_HARD once a higher order is asked.
+# Every order at or below it is served as its truncation, since the eager
+# arithmetic works slice by slice: a cold solve at that order is the same.
+_SOLVED: dict[tuple, tuple[int, dict[str, TruncatedSeries]]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -413,18 +413,21 @@ def solve_system(entry_id: str, order: int, m: int | None = None,
     """Solve a catalog system; returns every series of the system by name.
 
     The primary series is under "A" (or "B" for the families); auxiliary
-    ones appear as "A0"/"A1"/"B1" where the system has them.  Each system
-    is one solve chain: a solve is seeded with the system's highest-order
-    solve so far, so a lower order is a truncation and a higher one
-    computes only its new slices, and each runs its own eager check (see
-    fixed_point_solve).
+    ones appear as "A0"/"A1"/"B1" where the system has them.  A system is
+    solved cold at most twice: at the first order asked, and at T_CAP_HARD
+    when a higher order is first asked.  Each solve runs its eager check at
+    its own full order (see fixed_point_solve); every order asked is a
+    truncation of the last solve.
     """
     key = entry_id, m, a
-    best = _SOLVED.get(key)
-    system = _solve(entry_id, order, m, a, best)
-    if best is None or order > best[0].order:
-        _SOLVED[key] = [system[name] for name in CATALOG[entry_id].unknowns]
-    return system
+    top, system = _SOLVED.get(key, (None, None))
+    if top is None or not 0 <= order <= top:
+        if top is not None and not 0 <= order <= T_CAP_HARD:
+            raise ValueError(f"order {order} outside [0, {T_CAP_HARD}]")
+        top = order if top is None else T_CAP_HARD
+        system = _solve(entry_id, top, m, a)
+        _SOLVED[key] = top, system
+    return {name: s.truncate(order) for name, s in system.items()}
 
 
 def _cache_clear(clear=solve_system.cache_clear):
@@ -436,16 +439,14 @@ def _cache_clear(clear=solve_system.cache_clear):
 solve_system.cache_clear = _cache_clear
 
 
-def _solve(entry_id, order, m=None, a=None, seeds=None):
-    """solve_system past both its caches: solved cold, or from seeds, a
-    verified solve of the same system at any order (one series per
-    unknown)."""
+def _solve(entry_id, order, m=None, a=None):
+    """solve_system past both its caches: a cold solve at order."""
     entry = CATALOG.get(entry_id)
     if entry is None:
         raise ValueError(f"unknown catalog id {entry_id!r}")
     entry.check_params(m, a)
     system = dict(zip(entry.unknowns, fixed_point_solve(
-        entry.equations(m, a), order, seeds or [1] * len(entry.unknowns))))
+        entry.equations(m, a), order, [1] * len(entry.unknowns))))
     if entry.derive is not None:
         system.update(entry.derive(system, EqContext(order)))
     return system

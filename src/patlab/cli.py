@@ -29,6 +29,8 @@ def _parse_sets(values) -> dict[str, int]:
             var = var.strip()
             if var == "t":
                 raise UsageError("cannot substitute t")
+            if var in out:
+                raise UsageError(f"--set names {var} more than once")
             try:
                 out[var] = int(val)
             except ValueError:

@@ -554,6 +554,12 @@ class TruncatedSeries:
         den = self._coerce(den)
         return self * den.inverse_unit()
 
+    def truncate(self, order: int) -> "TruncatedSeries":
+        """The series cut to a lower order; its slices are shared."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        return TruncatedSeries._of_slices(self.slices[:order + 1], order)
+
     def substitute(self, assignments: dict[str, "Poly | int"]) -> "TruncatedSeries":
         if "t" in assignments:
             raise ValueError("cannot substitute t: it is the truncation grading")
@@ -601,20 +607,18 @@ def fixed_point_solve(equations, order: int, seeds=None) -> list[TruncatedSeries
 
     equations(vals, ctx) gives one right-hand side per unknown, where vals
     holds a value for every unknown and ctx provides ring constants at the
-    working order (see EqContext).  There is one seed per unknown (default:
-    one unknown, seed 1).  An int seed is the unknown's constant term; a
-    TruncatedSeries seed is a verified solve of the same system at any
-    order, whose slices 0..min(seed.order, order) are taken as known and
-    shared, not copied.  The system is called twice.  The first call
-    builds every right-hand side on lazy series (see _Lazy): the known
-    slices of an unknown are its seed's, slice n above them is slice n of
-    its right-hand side, and one relaxed pass computes slice n of every
-    unknown from lower slices, up to order.  A slice that needs itself
-    raises NonContractiveError.  The second call evaluates the system
-    eagerly on the solved values at full order; each right-hand side must
-    give its unknown back, which checks stabilisation, the lazy arithmetic
-    and the seeds, at every slice.  A part that several right-hand sides
-    share is built once per call, as one of the system's local values.
+    working order (see EqContext).  Seeds give the unknowns' constant terms,
+    one int per unknown (default: one unknown, seed 1); any other seed
+    raises TypeError.  The system is called twice.  The first call builds
+    every right-hand side on lazy series (see _Lazy): slice 0 of an unknown
+    is its seed, slice n is slice n of its right-hand side, and one relaxed
+    pass computes slice n of every unknown from lower slices, n = 1..order.
+    A slice that needs itself raises NonContractiveError.  The second call
+    evaluates the system eagerly on the solved values at full order; each
+    right-hand side must give its unknown back, which checks both
+    stabilisation and the lazy arithmetic, at every slice.  A part that
+    several right-hand sides share is built once per call, as one of the
+    system's local values.
 
     >>> (c,) = fixed_point_solve(lambda v, ctx: (ctx.one + ctx.t * v[0] ** 2,), 6)
     >>> series_str(c)
@@ -635,39 +639,23 @@ def _solve_lazily(equations, ctx: EqContext, seeds) -> list[TruncatedSeries]:
     """The relaxed pass of fixed_point_solve; the lazy graph is freed when
     it returns, before the eager check."""
     order = ctx.order
-    known = [_known_slices(s, order) for s in seeds]
-    unknowns = [_Unknown(k, order, i) for i, k in enumerate(known)]
+    unknowns = [_Unknown(s, order, i) for i, s in enumerate(seeds)]
     try:
         for unknown, rhs in zip(unknowns, equations(unknowns, _LazyContext(ctx)),
                                 strict=True):
             unknown.rhs = _lift(rhs, order)
-        for unknown, seed in zip(unknowns, seeds):
-            # A verified solve is also the slices of a right-hand side that
-            # is one memoised node, such as a tail B = 1/(1 - t B1).
-            if isinstance(seed, TruncatedSeries) and unknown.rhs.cache == []:
-                unknown.rhs.cache = unknown.cache[:]
         for n in range(order + 1):
             for unknown in unknowns:
                 unknown.at(n)
     finally:
         for unknown in unknowns:
             unknown.rhs = None   # break the cycles so the graph can be freed
-    # The solution shares the known slices and keeps one int per distinct
-    # t-free key of the new ones: a monomial recurs in many slices, and each
-    # product made it afresh.
+    # The solution keeps one int per distinct t-free key: a monomial recurs
+    # in many slices, and each product made it afresh.
     keys: dict[int, int] = {}
     return [TruncatedSeries._of_slices(
-        k + [{keys.setdefault(key, key): v for key, v in d.items()}
-             for d, _ in u.cache[len(k):]], order)
-        for k, u in zip(known, unknowns)]
-
-
-def _known_slices(seed, order: int) -> list[dict[int, int]]:
-    """The slices a seed fixes: an int's constant term, or a verified
-    solve's slices up to order."""
-    if isinstance(seed, TruncatedSeries):
-        return seed.slices[:order + 1]
-    return [{0: seed} if seed else {}]
+        [{keys.setdefault(k, k): v for k, v in d.items()} for d, _ in u.cache],
+        order) for u in unknowns]
 
 
 class EqContext:
@@ -838,13 +826,12 @@ class _Geo(_Lazy):
     def __init__(self, first: _Lazy, ratio: _Lazy):
         super().__init__(first.order, first.val)
         self.first, self.ratio = first, ratio
-        self.unit = None
         self.cache = []
         ratio.memoise()
 
     def compute(self, n):
         first, ratio = self.first, self.ratio
-        if self.unit is None:      # at slice 0, or the first above known ones
+        if n == 0:
             self.unit = _unit(_one_minus(ratio.at(0)[0]))
         acc = dict(first.slice(n)) if first.val <= n else {}
         for j in range(max(ratio.val, 1), n - self.val + 1):
@@ -856,19 +843,24 @@ class _Geo(_Lazy):
 
 
 class _Unknown(_Lazy):
-    """One unknown of the system: the slices its seed fixes, then the
-    slices of its right-hand side."""
+    """One unknown of the system: its seed, then the slices of its
+    right-hand side."""
 
-    __slots__ = ("index", "rhs", "busy")
+    __slots__ = ("seed", "index", "rhs", "busy")
 
-    def __init__(self, known: list[dict[int, int]], order: int, index: int):
+    def __init__(self, seed: int, order: int, index: int):
+        if not isinstance(seed, int):
+            raise TypeError(f"seed of unknown {index} must be an int, "
+                            f"not {type(seed).__name__}")
         super().__init__(order, 0)
-        self.index = index
+        self.seed, self.index = seed, index
         self.rhs = None
         self.busy = False
-        self.cache = list(zip(known, _bits(known)))
+        self.cache = []
 
     def compute(self, n):
+        if n == 0:
+            return {0: self.seed} if self.seed else {}
         if self.busy:
             raise NonContractiveError(
                 f"unknown {self.index}: its slice t^{n} depends on itself")

@@ -14,7 +14,6 @@ from patlab.series import (
     EqContext,
     Poly,
     T_CAP_HARD,
-    TruncatedSeries,
     catalan,
     fixed_point_solve,
     poly_str,
@@ -553,39 +552,46 @@ def _cold(eid, order, m, a):
 
 def _check_chain(eid, m, a, orders):
     # solve_system past its lru_cache, from an empty chain, at orders in
-    # turn: each system equals the cold solve, each order asked runs one
-    # eager evaluation of the system, and every solve after the first is
-    # seeded with a verified one.  Then an order outside [0, T_CAP_HARD]
-    # raises the cold solve's ValueError and leaves the chain as it was.
+    # turn: each system equals the cold solve at its order.  The system is
+    # solved at most twice, with int seeds: at the first order, then at
+    # T_CAP_HARD when a higher order is first asked; each solve runs one
+    # eager evaluation, at its own order.  Then an order outside
+    # [0, T_CAP_HARD] raises the cold solve's ValueError before any solve
+    # and leaves the chain as it was.
     want = [_cold(eid, order, m, a) for order in orders]
-    eager, seeded = [], []
+    refused = {}
+    for order in (-1, T_CAP_HARD + 1):
+        with pytest.raises(ValueError) as cold:
+            catalog._solve(eid, order, m, a)
+        refused[order] = str(cold.value)
+    solves, eager = [], []
 
     def solve(equations, order, seeds):
         def counted(v, c):
             if isinstance(c, EqContext):
                 eager.append(order)
             return equations(v, c)
-        seeded.append(all(isinstance(s, TruncatedSeries) for s in seeds))
+        assert all(type(s) is int for s in seeds)
+        solves.append(order)
         return fixed_point_solve(counted, order, seeds)
 
+    climbs = any(order > orders[0] for order in orders)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog, "_SOLVED", {})
         mp.setattr(catalog, "fixed_point_solve", solve)
         got = [catalog.solve_system.__wrapped__(eid, order, m, a)
                for order in orders]
         assert got == want, (eid, m, a, orders)
-        assert eager == list(orders)
-        assert seeded == [False] + [True] * (len(orders) - 1)
-        best = catalog._SOLVED[eid, m, a]
-        assert best[0].order == max(orders)
-        for order in (-1, T_CAP_HARD + 1):
+        assert solves == [orders[0]] + [T_CAP_HARD] * climbs
+        assert eager == solves
+        held = catalog._SOLVED[eid, m, a]
+        assert held[0] == solves[-1]
+        for order, message in refused.items():
             with pytest.raises(ValueError) as chained:
                 catalog.solve_system.__wrapped__(eid, order, m, a)
-            with pytest.raises(ValueError) as cold:
-                catalog._solve(eid, order, m, a)
-            assert str(chained.value) == str(cold.value)
-        assert catalog._SOLVED == {(eid, m, a): best}
-        assert eager == list(orders)
+            assert str(chained.value) == message
+        assert catalog._SOLVED == {(eid, m, a): held}
+        assert eager == solves == [orders[0]] + [T_CAP_HARD] * climbs
 
 
 @pytest.mark.parametrize("orders", [
@@ -606,7 +612,7 @@ def test_solves_chained_in_any_order_equal_cold_ones(system, orders):
 
 def test_clearing_the_solve_cache_makes_the_next_solve_cold(monkeypatch):
     # cache_clear empties the chain as well as the lru_cache, so the next
-    # solve, at a lower order too, is seeded with ints only.
+    # order, a lower one too, is solved cold and not served as a truncation.
     catalog.solve_system("thm8", 12)
     catalog.solve_system.cache_clear()
     assert catalog._SOLVED == {}

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import patlab
 from patlab import catalog
 from patlab.cli import build_parser, main
@@ -89,6 +91,20 @@ def test_series_domain_error(capsys):
     code, _, err = run_cli(capsys, "series", "--id", "thm5", "--order", "3",
                            "--set", "z=1")
     assert code == 2 and "unknown variable 'z'" in err
+
+
+@pytest.mark.parametrize("sets", [("x=1,y=2,x=3",), ("x=1", "y=2", " x=3")],
+                         ids=["one flag", "repeated flags"])
+@pytest.mark.parametrize("command", [
+    ("series", "--id", "thm5", "--order", "2"),
+    ("dist", "--avoid", "132", "--track", "123", "--n", "2"),
+], ids=["series", "dist"])
+def test_set_naming_a_variable_twice_is_a_usage_error(capsys, command, sets):
+    argv = list(command)
+    for chunk in sets:
+        argv += ["--set", chunk]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --set names x more than once\n")
 
 
 def test_coeff_command(capsys):
